@@ -10,7 +10,7 @@ import numpy as np
 
 from disnes import MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
-    COND_OPS, OP_OPS, eval_program, fitness_from_spec, parse, render,
+    COND_OPS, OP_OPS, SpecFitness, eval_program, parse, render,
 )
 
 
@@ -39,7 +39,7 @@ def main():
     print("\nA completion of the sketch:")
     print(render(sketch, assignment))
 
-    fitness = fitness_from_spec(sketch, MAIN_SPEC)
+    fitness = SpecFitness(sketch, MAIN_SPEC)
     print("its outputs:", fitness.predicted_outputs(assignment))
     print("its MSE vs the spec:", -fitness(assignment))
 

@@ -29,9 +29,10 @@ def main():
     assignment = dict(zip(problem.hole_ids(), decoded))
     print("\nGreedy-decoded program:")
     print(render(program, assignment))
-    print("outputs: ", problem.fitness.predicted_outputs(decoded))
+    outputs = problem.fitness.predicted_outputs(decoded)
+    print("outputs: ", outputs)
     print("spec:    ", MAIN_SPEC.outputs)
-    print("decode MSE:", problem.fitness.mse(decoded))
+    print("decode MSE:", problem.fitness.mean_squared_error(outputs))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Evolution-strategy gradient estimation for discrete and continuous
 search distributions, applied to filling holes in small program sketches."""
 
+from .checks import verify
 from .distributions import (
     BernoulliParams,
     CategoricalParams,
@@ -14,9 +15,6 @@ from .estimator import (
     SEARCH,
     VO,
     estimate_gradient,
-    estimate_natural_gradient,
-    estimate_search_gradient,
-    estimate_vo_gradient,
     exact_gradient_oracle,
 )
 from .harness import (
@@ -27,14 +25,12 @@ from .harness import (
     TRUE_PROGRAM,
     run_ablation,
     run_main,
-    verify,
 )
 from .optimizer import TrainConfig, TrainingLog, greedy_decode, sgd_step, train
 from .sketch import (
     Specification,
     SketchProblem,
     eval_program,
-    fitness_from_spec,
     holes_to_distributions,
     parse,
     render,
@@ -44,11 +40,9 @@ __all__ = [
     "BernoulliParams", "CategoricalParams", "GaussianParams",
     "LOGITS", "PROBS",
     "GradientEstimate", "SEARCH", "NATURAL", "VO",
-    "estimate_gradient", "estimate_search_gradient",
-    "estimate_natural_gradient", "estimate_vo_gradient",
-    "exact_gradient_oracle",
+    "estimate_gradient", "exact_gradient_oracle",
     "TrainConfig", "TrainingLog", "greedy_decode", "sgd_step", "train",
-    "Specification", "SketchProblem", "eval_program", "fitness_from_spec",
+    "Specification", "SketchProblem", "eval_program",
     "holes_to_distributions", "parse", "render",
     "MAIN_SKETCH", "MAIN_SPEC", "TRUE_PROGRAM",
     "ABLATION_SKETCH", "ABLATION_SPEC",

@@ -1,46 +1,67 @@
 """Command-line entry point.
 
 Subcommands: ``run-main``, ``run-ablation``, ``verify``, ``decode``.
-Exit codes: 0 success, 1 check or runtime failure, 2 usage error.
+Exit codes: 0 success, 1 check or runtime failure, 2 usage error or
+malformed input (a flag value, a sketch file or a params snapshot).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-import numpy as np
-
-from . import harness
+from . import checks, harness
 from .optimizer import TrainConfig, greedy_decode
-from .sketch import Specification, parse, render
+from .sketch import SketchError, parse, render
+
+
+def _checked(cast, ok, requirement):
+    """An argparse type: ``cast`` the text, then require ``ok(value)``."""
+    def convert(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+    return convert
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_seed_list = _checked(lambda text: tuple(int(s) for s in text.split(",")),
+                      lambda v: min(v) >= 0,
+                      "a comma-separated list of integers >= 0")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                           "a finite number > 0")
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--lr", type=float, default=0.1, help="learning rate")
-    sub.add_argument("--iters", type=int, default=10000, help="iteration budget")
-    sub.add_argument("--lambda", dest="population", type=int, default=50,
-                     help="population size per gradient estimate")
-    sub.add_argument("--log-every", type=int, default=10)
+    sub.add_argument("--iters", type=_positive_int, default=10000,
+                     help="iteration budget")
+    sub.add_argument("--lambda", dest="population", type=_positive_int,
+                     default=50, help="population size per gradient estimate")
+    sub.add_argument("--log-every", type=_positive_int, default=10)
     sub.add_argument("--sketch", help="path to a sketch file overriding the default")
     sub.add_argument("--out", default="runs", help="output directory")
 
 
-def _config(args, seed):
-    return TrainConfig(iterations=args.iters, learning_rate=args.lr,
-                       population=args.population, seed=seed,
-                       log_every=args.log_every)
+def _config(args, seed, **overrides):
+    return TrainConfig(iterations=args.iters, population=args.population,
+                       seed=seed, log_every=args.log_every, **overrides)
 
 
 def _sketch_text(args):
+    """The ``--sketch`` text, parsed here so a malformed file fails early."""
     if args.sketch:
         with open(args.sketch, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
+        parse(text)
+        return text
     return None
-
-
-def _parse_seeds(text):
-    return tuple(int(s) for s in text.split(","))
 
 
 def build_parser():
@@ -51,22 +72,27 @@ def build_parser():
 
     p = subs.add_parser("run-main", help="single-input induction experiment")
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--lr", type=_positive_float, default=0.1,
+                   help="learning rate")
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--estimator", choices=sorted(harness.ARM_KINDS),
                    action="append", dest="arms",
                    help="arm to run (repeatable; default: nes and vo)")
 
-    p = subs.add_parser("run-ablation", help="learning-rate sweep, nes vs sg arms")
+    p = subs.add_parser("run-ablation",
+                        help="learning-rate sweep, nes vs sg arms (the "
+                             "learning rates are fixed)")
     _add_train_flags(p)
-    p.add_argument("--seed", default="1", help="comma-separated seed list")
+    p.add_argument("--seed", type=_seed_list, default=(1,),
+                   help="comma-separated seed list")
     p.add_argument("--estimator", choices=sorted(harness.ARM_KINDS),
                    action="append", dest="arms")
 
     p = subs.add_parser("verify", help="distribution and estimator checks")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--estimates", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
+    p.add_argument("--cases", type=_positive_int, default=1000)
+    p.add_argument("--estimates", type=_positive_int, default=200)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = subs.add_parser("decode", help="render the greedy program from a snapshot")
     p.add_argument("--params", required=True, help="params snapshot JSON")
@@ -81,7 +107,8 @@ def main(argv=None):
         if args.command == "run-main":
             arms = tuple(args.arms) if args.arms else harness.MAIN_ARMS
             results = harness.run_main(
-                args.seed, args.out, config=_config(args, args.seed),
+                args.seed, args.out,
+                config=_config(args, args.seed, learning_rate=args.lr),
                 sketch_text=_sketch_text(args), arms=arms)
             harness.emit_summary(results, f"{args.out}/summary.csv")
             for r in results:
@@ -90,10 +117,9 @@ def main(argv=None):
             return 0
 
         if args.command == "run-ablation":
-            seeds = _parse_seeds(args.seed)
             arms = tuple(args.arms) if args.arms else harness.ABLATION_ARMS
             results = harness.run_ablation(
-                seeds, args.out, config=_config(args, seeds[0]),
+                args.seed, args.out, config=_config(args, args.seed[0]),
                 sketch_text=_sketch_text(args), arms=arms)
             harness.emit_summary(results, f"{args.out}/summary.csv")
             for r in results:
@@ -102,20 +128,25 @@ def main(argv=None):
             return 0
 
         if args.command == "verify":
-            checks = harness.verify(samples=args.samples, cases=args.cases,
+            results = checks.verify(samples=args.samples, cases=args.cases,
                                     oracle_estimates=args.estimates,
                                     seed=args.seed)
-            print(harness.format_report(checks))
-            return 0 if all(c.passed for c in checks) else 1
+            print(checks.format_report(results))
+            return 0 if all(c.passed for c in results) else 1
 
         if args.command == "decode":
             with open(args.sketch, encoding="utf-8") as fh:
                 program = parse(fh.read())
             with open(args.params, encoding="utf-8") as fh:
-                hole_ids, params = harness.params_from_json(fh.read())
+                text = fh.read()
+            try:
+                hole_ids, params = harness.params_from_json(text)
+            except ValueError as exc:
+                print(f"error: {args.params}: {exc}", file=sys.stderr)
+                return 2
             if hole_ids != program.hole_ids():
-                print("params snapshot does not match the sketch's holes",
-                      file=sys.stderr)
+                print("error: params snapshot does not match the sketch's "
+                      "holes", file=sys.stderr)
                 return 2
             assignment = dict(zip(hole_ids, greedy_decode(params)))
             sys.stdout.write(render(program, assignment))
@@ -123,6 +154,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SketchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 2
 
 

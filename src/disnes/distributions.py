@@ -66,8 +66,6 @@ class BernoulliParams:
 
     theta: float
 
-    dim = 1
-
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
@@ -164,10 +162,6 @@ class CategoricalParams:
         return self.values.size
 
     @property
-    def dim(self):
-        return self.values.size
-
-    @property
     def support(self):
         return np.arange(self.k)
 
@@ -250,8 +244,6 @@ class GaussianParams:
     mu: float
     log_sigma: float
 
-    dim = 2
-
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.log_sigma)):
             raise ValueError("mu and log_sigma must be finite")
@@ -295,12 +287,6 @@ class GaussianParams:
         dens = np.exp(self.log_prob(xs))
         g = dens[:, None] * np.atleast_2d(self.score(xs))
         return _squeeze(g, scalar)
-
-    def fim(self):
-        return np.array([1.0 / self.sigma**2, 2.0])
-
-    def inverse_fim(self):
-        return np.array([self.sigma**2, 0.5])
 
     def entropy(self):
         """Differential entropy, in nats."""

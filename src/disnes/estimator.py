@@ -42,7 +42,6 @@ class GradientEstimate:
     gradient is still returned).
     """
 
-    kinds: tuple
     gradients: list
     fitnesses: np.ndarray
     degenerate: bool
@@ -128,19 +127,7 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
         weights @ _weights(p, xs, kind) / lam
         for p, xs, kind in zip(params_set, draws, kinds)
     ]
-    return GradientEstimate(kinds, gradients, fits, degenerate)
-
-
-def estimate_search_gradient(params_set, fitness, lam, rng):
-    return estimate_gradient(params_set, fitness, lam, rng, SEARCH)
-
-
-def estimate_natural_gradient(params_set, fitness, lam, rng):
-    return estimate_gradient(params_set, fitness, lam, rng, NATURAL)
-
-
-def estimate_vo_gradient(params_set, fitness, lam, rng):
-    return estimate_gradient(params_set, fitness, lam, rng, VO)
+    return GradientEstimate(gradients, fits, degenerate)
 
 
 def joint_support_size(params_set):

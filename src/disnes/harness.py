@@ -1,5 +1,5 @@
 """Experiment harness: the main induction run, the Fisher ablation sweep,
-verification checks, and their file outputs.
+and their file outputs.
 
 Every run writes, into its output directory: a per-iteration CSV log, the
 rendered greedy-decoded program, a JSON parameter snapshot, and a
@@ -16,10 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimator as est
-from .distributions import (
-    BernoulliParams, CategoricalParams, GaussianParams, LOGITS, PROBS,
-)
-from .optimizer import TrainConfig, greedy_decode, train
+from .distributions import BernoulliParams, CategoricalParams, GaussianParams
+from .optimizer import CONTINUOUS_KIND, TrainConfig, greedy_decode, train
 from .sketch import Specification, SketchProblem, parse, render
 
 MAIN_SKETCH = """\
@@ -92,7 +90,6 @@ class RunResult:
     final_outputs: np.ndarray  # f32 outputs of the decoded program
     program_text: str
     csv_path: str
-    params_path: str
 
 
 def params_to_json(params_set, hole_ids):
@@ -110,18 +107,23 @@ def params_to_json(params_set, hole_ids):
 
 
 def params_from_json(text):
+    """Inverse of :func:`params_to_json`; malformed text raises ValueError."""
     data = json.loads(text)
     hole_ids, params = [], []
-    for h in data["holes"]:
-        hole_ids.append(h["id"])
-        if h["family"] == "bernoulli":
-            params.append(BernoulliParams(h["theta"]))
-        elif h["family"] == "categorical":
-            params.append(CategoricalParams(np.array(h["values"]), mode=h["mode"]))
-        elif h["family"] == "gaussian":
-            params.append(GaussianParams(h["mu"], h["log_sigma"]))
-        else:
-            raise ValueError(f"unknown family {h['family']!r}")
+    try:
+        for h in data["holes"]:
+            hole_ids.append(h["id"])
+            if h["family"] == "bernoulli":
+                params.append(BernoulliParams(h["theta"]))
+            elif h["family"] == "categorical":
+                params.append(CategoricalParams(np.array(h["values"]),
+                                                mode=h["mode"]))
+            elif h["family"] == "gaussian":
+                params.append(GaussianParams(h["mu"], h["log_sigma"]))
+            else:
+                raise ValueError(f"unknown family {h['family']!r}")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed params snapshot: {exc!r}") from exc
     return hole_ids, params
 
 
@@ -134,8 +136,8 @@ def run_single(experiment, arm, sketch_text, spec, config, out_dir):
 
     decoded = greedy_decode(params)
     assignment = dict(zip(problem.hole_ids(), decoded))
-    final_loss = problem.fitness.mse(decoded)
     outputs = problem.fitness.predicted_outputs(decoded)
+    final_loss = float(problem.fitness.mean_squared_error(outputs))
     program_text = render(program, assignment)
 
     stem = f"{arm}_lr{config.learning_rate:g}_seed{config.seed}"
@@ -150,7 +152,7 @@ def run_single(experiment, arm, sketch_text, spec, config, out_dir):
         fh.write(params_to_json(params, problem.hole_ids()))
 
     return RunResult(experiment, arm, config.learning_rate, config.seed,
-                     final_loss, outputs, program_text, csv_path, params_path)
+                     final_loss, outputs, program_text, csv_path)
 
 
 def _write_config_echo(out_dir, entries):
@@ -176,7 +178,7 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
         ("lambda", config.population),
         ("seed", seed),
         ("log_every", config.log_every),
-        ("continuous_kind", config.continuous_kind),
+        ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
     return [run_single("main", arm, sketch_text, spec, config, out_dir)
@@ -197,7 +199,7 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
         ("lambda", config.population),
         ("seeds", ",".join(str(s) for s in seeds)),
         ("log_every", config.log_every),
-        ("continuous_kind", config.continuous_kind),
+        ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
     results = []
@@ -229,165 +231,3 @@ def emit_summary(results, path):
                 ".csv", "_program.txt"))
             fh.write(",".join(cells) + "\n")
     return path
-
-
-# --- Verification checks ----------------------------------------------------
-
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _check(name, passed, detail=""):
-    return Check(name, bool(passed), detail)
-
-
-def verify(samples=100_000, cases=1000, oracle_estimates=200, seed=0,
-           fim_fn=None):
-    """Monte Carlo and algebraic checks on the distribution and estimator
-    layers.  Returns a list of :class:`Check`; ``fim_fn`` lets tests inject
-    a faulty Fisher computation to confirm the consistency check trips.
-    """
-    rng = np.random.default_rng(seed)
-    checks = []
-    fim_fn = fim_fn or (lambda p: p.fim())
-
-    # score zero-mean per family (LOGITS categorical; the per-coordinate
-    # PROBS partials intentionally ignore the simplex constraint and are
-    # not zero-mean)
-    families = [
-        ("bernoulli", BernoulliParams(0.3)),
-        ("categorical", CategoricalParams(np.log([0.2, 0.3, 0.5]), mode=LOGITS)),
-        ("gaussian", GaussianParams(0.7, -0.2)),
-    ]
-    for name, p in families:
-        xs = p.sample(rng, size=samples)
-        scores = p.score(xs)
-        mean = scores.mean(axis=0)
-        se = scores.std(axis=0, ddof=1) / np.sqrt(samples)
-        ok = np.all(np.abs(mean) <= 3.0 * se + 1e-12)
-        checks.append(_check(
-            f"score-zero-mean/{name}", ok,
-            f"mean={mean}, 3se={3 * se}"))
-
-    # Fisher consistency: E[score score^T] diagonal vs closed form
-    for name, p in [
-        ("bernoulli", BernoulliParams(0.35)),
-        ("categorical", CategoricalParams(np.array([0.2, 0.3, 0.5]), mode=PROBS)),
-    ]:
-        xs = p.sample(rng, size=samples)
-        sq = np.atleast_2d(p.score(xs)) ** 2
-        mean = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / np.sqrt(samples)
-        expected = fim_fn(p)
-        ok = np.all(np.abs(mean - expected) <= 3.0 * se)
-        checks.append(_check(
-            f"fim-consistency/{name}", ok,
-            f"observed={mean}, expected={expected}, 3se={3 * se}"))
-
-    # algebraic identities over random cases
-    ok = True
-    for _ in range(cases):
-        theta = rng.uniform(0.05, 0.95)
-        x = rng.integers(0, 2)
-        p = BernoulliParams(theta)
-        lhs = p.natural_score(x) * p.fim()
-        if not np.allclose(lhs, p.score(x), rtol=1e-12, atol=1e-12):
-            ok = False
-            break
-    checks.append(_check("identity/bernoulli-natural-times-fim", ok))
-
-    ok = True
-    for _ in range(cases):
-        probs = rng.dirichlet(np.ones(rng.integers(2, 7)))
-        probs = np.clip(probs, 1e-3, None)
-        probs = probs / probs.sum()
-        x = rng.integers(0, probs.size)
-        prob_p = CategoricalParams(probs, mode=PROBS)
-        logit_p = CategoricalParams(np.log(probs), mode=LOGITS)
-        lhs = prob_p.natural_score(x)
-        rhs = prob_p.inverse_fim() * logit_p.score(x)
-        if not np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12):
-            ok = False
-            break
-    checks.append(_check("identity/categorical-natural-eq-invfim-score", ok))
-
-    ok = True
-    for _ in range(cases):
-        probs = rng.dirichlet(np.ones(3))
-        probs = np.clip(probs, 1e-3, None)
-        probs = probs / probs.sum()
-        x = rng.integers(0, 3)
-        p = CategoricalParams(np.log(probs), mode=LOGITS)
-        if not np.allclose(p.prob_gradient(x), probs[x] * p.score(x),
-                           rtol=1e-12, atol=1e-15):
-            ok = False
-            break
-    checks.append(_check("identity/vo-term-eq-prob-times-score", ok))
-
-    # estimator vs enumeration oracle (4 standard errors on the mean of
-    # repeated estimates)
-    params_set = [
-        BernoulliParams(0.4),
-        CategoricalParams(np.log([0.25, 0.35, 0.4]), mode=LOGITS),
-    ]
-
-    def fitness(xs):
-        return 1.0 + 2.0 * xs[0] + 0.5 * xs[1] - 0.3 * xs[1] ** 2
-
-    lam = 500
-    for kind in est.KINDS:
-        exact = est.exact_gradient_oracle(params_set, fitness, kind)
-        reps = [est.estimate_gradient(params_set, fitness, lam, rng, kind)
-                for _ in range(oracle_estimates)]
-        ok = True
-        detail = ""
-        for i in range(len(params_set)):
-            stack = np.stack([r.gradients[i] for r in reps])
-            mean = stack.mean(axis=0)
-            se = stack.std(axis=0, ddof=1) / np.sqrt(oracle_estimates)
-            if not np.all(np.abs(mean - exact[i]) <= 4.0 * se + 1e-12):
-                ok = False
-                detail = f"hole {i}: mean={mean}, exact={exact[i]}, 4se={4 * se}"
-                break
-        checks.append(_check(f"estimator-vs-oracle/{kind}", ok, detail))
-
-    # categorical K=2 reduces to Bernoulli under p = [1-theta, theta] with
-    # success mapped to category 1: the logit-score search gradient's
-    # success coordinate equals the Bernoulli natural gradient Cov(f, x),
-    # and the explicit-Fisher gradient carries an extra diag(p)
-    theta = 0.3
-    bern = BernoulliParams(theta)
-    cat_logits = CategoricalParams(np.log([1 - theta, theta]), mode=LOGITS)
-    cat_probs = CategoricalParams(np.array([1 - theta, theta]), mode=PROBS)
-
-    def f1(xs):
-        return 0.25 + 2.0 * float(xs[0])
-
-    gb_nat = est.exact_gradient_oracle([bern], f1, est.NATURAL)[0][0]
-    gs = est.exact_gradient_oracle([cat_logits], f1, est.SEARCH)[0]
-    gn = est.exact_gradient_oracle([cat_probs], f1, est.NATURAL)[0]
-    ok = (np.allclose(gs[1], gb_nat, rtol=1e-12)
-          and np.allclose(gs[0], -gb_nat, rtol=1e-12)
-          and np.allclose(gn[1], theta * gb_nat, rtol=1e-12)
-          and np.allclose(gn[0], -(1 - theta) * gb_nat, rtol=1e-12))
-    checks.append(_check(
-        "equivalence/categorical-k2-vs-bernoulli", ok,
-        f"bernoulli natural={gb_nat}, logit search={gs}, explicit-fim={gn}"))
-
-    return checks
-
-
-def format_report(checks):
-    lines = []
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        line = f"[{status}] {c.name}"
-        if c.detail and not c.passed:
-            line += f"  ({c.detail})"
-        lines.append(line)
-    n_fail = sum(not c.passed for c in checks)
-    lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    return "\n".join(lines)

@@ -7,8 +7,7 @@ The configured estimator kind applies to the discrete (COND/OP) holes.
 Continuous REAL holes always use the Fisher-preconditioned Gaussian
 update: with the plain score at the default learning rate the mu-step
 exceeds the curvature limit of the quadratic loss and training diverges,
-while preconditioning scales the step by sigma^2 and stays stable (see
-``continuous_kind`` to override).
+while preconditioning scales the step by sigma^2 and stays stable.
 """
 
 from __future__ import annotations
@@ -23,6 +22,11 @@ from . import estimator as est
 from .distributions import CategoricalParams, GaussianParams, LOGITS, PROBS, is_discrete
 
 
+# estimator kind for Gaussian holes: standard continuous-ES variance
+# adaptation
+CONTINUOUS_KIND = est.NATURAL
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 10000
@@ -31,9 +35,6 @@ class TrainConfig:
     estimator_kind: str = est.NATURAL
     seed: int = 1
     log_every: int = 10
-    # estimator kind for Gaussian holes; NATURAL == standard continuous-ES
-    # variance adaptation
-    continuous_kind: str = est.NATURAL
     # population fitness transform used for the update weights:
     # raw | baseline (mean-centered) | standardize (centered, unit variance)
     fitness_transform: str = "standardize"
@@ -77,7 +78,6 @@ class LogRecord:
 
 @dataclass
 class TrainingLog:
-    hole_ids: list
     discrete_ids: list
     records: list = field(default_factory=list)
 
@@ -111,34 +111,6 @@ def greedy_decode(params_set):
     return [p.greedy() for p in params_set]
 
 
-class BasicProblem:
-    """Train directly over a fixed params-set with an arbitrary fitness.
-
-    Mostly useful for distribution-level benchmark problems (one-max and
-    friends) that have no program sketch behind them.
-    """
-
-    def __init__(self, params_set, fitness, hole_ids=None):
-        self._params = [p.copy() for p in params_set]
-        self.fitness = fitness
-        self._hole_ids = list(hole_ids) if hole_ids else [
-            f"h{i}" for i in range(len(params_set))]
-
-    def params(self, categorical_mode=LOGITS):
-        out = []
-        for p in self._params:
-            if isinstance(p, CategoricalParams) and p.mode != categorical_mode:
-                probs = p.probs()
-                values = probs if categorical_mode == PROBS else np.log(probs)
-                out.append(CategoricalParams(values, mode=categorical_mode))
-            else:
-                out.append(p.copy())
-        return out
-
-    def hole_ids(self):
-        return list(self._hole_ids)
-
-
 def initial_params(problem, config):
     mode = PROBS if config.estimator_kind == est.NATURAL else LOGITS
     return problem.params(categorical_mode=mode)
@@ -146,7 +118,7 @@ def initial_params(problem, config):
 
 def _kinds_for(params_set, config):
     return tuple(
-        config.estimator_kind if is_discrete(p) else config.continuous_kind
+        config.estimator_kind if is_discrete(p) else CONTINUOUS_KIND
         for p in params_set
     )
 
@@ -164,7 +136,7 @@ def train(problem, config):
     hole_ids = problem.hole_ids()
     discrete_ids = [h for h, p in zip(hole_ids, params) if is_discrete(p)]
     rng = np.random.default_rng(config.seed)
-    log = TrainingLog(hole_ids, discrete_ids)
+    log = TrainingLog(discrete_ids)
 
     transform = _transform_for(config.fitness_transform)
     for i in range(1, config.iterations + 1):
@@ -177,11 +149,7 @@ def train(problem, config):
         if (i - 1) % config.log_every == 0:
             decode_loss = None
             if (i - 1) % (config.log_every * 10) == 0:
-                decoded = greedy_decode(params)
-                if hasattr(fitness, "mse"):
-                    decode_loss = fitness.mse(decoded)
-                else:
-                    decode_loss = -float(fitness(tuple(decoded)))
+                decode_loss = -float(fitness(tuple(greedy_decode(params))))
             entropies = {
                 h: p.entropy()
                 for h, p in zip(hole_ids, params) if is_discrete(p)

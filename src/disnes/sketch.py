@@ -197,17 +197,14 @@ class _Parser:
 
     def make_hole(self, tok):
         body = tok.text[1:-1]
-        if ":" in body:
+        named = ":" in body
+        if named:
             kind, hole_id = body.split(":", 1)
-            named = True
-            if hole_id in self.hole_ids:
-                self.error(f"duplicate hole id {hole_id!r}", tok)
         else:
             kind = body
             hole_id = f"{kind.lower()}{len(self.holes)}"
-            named = False
-            if hole_id in self.hole_ids:
-                self.error(f"duplicate hole id {hole_id!r}", tok)
+        if hole_id in self.hole_ids:
+            self.error(f"duplicate hole id {hole_id!r}", tok)
         hole = Hole(hole_id, kind, named)
         self.holes.append(hole)
         self.hole_ids.add(hole_id)
@@ -249,13 +246,6 @@ class _Parser:
         return Program(name, tuple(self.args), tuple(branches), else_expr,
                        tuple(self.holes))
 
-    def _operator_hole(self):
-        """An operator-position hole of either discrete kind, or None."""
-        tok = self.peek()
-        if tok.kind == "hole" and not tok.text.startswith("[REAL"):
-            return self.make_hole(self.advance())
-        return None
-
     def comparison(self):
         left = self.additive()
         while True:
@@ -263,13 +253,11 @@ class _Parser:
             if tok.text in COND_OPS:
                 self.advance()
                 left = BinOp(tok.text, left, self.additive())
-            else:
-                hole = None
-                if tok.kind == "hole" and tok.text.startswith("[COND"):
-                    hole = self.make_hole(self.advance())
-                if hole is None:
-                    return left
+            elif tok.kind == "hole" and tok.text.startswith("[COND"):
+                hole = self.make_hole(self.advance())
                 left = BinOp(hole, left, self.additive())
+            else:
+                return left
 
     def additive(self):
         left = self.multiplicative()
@@ -337,11 +325,9 @@ _APPLY = {
 }
 
 
-def _as_f32(value):
-    """Comparison results feed back into arithmetic as 0.0 / 1.0."""
-    if getattr(value, "dtype", None) == np.bool_:
-        return value.astype(np.float32)
-    return value
+def _f32(value):
+    """Every operand is f32; comparison results feed back in as 0.0 / 1.0."""
+    return np.asarray(value, dtype=np.float32)
 
 
 def eval_batch(program, hole_values, inputs):
@@ -352,12 +338,8 @@ def eval_batch(program, hole_values, inputs):
     an ``(n, arity)`` float32 array.  Returns a ``(lam, n)`` float32 array.
     """
     inputs = np.asarray(inputs, dtype=np.float32)
-    lam = None
-    for v in hole_values.values():
-        lam = np.asarray(v).shape[0]
-        break
-    if lam is None:
-        lam = 1
+    lam = next((np.asarray(v).shape[0] for v in hole_values.values()), 1)
+    shape = (lam, inputs.shape[0])
 
     def ev(node):
         if isinstance(node, Num):
@@ -365,47 +347,31 @@ def eval_batch(program, hole_values, inputs):
         if isinstance(node, Var):
             return inputs[:, node.index]
         if isinstance(node, Neg):
-            return np.negative(_as_f32(ev(node.operand)))
+            return np.negative(_f32(ev(node.operand)))
         if isinstance(node, Hole):
-            values = np.asarray(hole_values[node.id], dtype=np.float32)
-            return values[:, None]
+            return _f32(hole_values[node.id])[:, None]
         # BinOp
-        left = ev(node.left)
-        right = ev(node.right)
-        if isinstance(node.op, Hole):
+        left = _f32(ev(node.left))
+        right = _f32(ev(node.right))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not isinstance(node.op, Hole):
+                return _APPLY[node.op](left, right)
+            # a hole picks one candidate per member; bool comparisons an
+            # OP-kind hole selects mix with arithmetic candidates, so every
+            # candidate is f32 for np.choose to see one dtype
             idx = np.asarray(hole_values[node.op.id], dtype=np.int64)
-            left = _as_f32(left)
-            right = _as_f32(right)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                choices = [_APPLY[sym](left, right) for sym in node.op.categories]
-                choices = [np.broadcast_to(_coerce(c), (lam, inputs.shape[0]))
-                           for c in choices]
-            return np.choose(idx[:, None], choices)
-        apply = _APPLY[node.op]
-        if node.op in OP_OPS:
-            left = _as_f32(left)
-            right = _as_f32(right)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return apply(left, right)
-        return apply(left, right)
+            choices = [np.broadcast_to(_f32(_APPLY[sym](left, right)), shape)
+                       for sym in node.op.categories]
+        return np.choose(idx[:, None], choices)
 
-    def _coerce(c):
-        # bool comparisons selected by an OP-kind hole mix with arithmetic
-        # candidates; keep everything f32 so np.choose sees one dtype
-        return c.astype(np.float32) if getattr(c, "dtype", None) == np.bool_ \
-            else np.asarray(c, dtype=np.float32)
-
-    out = _as_f32(ev(program.else_expr))
-    out = np.broadcast_to(np.asarray(out, dtype=np.float32),
-                          (lam, inputs.shape[0]))
+    out = np.broadcast_to(_f32(ev(program.else_expr)), shape)
     for cond, expr in reversed(program.branches):
         c = ev(cond)
         if getattr(c, "dtype", None) != np.bool_:
-            c = _as_f32(c) != np.float32(0.0)
-        value = np.broadcast_to(np.asarray(_as_f32(ev(expr)), dtype=np.float32),
-                                (lam, inputs.shape[0]))
-        out = np.where(np.broadcast_to(c, (lam, inputs.shape[0])), value, out)
-    return np.asarray(out, dtype=np.float32)
+            c = _f32(c) != np.float32(0.0)
+        value = np.broadcast_to(_f32(ev(expr)), shape)
+        out = np.where(np.broadcast_to(c, shape), value, out)
+    return out
 
 
 def eval_program(program, assignment, input_vector):
@@ -442,9 +408,6 @@ class Specification:
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ValueError("inputs and outputs must have equal length")
 
-    def __len__(self):
-        return self.outputs.shape[0]
-
 
 class SpecFitness:
     """Fitness = negated mean squared error against a specification.
@@ -464,36 +427,28 @@ class SpecFitness:
         self.spec = spec
         self.hole_ids = program.hole_ids()
 
-    def _hole_values(self, draws):
-        return {hid: np.asarray(d) for hid, d in zip(self.hole_ids, draws)}
+    def _outputs(self, draws):
+        hole_values = dict(zip(self.hole_ids, map(np.asarray, draws)))
+        return eval_batch(self.program, hole_values, self.spec.inputs)
+
+    def mean_squared_error(self, outputs):
+        """MSE of ``outputs`` against the specification (last axis)."""
+        err = outputs.astype(np.float64) - self.spec.outputs.astype(np.float64)
+        return (err * err).mean(axis=-1)
 
     def population(self, draws):
         """Fitness of ``lam`` members given per-hole draw arrays."""
-        out = eval_batch(self.program, self._hole_values(draws), self.spec.inputs)
-        err = out.astype(np.float64) - self.spec.outputs.astype(np.float64)
-        return -(err * err).mean(axis=1)
-
-    def __call__(self, assignment):
-        if isinstance(assignment, dict):
-            draws = [np.asarray([assignment[hid]]) for hid in self.hole_ids]
-        else:
-            draws = [np.asarray([v]) for v in assignment]
-        return float(self.population(draws)[0])
-
-    def mse(self, assignment):
-        return -self(assignment)
+        return -self.mean_squared_error(self._outputs(draws))
 
     def predicted_outputs(self, assignment):
         """f32 outputs of the assigned program on the specification inputs."""
-        if not isinstance(assignment, dict):
-            assignment = dict(zip(self.hole_ids, assignment))
-        draws = [np.asarray([assignment[hid]]) for hid in self.hole_ids]
-        return eval_batch(self.program, self._hole_values(draws),
-                          self.spec.inputs)[0]
+        if isinstance(assignment, dict):
+            assignment = [assignment[hid] for hid in self.hole_ids]
+        return self._outputs([np.asarray([v]) for v in assignment])[0]
 
-
-def fitness_from_spec(program, spec):
-    return SpecFitness(program, spec)
+    def __call__(self, assignment):
+        outputs = self.predicted_outputs(assignment)
+        return -float(self.mean_squared_error(outputs))
 
 
 # --- Rendering -------------------------------------------------------------
@@ -606,6 +561,3 @@ class SketchProblem:
 
     def hole_ids(self):
         return self.program.hole_ids()
-
-    def holes(self):
-        return self.program.holes

@@ -9,7 +9,7 @@ dominate the suite's runtime.
 import numpy as np
 import pytest
 
-from disnes import cli, estimator as est, harness
+from disnes import checks, cli, estimator as est, harness
 from disnes.distributions import (
     LOGITS, PROBS, BernoulliParams, CategoricalParams,
 )
@@ -25,6 +25,10 @@ def _report(capsys, number, description, ok, detail=""):
     with capsys.disabled():
         print(line)
     assert ok, detail
+
+
+def _details(failed):
+    return "; ".join(f"{c.name}: {c.detail}" for c in failed)
 
 
 class _Poly:
@@ -48,8 +52,7 @@ class _Poly:
 
 def test_criterion_1_estimator_unbiasedness(capsys):
     rng = np.random.default_rng(2024)
-    reps, lam = 200, 500
-    ok, detail = True, ""
+    failed = []
     for _ in range(20):
         params = [
             BernoulliParams(rng.uniform(0.1, 0.9)),
@@ -59,84 +62,44 @@ def test_criterion_1_estimator_unbiasedness(capsys):
         for _ in range(3):
             fitness = _Poly(rng)
             for kind in est.KINDS:
-                exact = est.exact_gradient_oracle(params, fitness, kind)
-                stacks = [[] for _ in params]
-                for _ in range(reps):
-                    out = est.estimate_gradient(params, fitness, lam, rng,
-                                                kind)
-                    for s, g in zip(stacks, out.gradients):
-                        s.append(g)
-                for s, e in zip(stacks, exact):
-                    arr = np.stack(s)
-                    mean = arr.mean(axis=0)
-                    se = arr.std(axis=0, ddof=1) / np.sqrt(reps)
-                    if not np.all(np.abs(mean - e) <= 4.0 * se + 1e-9):
-                        ok = False
-                        detail = (f"kind={kind} mean={mean} exact={e} "
-                                  f"4se={4 * se}")
+                check = checks.estimator_vs_oracle(
+                    rng, params, fitness, kind, estimates=200, lam=500)
+                if not check.passed:
+                    failed.append(check)
     _report(capsys, 1,
             "Monte Carlo estimates unbiased vs enumeration oracle "
-            "(20 params-sets x 3 polynomials x 3 kinds, 4 SE)", ok, detail)
+            "(20 params-sets x 3 polynomials x 3 kinds, 4 SE)",
+            not failed, _details(failed))
 
 
 def test_criterion_2_fim_formulas(capsys):
     rng = np.random.default_rng(7)
     n = 100_000
-    ok, detail = True, ""
+    results = []
     for _ in range(10):
-        theta = rng.uniform(0.1, 0.9)
-        p = BernoulliParams(theta)
-        sq = p.score(p.sample(rng, size=n)) ** 2
-        se = sq.std(ddof=1) / np.sqrt(n)
-        if abs(sq.mean() - 1.0 / (theta * (1.0 - theta))) > 3.0 * se:
-            ok, detail = False, f"bernoulli theta={theta}"
+        p = BernoulliParams(rng.uniform(0.1, 0.9))
+        results.append(checks.fim_consistency(rng, p, n))
     for _ in range(10):
         probs = rng.dirichlet(np.ones(rng.integers(2, 7)))
         probs = np.clip(probs, 0.05, None)
         probs = probs / probs.sum()
-        p = CategoricalParams(probs, mode=PROBS)
-        sq = np.atleast_2d(p.score(p.sample(rng, size=n))) ** 2
-        mean = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / np.sqrt(n)
-        if not np.all(np.abs(mean - 1.0 / probs) <= 3.0 * se):
-            ok, detail = False, f"categorical probs={probs}"
+        results.append(checks.fim_consistency(
+            rng, CategoricalParams(probs, mode=PROBS), n))
+    failed = [c for c in results if not c.passed]
     _report(capsys, 2,
             "E[score^2] matches 1/(theta(1-theta)) and diag{1/theta_k} "
-            "(10 random points each, 3 SE)", ok, detail)
+            "(10 random points each, 3 SE)", not failed, _details(failed))
 
 
 def test_criterion_3_algebraic_identities(capsys):
     rng = np.random.default_rng(11)
-    ok, detail = True, ""
-    for _ in range(1000):
-        theta = rng.uniform(0.05, 0.95)
-        x = int(rng.integers(0, 2))
-        p = BernoulliParams(theta)
-        if not np.allclose(p.natural_score(x) * p.fim(), p.score(x),
-                           rtol=1e-12, atol=1e-12):
-            ok, detail = False, "bernoulli natural*fim != score"
-    for _ in range(1000):
-        probs = rng.dirichlet(np.ones(rng.integers(2, 7)))
-        probs = np.clip(probs, 1e-3, None)
-        probs = probs / probs.sum()
-        x = int(rng.integers(0, probs.size))
-        p = CategoricalParams(probs, mode=PROBS)
-        onehot = np.eye(probs.size)[x]
-        if not np.allclose(p.natural_score(x), probs * (onehot - probs),
-                           rtol=1e-12, atol=1e-15):
-            ok, detail = False, "categorical natural != diag(p)(onehot-p)"
-    for _ in range(1000):
-        probs = rng.dirichlet(np.ones(3))
-        probs = np.clip(probs, 1e-3, None)
-        probs = probs / probs.sum()
-        x = int(rng.integers(0, 3))
-        p = CategoricalParams(np.log(probs), mode=LOGITS)
-        if not np.allclose(p.prob_gradient(x), probs[x] * p.score(x),
-                           rtol=1e-12, atol=1e-15):
-            ok, detail = False, "vo term != prob * score"
+    failed = [c for c in (checks.bernoulli_natural_times_fim(rng, 1000),
+                          checks.categorical_natural_eq_diag_p(rng, 1000),
+                          checks.vo_eq_prob_times_score(rng, 1000))
+              if not c.passed]
     _report(capsys, 3,
             "natural/Fisher/VO identities exact over 1000 random cases each",
-            ok, detail)
+            not failed, _details(failed))
 
 
 @pytest.fixture(scope="module")

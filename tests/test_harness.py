@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from disnes import cli, harness
+from disnes import checks, cli, harness
 from disnes.distributions import (
     LOGITS, BernoulliParams, CategoricalParams, GaussianParams,
 )
@@ -149,23 +149,16 @@ class TestSummary:
 
 class TestVerify:
     def test_all_checks_pass(self):
-        checks = harness.verify(samples=30_000, cases=200,
+        results = checks.verify(samples=30_000, cases=200,
                                 oracle_estimates=60, seed=0)
-        failed = [c.name for c in checks if not c.passed]
+        failed = [c.name for c in results if not c.passed]
         assert failed == []
-        assert len(checks) == 12
-
-    def test_fault_injection_trips_fim_checks(self):
-        checks = harness.verify(samples=30_000, cases=200,
-                                oracle_estimates=60, seed=0,
-                                fim_fn=lambda p: -p.fim())
-        failed = sorted(c.name for c in checks if not c.passed)
-        assert failed == ["fim-consistency/bernoulli",
-                          "fim-consistency/categorical"]
+        assert len(results) == 13
+        assert len({c.name for c in results}) == 13
 
     def test_report_format(self):
-        checks = [harness.Check("a", True, ""), harness.Check("b", False, "bad")]
-        report = harness.format_report(checks)
+        results = [checks.Check("a", True, ""), checks.Check("b", False, "bad")]
+        report = checks.format_report(results)
         assert "[PASS] a" in report
         assert "[FAIL] b  (bad)" in report
         assert report.endswith("1/2 checks passed")
@@ -185,10 +178,8 @@ class TestCli:
     def test_run_ablation_subcommand(self, tmp_path):
         out = str(tmp_path / "a")
         code = cli.main(["run-ablation", "--seed", "1,2", "--iters", "40",
-                         "--lambda", "16", "--lr", "0.05",
-                         "--estimator", "sg", "--out", out])
+                         "--lambda", "16", "--estimator", "sg", "--out", out])
         assert code == 0
-        # only the requested lr... run_ablation sweeps its fixed schedule
         names = os.listdir(out)
         assert any(n.startswith("sg_") for n in names)
         assert not any(n.startswith("nes_") for n in names)
@@ -198,7 +189,7 @@ class TestCli:
                          "--estimates", "40"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "12/12 checks passed" in out
+        assert "13/13 checks passed" in out
 
     def test_decode_subcommand(self, tmp_path, capsys):
         sketch_path = tmp_path / "sketch.txt"
@@ -239,6 +230,45 @@ class TestCli:
                          "--sketch", str(tmp_path / "no.txt")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run-main", "--iters", "0"],
+        ["run-main", "--lambda", "0"],
+        ["run-main", "--lr", "-1"],
+        ["run-main", "--lr", "nan"],
+        ["run-main", "--log-every", "x"],
+        ["run-main", "--seed", "-1"],
+        ["run-ablation", "--seed", "1,,2"],
+        ["run-ablation", "--lr", "0.05"],
+        ["verify", "--samples", "0"],
+        ["run-main", "--sketch", "{sketch}", "--out", "{out}"],
+        ["run-ablation", "--sketch", "{sketch}", "--out", "{out}"],
+        ["decode", "--params", "{bad_json}", "--sketch", "{main}"],
+        ["decode", "--params", "{no_family}", "--sketch", "{main}"],
+        ["decode", "--params", "{good}", "--sketch", "{sketch}"],
+    ], ids=" ".join)
+    def test_malformed_input_exits_2_with_one_line_error(
+            self, tmp_path, capsys, argv):
+        files = {
+            "sketch": "fn f(x: f32) -> f32 { return x [OP] ; }",
+            "main": harness.MAIN_SKETCH,
+            "bad_json": '{"holes": [',
+            "no_family": json.dumps({"holes": [{"id": "cond0"}]}),
+            "good": harness.params_to_json([BernoulliParams(0.5)], ["h"]),
+        }
+        paths = {"out": tmp_path / "out"}
+        for name, text in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        try:
+            code = cli.main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert [line for line in lines if "error: " in line] == lines[-1:]
+        assert not any("Traceback" in line for line in lines)
+        assert not paths["out"].exists()
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,34 @@ from disnes.distributions import (
     EPS, LOGITS, PROBS, BernoulliParams, CategoricalParams, GaussianParams,
 )
 from disnes.optimizer import (
-    BasicProblem, TrainConfig, TrainingLog, greedy_decode, initial_params,
-    sgd_step, train,
+    TrainConfig, TrainingLog, greedy_decode, initial_params, sgd_step, train,
 )
+
+
+class BasicProblem:
+    """Train directly over a fixed params-set with an arbitrary fitness:
+    distribution-level problems (one-max and friends) with no program
+    sketch behind them."""
+
+    def __init__(self, params_set, fitness, hole_ids=None):
+        self._params = [p.copy() for p in params_set]
+        self.fitness = fitness
+        self._hole_ids = list(hole_ids) if hole_ids else [
+            f"h{i}" for i in range(len(params_set))]
+
+    def params(self, categorical_mode=LOGITS):
+        out = []
+        for p in self._params:
+            if isinstance(p, CategoricalParams) and p.mode != categorical_mode:
+                probs = p.probs()
+                values = probs if categorical_mode == PROBS else np.log(probs)
+                out.append(CategoricalParams(values, mode=categorical_mode))
+            else:
+                out.append(p.copy())
+        return out
+
+    def hole_ids(self):
+        return list(self._hole_ids)
 
 
 def onemax(xs):
@@ -64,7 +89,7 @@ class TestSgdStep:
             CategoricalParams(np.full(4, 0.25), mode=PROBS),
         ]
         for _ in range(10_000):
-            grads = [rng.normal(size=p.dim) * 10 for p in params]
+            grads = [rng.normal(size=dim) * 10 for dim in (1, 4)]
             params = sgd_step(params, grads, 0.5)
             assert EPS <= params[0].theta <= 1.0 - EPS
             assert params[1].values.sum() == pytest.approx(1.0)

@@ -6,7 +6,7 @@ from disnes.harness import ABLATION_SKETCH, MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
     COND_OPS, OP_OPS,
     SketchError, SketchSyntaxError, Specification, SpecFitness,
-    eval_program, fitness_from_spec, format_f32, holes_to_distributions,
+    eval_program, format_f32, holes_to_distributions,
     parse, render,
 )
 
@@ -182,11 +182,11 @@ class TestFitness:
             "op4": OP_OPS.index("*"),
             "real5": 2.1,
         }
-        fitness = fitness_from_spec(parse(MAIN_SKETCH), MAIN_SPEC)
+        fitness = SpecFitness(parse(MAIN_SKETCH), MAIN_SPEC)
         assert fitness(assignment) == 0.0
 
     def test_learned_assignment_mse(self):
-        fitness = fitness_from_spec(parse(MAIN_SKETCH), MAIN_SPEC)
+        fitness = SpecFitness(parse(MAIN_SKETCH), MAIN_SPEC)
         outputs = fitness.predicted_outputs(LEARNED_ASSIGNMENT)
         expected = np.array([3.9859228, 7.9718456, 15.943691, 19.929615],
                             dtype=np.float32)
@@ -205,7 +205,7 @@ class TestFitness:
         assert mse == pytest.approx(0.058430371, abs=1e-6)
 
     def test_population_path_matches_scalar(self):
-        fitness = fitness_from_spec(parse(MAIN_SKETCH), MAIN_SPEC)
+        fitness = SpecFitness(parse(MAIN_SKETCH), MAIN_SPEC)
         rng = np.random.default_rng(3)
         draws = [rng.integers(0, 6, size=8), rng.normal(size=8),
                  rng.normal(size=8), rng.integers(0, 4, size=8),
