@@ -55,12 +55,11 @@ def _config(args, seed, **overrides):
 
 
 def _sketch_text(args):
-    """The ``--sketch`` text, parsed here so a malformed file fails early."""
+    """The ``--sketch`` text; the harness parses it before writing anything,
+    so a malformed file fails early."""
     if args.sketch:
         with open(args.sketch, encoding="utf-8") as fh:
-            text = fh.read()
-        parse(text)
-        return text
+            return fh.read()
     return None
 
 

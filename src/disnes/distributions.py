@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,26 @@ def _as_samples(x):
 
 def _squeeze(rows, scalar):
     return rows[0] if scalar else rows
+
+
+def _projected(cls, **fields):
+    """A ``cls`` made by :meth:`stepped` without running ``__post_init__``.
+
+    The projection keeps each family's range by construction; finiteness,
+    the one property an update can break, is checked by
+    :func:`disnes.optimizer.sgd_step`, so a divergent step raises
+    ``FloatingPointError`` there instead of ``ValueError`` here.
+    """
+    params = object.__new__(cls)
+    params.__dict__.update(fields)
+    return params
+
+
+@lru_cache(maxsize=None)
+def _eye(k):
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 def softmax(logits):
@@ -121,7 +142,8 @@ class BernoulliParams:
     def stepped(self, gradient, eta):
         """Ascent step followed by the clamping projection."""
         theta = self.theta + eta * float(np.asarray(gradient).reshape(-1)[0])
-        return BernoulliParams(float(np.clip(theta, EPS, 1.0 - EPS)))
+        return _projected(BernoulliParams,
+                          theta=float(np.clip(theta, EPS, 1.0 - EPS)))
 
     def copy(self):
         return BernoulliParams(self.theta)
@@ -149,10 +171,10 @@ class CategoricalParams:
             raise ValueError("values must be a 1-D vector of length >= 2")
         if self.mode not in (LOGITS, PROBS):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
         if self.mode == PROBS:
-            if np.any(self.values <= 0.0) or np.any(self.values >= 1.0):
+            if self.values.min() <= 0.0 or self.values.max() >= 1.0:
                 raise ValueError("probabilities must lie in (0, 1)")
             if abs(self.values.sum() - 1.0) > 1e-6:
                 raise ValueError("probabilities must sum to 1")
@@ -183,7 +205,7 @@ class CategoricalParams:
         return _squeeze(lp, scalar)
 
     def _onehot(self, xs):
-        return np.eye(self.k)[xs.astype(np.int64)]
+        return _eye(self.k)[xs.astype(np.int64)]
 
     def score(self, x):
         xs, scalar = _as_samples(x)
@@ -231,7 +253,7 @@ class CategoricalParams:
         if self.mode == PROBS:
             values = np.clip(values, EPS, 1.0 - EPS)
             values = values / values.sum()
-        return CategoricalParams(values, mode=self.mode)
+        return _projected(CategoricalParams, values=values, mode=self.mode)
 
     def copy(self):
         return CategoricalParams(self.values.copy(), mode=self.mode)
@@ -267,7 +289,9 @@ class GaussianParams:
         """Gradient of the log-density wrt (mu, log_sigma)."""
         xs, scalar = _as_samples(x)
         z = (xs - self.mu) / self.sigma
-        g = np.stack([z / self.sigma, z * z - 1.0], axis=1)
+        g = np.empty((xs.size, 2))
+        g[:, 0] = z / self.sigma
+        g[:, 1] = z * z - 1.0
         return _squeeze(g, scalar)
 
     def natural_score(self, x):
@@ -279,7 +303,9 @@ class GaussianParams:
         """
         xs, scalar = _as_samples(x)
         z = (xs - self.mu) / self.sigma
-        g = np.stack([xs - self.mu, 0.5 * (z * z - 1.0)], axis=1)
+        g = np.empty((xs.size, 2))
+        g[:, 0] = xs - self.mu
+        g[:, 1] = 0.5 * (z * z - 1.0)
         return _squeeze(g, scalar)
 
     def prob_gradient(self, x):
@@ -297,8 +323,8 @@ class GaussianParams:
 
     def stepped(self, gradient, eta):
         g = np.asarray(gradient, dtype=np.float64).reshape(-1)
-        return GaussianParams(self.mu + eta * float(g[0]),
-                              self.log_sigma + eta * float(g[1]))
+        return _projected(GaussianParams, mu=self.mu + eta * float(g[0]),
+                          log_sigma=self.log_sigma + eta * float(g[1]))
 
     def copy(self):
         return GaussianParams(self.mu, self.log_sigma)

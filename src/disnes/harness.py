@@ -127,9 +127,9 @@ def params_from_json(text):
     return hole_ids, params
 
 
-def run_single(experiment, arm, sketch_text, spec, config, out_dir):
-    """Train one (arm, lr, seed) cell and persist its artifacts."""
-    program = parse(sketch_text)
+def run_single(experiment, arm, program, spec, config, out_dir):
+    """Train one (arm, lr, seed) cell of a parsed sketch and persist its
+    artifacts."""
     problem = SketchProblem(program, spec)
     config = replace(config, estimator_kind=ARM_KINDS[arm])
     log, params = train(problem, config)
@@ -165,10 +165,14 @@ def _write_config_echo(out_dir, entries):
 
 def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
              arms=MAIN_ARMS):
-    """Both arms of the single-input induction experiment for one seed."""
+    """Both arms of the single-input induction experiment for one seed.
+
+    The sketch is parsed once, before anything is written, so a malformed
+    one raises :class:`SketchError` with ``out_dir`` untouched.
+    """
     config = config or TrainConfig(seed=seed)
     config = replace(config, seed=seed)
-    sketch_text = sketch_text or MAIN_SKETCH
+    program = parse(sketch_text or MAIN_SKETCH)
     spec = spec or MAIN_SPEC
     _write_config_echo(out_dir, [
         ("experiment", "main"),
@@ -181,15 +185,19 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
         ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
-    return [run_single("main", arm, sketch_text, spec, config, out_dir)
+    return [run_single("main", arm, program, spec, config, out_dir)
             for arm in arms]
 
 
 def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
                  learning_rates=ABLATION_LEARNING_RATES, arms=ABLATION_ARMS):
-    """Learning-rate sweep comparing explicit-Fisher vs plain score arms."""
+    """Learning-rate sweep comparing explicit-Fisher vs plain score arms.
+
+    The sketch is parsed once for the whole sweep, before anything is
+    written.
+    """
     config = config or TrainConfig()
-    sketch_text = sketch_text or ABLATION_SKETCH
+    program = parse(sketch_text or ABLATION_SKETCH)
     spec = spec or ABLATION_SPEC
     _write_config_echo(out_dir, [
         ("experiment", "ablation"),
@@ -207,7 +215,7 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
         for lr in learning_rates:
             for seed in seeds:
                 cell = replace(config, learning_rate=lr, seed=seed)
-                results.append(run_single("ablation", arm, sketch_text, spec,
+                results.append(run_single("ablation", arm, program, spec,
                                           cell, out_dir))
     return results
 

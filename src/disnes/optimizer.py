@@ -99,11 +99,19 @@ class TrainingLog:
             fh.write(self.to_csv())
 
 
-def sgd_step(params_set, gradients, eta):
-    """Ascent step per distribution, followed by each family's projection."""
+def sgd_step(params_set, gradients, eta, hole_ids=None):
+    """Ascent step per distribution, followed by each family's projection.
+
+    Every stepped distribution passes :func:`_check_finite`, so a
+    divergent update raises ``FloatingPointError`` naming its hole: the
+    id from ``hole_ids``, else the position in ``params_set``.
+    """
     if len(gradients) != len(params_set):
         raise ValueError("gradient layout does not match params layout")
-    return [p.stepped(g, eta) for p, g in zip(params_set, gradients)]
+    stepped = [p.stepped(g, eta) for p, g in zip(params_set, gradients)]
+    for hole, p in zip(hole_ids or range(len(stepped)), stepped):
+        _check_finite(hole, p)
+    return stepped
 
 
 def greedy_decode(params_set):
@@ -143,9 +151,8 @@ def train(problem, config):
         estimate = est.estimate_gradient(
             params, fitness, config.population, rng, kinds,
             fitness_transform=transform)
-        params = sgd_step(params, estimate.gradients, config.learning_rate)
-        for p in params:
-            _check_finite(p)
+        params = sgd_step(params, estimate.gradients, config.learning_rate,
+                          hole_ids)
         if (i - 1) % config.log_every == 0:
             decode_loss = None
             if (i - 1) % (config.log_every * 10) == 0:
@@ -164,13 +171,13 @@ def train(problem, config):
     return log, params
 
 
-def _check_finite(params):
+def _check_finite(hole, params):
     if isinstance(params, GaussianParams):
         ok = math.isfinite(params.mu) and math.isfinite(params.log_sigma)
     elif isinstance(params, CategoricalParams):
-        ok = bool(np.all(np.isfinite(params.values)))
+        ok = bool(np.isfinite(params.values).all())
     else:
         ok = math.isfinite(params.theta)
     if not ok:
         raise FloatingPointError(
-            f"non-finite parameters after update: {params}")
+            f"non-finite parameters for hole {hole!r} after update: {params}")

@@ -21,14 +21,16 @@ sets are ordered as listed above and the index-to-operator mapping is part
 of the file format.
 
 Evaluation is IEEE 32-bit arithmetic with round-to-nearest-even, applied
-elementwise, and is total: division by zero follows IEEE semantics and any
-finite assignment yields an f32 result.
+elementwise, and is total and silent: division by zero and overflow follow
+IEEE semantics without a warning, and any assignment yields an f32 result.
+A program is compiled once into an evaluation plan (see ``eval_batch``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +109,12 @@ class Program:
 
     def hole_ids(self):
         return [h.id for h in self.holes]
+
+    @cached_property
+    def _plan(self):
+        """The compiled evaluator :func:`eval_batch` runs; built once per
+        program.  Not a field, so ``==`` and the hash ignore it."""
+        return _compile_program(self)
 
 
 # --- Lexer -----------------------------------------------------------------
@@ -318,16 +326,79 @@ def parse(text):
 
 # --- Evaluation ------------------------------------------------------------
 
-_APPLY = {
+_UFUNCS = {
     "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
     "==": np.equal, "!=": np.not_equal,
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 }
 
 
-def _f32(value):
-    """Every operand is f32; comparison results feed back in as 0.0 / 1.0."""
-    return np.asarray(value, dtype=np.float32)
+def _compile(node):
+    """Compile an expression into ``fn(hole_values, inputs, members)``,
+    which returns the node's f32 value, broadcastable to ``(lam, n)``;
+    ``members`` is ``arange(lam)``."""
+    if isinstance(node, Num):
+        value = np.float32(node.value)
+        return lambda hv, xs, members: value
+    if isinstance(node, Var):
+        col = node.index
+        return lambda hv, xs, members: xs[:, col]
+    if isinstance(node, Hole):  # a REAL hole: one constant per member
+        hid = node.id
+        return lambda hv, xs, members: (
+            np.asarray(hv[hid], dtype=np.float32)[:, None])
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda hv, xs, members: np.negative(operand(hv, xs, members))
+    left, right = _compile(node.left), _compile(node.right)
+    if isinstance(node.op, Hole):
+        return _operator_hole(node.op, left, right)
+    ufunc = _UFUNCS[node.op]
+    if node.op in COND_OPS:
+        # comparison results feed back into arithmetic as 0.0 / 1.0
+        return lambda hv, xs, members: ufunc(
+            left(hv, xs, members), right(hv, xs, members)).astype(np.float32)
+    return lambda hv, xs, members: ufunc(left(hv, xs, members),
+                                         right(hv, xs, members))
+
+
+def _operator_hole(hole, left, right):
+    """A COND/OP hole: each candidate operator writes its result into one
+    ``(K, lam, n)`` f32 buffer, and one gather picks each member's."""
+    hid = hole.id
+    ufuncs = tuple(_UFUNCS[sym] for sym in hole.categories)
+
+    def pick(hv, xs, members):
+        a, b = left(hv, xs, members), right(hv, xs, members)
+        buf = np.empty((len(ufuncs), members.size, xs.shape[0]),
+                       dtype=np.float32)
+        for ufunc, out in zip(ufuncs, buf):
+            ufunc(a, b, out=out)
+        return buf[np.asarray(hv[hid], dtype=np.intp), members]
+    return pick
+
+
+def _compile_program(program):
+    """The program as one function of ``(hole_values, inputs, members)``.
+
+    Guards are tested in order, so the first true one wins: the branches
+    are folded from the last to the first over the final expression.  A
+    guard is true where its value is not 0.0, which makes NaN true.
+    """
+    def guard(node):
+        value = _compile(node)
+        return lambda hv, xs, members: value(hv, xs, members) != 0.0
+
+    branches = [(guard(cond), _compile(expr))
+                for cond, expr in reversed(program.branches)]
+    final = _compile(program.else_expr)
+
+    def run(hv, xs, members):
+        out = final(hv, xs, members)
+        for cond, value in branches:
+            out = np.where(cond(hv, xs, members), value(hv, xs, members), out)
+        return out
+    return run
 
 
 def eval_batch(program, hole_values, inputs):
@@ -336,42 +407,17 @@ def eval_batch(program, hole_values, inputs):
     ``hole_values`` maps hole id to a length-``lam`` array (category index
     arrays for COND/OP holes, float arrays for REAL holes); ``inputs`` is
     an ``(n, arity)`` float32 array.  Returns a ``(lam, n)`` float32 array.
+    The program is compiled on its first evaluation and the plan is kept
+    on it.  Every IEEE exception is silent, so evaluation is total:
+    overflow, division by zero, invalid operations, and REAL values or
+    inputs beyond the f32 range, which become ±inf.
     """
-    inputs = np.asarray(inputs, dtype=np.float32)
     lam = next((np.asarray(v).shape[0] for v in hole_values.values()), 1)
+    with np.errstate(all="ignore"):
+        inputs = np.asarray(inputs, dtype=np.float32)
+        out = program._plan(hole_values, inputs, np.arange(lam))
     shape = (lam, inputs.shape[0])
-
-    def ev(node):
-        if isinstance(node, Num):
-            return np.float32(node.value)
-        if isinstance(node, Var):
-            return inputs[:, node.index]
-        if isinstance(node, Neg):
-            return np.negative(_f32(ev(node.operand)))
-        if isinstance(node, Hole):
-            return _f32(hole_values[node.id])[:, None]
-        # BinOp
-        left = _f32(ev(node.left))
-        right = _f32(ev(node.right))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if not isinstance(node.op, Hole):
-                return _APPLY[node.op](left, right)
-            # a hole picks one candidate per member; bool comparisons an
-            # OP-kind hole selects mix with arithmetic candidates, so every
-            # candidate is f32 for np.choose to see one dtype
-            idx = np.asarray(hole_values[node.op.id], dtype=np.int64)
-            choices = [np.broadcast_to(_f32(_APPLY[sym](left, right)), shape)
-                       for sym in node.op.categories]
-        return np.choose(idx[:, None], choices)
-
-    out = np.broadcast_to(_f32(ev(program.else_expr)), shape)
-    for cond, expr in reversed(program.branches):
-        c = ev(cond)
-        if getattr(c, "dtype", None) != np.bool_:
-            c = _f32(c) != np.float32(0.0)
-        value = np.broadcast_to(_f32(ev(expr)), shape)
-        out = np.where(np.broadcast_to(c, shape), value, out)
-    return out
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def eval_program(program, assignment, input_vector):
@@ -383,12 +429,26 @@ def eval_program(program, assignment, input_vector):
     missing = [h.id for h in program.holes if h.id not in assignment]
     if missing:
         raise SketchError(f"assignment missing holes: {missing}")
-    hole_values = {k: np.asarray([v]) for k, v in assignment.items()}
-    inputs = np.asarray(input_vector, dtype=np.float32).reshape(1, -1)
+    draws = _one_member(program, [assignment[h.id] for h in program.holes])
+    inputs = np.asarray(input_vector).reshape(1, -1)
     if inputs.shape[1] != program.arity:
         raise SketchError(
             f"input arity {inputs.shape[1]} != program arity {program.arity}")
-    return eval_batch(program, hole_values, inputs)[0, 0]
+    return eval_batch(program, dict(zip(program.hole_ids(), draws)),
+                      inputs)[0, 0]
+
+
+def _one_member(program, values):
+    """One assignment's values (in hole order) as length-1 draw arrays.
+
+    A COND/OP value must be one of its hole's category indices; the
+    evaluator's gather would wrap a negative one around.
+    """
+    for hole, value in zip(program.holes, values):
+        if hole.kind != REAL and not 0 <= value < len(hole.categories):
+            raise SketchError(
+                f"hole {hole.id!r}: category index {value!r} out of range")
+    return [np.asarray([v]) for v in values]
 
 
 # --- Specification and fitness ---------------------------------------------
@@ -444,7 +504,7 @@ class SpecFitness:
         """f32 outputs of the assigned program on the specification inputs."""
         if isinstance(assignment, dict):
             assignment = [assignment[hid] for hid in self.hole_ids]
-        return self._outputs([np.asarray([v]) for v in assignment])[0]
+        return self._outputs(_one_member(self.program, assignment))[0]
 
     def __call__(self, assignment):
         outputs = self.predicted_outputs(assignment)

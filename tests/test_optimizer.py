@@ -72,6 +72,19 @@ class TestSgdStep:
         assert out.mu == pytest.approx(1.05)
         assert out.log_sigma == pytest.approx(-0.025)
 
+    @pytest.mark.parametrize("params,gradient", [
+        (BernoulliParams(0.5), [np.nan]),
+        (CategoricalParams(np.full(3, 1 / 3), mode=PROBS), [np.nan, 0.0, 0.0]),
+        (CategoricalParams(np.zeros(3), mode=LOGITS), [np.inf, 0.0, 0.0]),
+        (GaussianParams(0.0, 0.0), [0.0, np.nan]),
+    ], ids=["bernoulli", "categorical_probs", "categorical_logits",
+            "gaussian"])
+    def test_divergent_step_raises_naming_the_hole(self, params, gradient):
+        with pytest.raises(FloatingPointError, match="hole 'h7'"):
+            sgd_step([params], [np.array(gradient)], 0.1, hole_ids=["h7"])
+        with pytest.raises(FloatingPointError, match="hole 0 "):
+            sgd_step([params], [np.array(gradient)], 0.1)
+
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sgd_step([BernoulliParams(0.5)], [], 0.1)
@@ -116,6 +129,22 @@ class TestTrainLoop:
         assert log.records[0].iteration == 1
         assert log.records[0].decode_loss is not None
         assert len(params) == 8
+
+    def test_divergence_raises_floating_point_error_naming_the_hole(
+            self, monkeypatch):
+        estimate_gradient = est.estimate_gradient
+
+        def diverging(*args, **kwargs):
+            estimate = estimate_gradient(*args, **kwargs)
+            estimate.gradients[1] = estimate.gradients[1] * np.nan
+            return estimate
+
+        monkeypatch.setattr(est, "estimate_gradient", diverging)
+        problem = BasicProblem([BernoulliParams(0.5), GaussianParams(0.0, 0.0)],
+                               lambda xs: -float(xs[1]) ** 2,
+                               hole_ids=["flag", "shift"])
+        with pytest.raises(FloatingPointError, match="hole 'shift'"):
+            train(problem, TrainConfig(iterations=2, population=4))
 
     def test_record_count_matches_log_every(self):
         cfg = TrainConfig(iterations=95, log_every=10, seed=3, population=8)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,9 +164,33 @@ class TestEval:
             out = eval_program(ast, assignment, [rng.normal()])
             assert out.dtype == np.float32
 
+    @pytest.mark.parametrize("changes,x,expected", [
+        ({"real1": 1e39}, 1.0, 1.1321394),  # a REAL beyond f32: +inf
+        ({"real5": 3e38}, 3e38, np.inf),    # 3e38 * 3e38 overflows
+        ({}, 1e39, np.inf),                 # an input beyond f32
+    ])
+    def test_overflow_is_silent(self, changes, x, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = eval_program(parse(MAIN_SKETCH),
+                               {**LEARNED_ASSIGNMENT, **changes}, [x])
+        assert out == np.float32(expected)
+
+    def test_compiled_once_and_equality_unchanged(self):
+        program, again = parse(MAIN_SKETCH), parse(MAIN_SKETCH)
+        eval_program(program, LEARNED_ASSIGNMENT, [1.0])
+        assert program._plan is program._plan
+        assert program == again and hash(program) == hash(again)
+
     def test_missing_hole_rejected(self):
         with pytest.raises(SketchError, match="missing"):
             eval_program(parse(MAIN_SKETCH), {}, [1.0])
+
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_category_index_out_of_range_rejected(self, index):
+        with pytest.raises(SketchError, match="out of range"):
+            eval_program(parse(MAIN_SKETCH),
+                         {**LEARNED_ASSIGNMENT, "cond0": index}, [1.0])
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(SketchError, match="arity"):
