@@ -13,7 +13,7 @@ import sys
 
 from . import checks, harness
 from .optimizer import TrainConfig, greedy_decode
-from .sketch import SketchError, parse, render
+from .sketch import SketchError, check_params_fit, parse, render
 
 
 def _checked(cast, ok, requirement):
@@ -147,6 +147,7 @@ def main(argv=None):
                 print("error: params snapshot does not match the sketch's "
                       "holes", file=sys.stderr)
                 return 2
+            check_params_fit(program, params)
             assignment = dict(zip(hole_ids, greedy_decode(params)))
             sys.stdout.write(render(program, assignment))
             return 0

@@ -1,4 +1,5 @@
-"""Search-distribution families used by the gradient estimators.
+"""Search-distribution families and the flat parameter state of the
+training loop.
 
 Three families are supported:
 
@@ -9,11 +10,31 @@ Three families are supported:
   update; logits are the default everywhere else.
 * Univariate Gaussian, parametrized by ``(mu, log_sigma)``.
 
-Every family exposes sampling, log-probability, the score (gradient of the
-log-probability), a Fisher-preconditioned "natural" score, the gradient of
-the probability itself, and entropy.  All per-sample operations accept a
-single sample or a 1-D array of samples; in the array case gradients come
-back as ``(n, dim)`` with one row per sample.
+Each family's formulas are written once, in its block class
+(:class:`BernoulliBlock`, :class:`CategoricalBlock`,
+:class:`GaussianBlock`): sampling, log-probability, the score (gradient of
+the log-probability), a Fisher-preconditioned "natural" score, the
+gradient of the probability itself, entropy, greedy decode and the
+projection after a step.  A block holds ``m`` holes of one family (and,
+for categoricals, one K and mode) as an ``(m, width)`` array, one row per
+hole; samples are ``(m, n)`` and gradients come back ``(m, n, width)``.
+
+:class:`ParamState` keeps every hole's parameters in one float64 vector.
+Holes are grouped by (family, K, mode); the vector holds one group after
+the other, so each group's block is a reshaped slice of it and a training
+step is one NumPy operation per group, not per hole.
+
+The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
+:class:`GaussianParams`) are the API for single distributions; their
+methods run the block formulas on a one-row block.  Per-sample methods
+accept a single sample or a 1-D array of samples; in the array case
+gradients come back as ``(n, width)`` with one row per sample.
+
+Random draws follow hole order: each Bernoulli or categorical hole takes
+``n`` uniforms and each Gaussian hole ``n`` standard normals.  A run of
+consecutive holes with the same draw type shares one ``Generator`` call,
+which reads the stream exactly as one call per hole would, so a state and
+its per-hole distributions draw the same samples from the same seed.
 
 All operations are pure given ``(params, rng)``; callers that run
 concurrently must each own a distinct ``numpy.random.Generator``.
@@ -23,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,47 +56,252 @@ LOGITS = "logits"
 PROBS = "probs"
 
 
-def _as_samples(x):
-    """Normalize a scalar-or-array sample argument.
-
-    Returns ``(xs, scalar)`` where ``xs`` is a 1-D float64 array and
-    ``scalar`` says whether the caller passed a single sample.
-    """
+def _per_sample(formula, x):
+    """A block formula of ``(m, n)`` samples applied to one hole's ``x``, a
+    single sample or a 1-D array of them."""
     xs = np.asarray(x, dtype=np.float64)
-    scalar = xs.ndim == 0
-    return np.atleast_1d(xs), scalar
+    rows = formula(np.atleast_1d(xs)[None, :])[0]
+    return rows[0] if xs.ndim == 0 else rows
 
 
-def _squeeze(rows, scalar):
-    return rows[0] if scalar else rows
+def _sample_one(params, rng, size, scalar_type):
+    """One hole's ``sample``: an array of ``size`` draws, or a single
+    ``scalar_type`` value when ``size`` is None."""
+    block = params._block()
+    noise = getattr(rng, block.draw)((1, 1 if size is None else size))
+    x = block.sample(noise)[0]
+    return scalar_type(x[0]) if size is None else x
 
 
-def _projected(cls, **fields):
-    """A ``cls`` made by :meth:`stepped` without running ``__post_init__``.
+def _unchecked(cls, **fields):
+    """A ``cls`` built without running ``__post_init__``.
 
-    The projection keeps each family's range by construction; finiteness,
-    the one property an update can break, is checked by
-    :func:`disnes.optimizer.sgd_step`, so a divergent step raises
-    ``FloatingPointError`` there instead of ``ValueError`` here.
+    Values read out of a :class:`ParamState` keep each family's range by
+    construction; finiteness, the one property a step can break, is
+    checked by :func:`disnes.optimizer.sgd_step`, so a divergent step
+    raises ``FloatingPointError`` there instead of ``ValueError`` here.
     """
     params = object.__new__(cls)
-    params.__dict__.update(fields)
+    for name, value in fields.items():
+        # attribute by attribute, so instances share their dict's keys
+        setattr(params, name, value)
     return params
 
 
-@lru_cache(maxsize=None)
-def _eye(k):
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
-
-
-def softmax(logits):
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
+def _softmax(logits):
+    """Row-wise softmax of an ``(m, K)`` array."""
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
+
+# --- Block formulas ---------------------------------------------------------
+
+class _Block:
+    """``m`` holes of one family as an ``(m, width)`` array ``values``.
+
+    A block is read-only: quantities derived from ``values`` are computed
+    once, on first use.  :meth:`project` acts on a values array before a
+    block is made of it.
+    """
+
+    def __init__(self, values, mode=None):
+        self.values = values
+        self.mode = mode
+
+
+class BernoulliBlock(_Block):
+    """Bernoulli holes: one column, ``theta``."""
+
+    draw = "random"
+
+    def sample(self, u):
+        return (u < self.values).astype(np.int64)
+
+    def log_prob(self, x):
+        # scalar libm logs: np.log may differ from math.log in the last bit
+        thetas = self.values[:, 0].tolist()
+        log_t = np.array([math.log(t) for t in thetas])[:, None]
+        log_f = np.array([math.log(1.0 - t) for t in thetas])[:, None]
+        return x * log_t + (1.0 - x) * log_f
+
+    def score(self, x):
+        """d/d theta of the log-pmf: (x - theta) / (theta (1 - theta))."""
+        t = self.values
+        return ((x - t) / (t * (1.0 - t)))[..., None]
+
+    def natural_score(self, x):
+        """Score preconditioned by 1/F = theta (1 - theta): just x - theta."""
+        return (x - self.values)[..., None]
+
+    def prob_gradient(self, x):
+        """d/d theta of the pmf itself: +1 for x=1, -1 for x=0."""
+        t = self.values
+        return np.where(x > 0.5, t, 1.0 - t)[..., None] * self.score(x)
+
+    def entropy(self):
+        return np.array([-(t * math.log(t) + (1.0 - t) * math.log(1.0 - t))
+                         for t in self.values[:, 0].tolist()])
+
+    def greedy(self):
+        """Modal values; ties at theta == 0.5 resolve to 1."""
+        return [1 if t >= 0.5 else 0 for t in self.values[:, 0].tolist()]
+
+    @staticmethod
+    def project(values, mode):
+        """Clamp theta to ``[EPS, 1 - EPS]``, in place."""
+        _clip(values)
+
+    def distribution(self, row):
+        return _unchecked(BernoulliParams, theta=float(self.values[row, 0]))
+
+
+def _clip(values):
+    """``np.clip(values, EPS, 1 - EPS)`` in place, NaN kept, without the
+    Python layer of ``np.clip``."""
+    np.maximum(values, EPS, out=values)
+    np.minimum(values, 1.0 - EPS, out=values)
+
+
+class CategoricalBlock(_Block):
+    """Categorical holes of one K and mode: K columns of logits or
+    probabilities.  The per-sample formulas work on ``(m, K, n)`` arrays,
+    so the inner axis is the population, and return the ``(m, n, K)``
+    layout."""
+
+    draw = "random"
+
+    @cached_property
+    def p(self):
+        """The probabilities, one row per hole."""
+        return self.values if self.mode == PROBS else _softmax(self.values)
+
+    def sample(self, u):
+        """Inverse-CDF sampling; boundary ties break toward the lower index.
+
+        The category is the count of cumulative probabilities below the
+        uniform, which is ``searchsorted(cum, u, side="left")``.
+        """
+        cum = np.cumsum(self.p, axis=1)
+        idx = (cum[:, :, None] < u[:, None, :]).sum(axis=1)
+        return np.minimum(idx, cum.shape[1] - 1)
+
+    def _onehot(self, x):
+        return x[:, None, :] == _categories(self.values.shape[1])
+
+    def log_prob(self, x):
+        return np.take_along_axis(np.log(self.p), x.astype(np.int64), axis=1)
+
+    def _score(self, x):
+        if self.mode == LOGITS:
+            return self._onehot(x) - self.p[:, :, None]
+        return self._onehot(x) / self.values[:, :, None]
+
+    def score(self, x):
+        """LOGITS: ``onehot(x) - p``; PROBS: ``onehot(x) / p``."""
+        return _by_sample(self._score(x))
+
+    def natural_score(self, x):
+        """Probability-space natural score: ``p_i * (onehot(x)_i - p_i)``."""
+        p = self.p[:, :, None]
+        return _by_sample(p * (self._onehot(x) - p))
+
+    def prob_gradient(self, x):
+        p_x = np.take_along_axis(self.p, x.astype(np.int64), axis=1)
+        return _by_sample(p_x[:, None, :] * self._score(x))
+
+    def entropy(self):
+        return -(self.p * np.log(self.p)).sum(axis=1)
+
+    def greedy(self):
+        """Modal categories; ties break toward the lower index."""
+        return np.argmax(self.p, axis=1).tolist()
+
+    @staticmethod
+    def project(values, mode):
+        """PROBS: clamp to ``[EPS, 1 - EPS]`` and renormalize, in place."""
+        if mode == PROBS:
+            _clip(values)
+            values /= values.sum(axis=1, keepdims=True)
+
+    def distribution(self, row):
+        return _unchecked(CategoricalParams, values=self.values[row].copy(),
+                          mode=self.mode)
+
+
+@lru_cache(maxsize=None)
+def _categories(k):
+    """The category indices as a ``(K, 1)`` float column."""
+    column = np.arange(k, dtype=np.float64)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _by_sample(rows):
+    """An ``(m, K, n)`` array laid out as a C-ordered ``(m, n, K)`` one."""
+    return rows.transpose(0, 2, 1).copy()
+
+
+class GaussianBlock(_Block):
+    """Gaussian holes: two columns, ``mu`` and ``log_sigma``."""
+
+    draw = "standard_normal"
+
+    @cached_property
+    def sigma(self):
+        # scalar libm exp: np.exp may differ from math.exp in the last bit
+        return np.array([math.exp(s)
+                         for s in self.values[:, 1].tolist()])[:, None]
+
+    def sample(self, z):
+        return self.values[:, :1] + self.sigma * z
+
+    def log_prob(self, x):
+        z = (x - self.values[:, :1]) / self.sigma
+        return (-0.5 * z * z - self.values[:, 1:]
+                - 0.5 * math.log(2.0 * math.pi))
+
+    def score(self, x):
+        """Gradient of the log-density wrt (mu, log_sigma)."""
+        z = (x - self.values[:, :1]) / self.sigma
+        g = np.empty(x.shape + (2,))
+        g[..., 0] = z / self.sigma
+        g[..., 1] = z * z - 1.0
+        return g
+
+    def natural_score(self, x):
+        """Score preconditioned by the inverse Fisher diag(sigma^2, 1/2).
+
+        This is the variance-adaptive update of continuous evolution-strategy
+        practice: the mu component becomes ``x - mu`` and the log_sigma
+        component ``(z^2 - 1) / 2``.
+        """
+        z = (x - self.values[:, :1]) / self.sigma
+        g = np.empty(x.shape + (2,))
+        g[..., 0] = x - self.values[:, :1]
+        g[..., 1] = 0.5 * (z * z - 1.0)
+        return g
+
+    def prob_gradient(self, x):
+        return np.exp(self.log_prob(x))[..., None] * self.score(x)
+
+    def entropy(self):
+        """Differential entropy, in nats."""
+        return 0.5 * math.log(2.0 * math.pi * math.e) + self.values[:, 1]
+
+    def greedy(self):
+        return self.values[:, 0].tolist()
+
+    @staticmethod
+    def project(values, mode):
+        """Gaussian parameters are unconstrained."""
+
+    def distribution(self, row):
+        return _unchecked(GaussianParams, mu=float(self.values[row, 0]),
+                          log_sigma=float(self.values[row, 1]))
+
+
+# --- Per-hole distributions -------------------------------------------------
 
 @dataclass
 class BernoulliParams:
@@ -91,38 +317,28 @@ class BernoulliParams:
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
+    def _block(self):
+        return BernoulliBlock(np.array([[self.theta]]))
+
     @property
     def support(self):
         return np.array([0, 1])
 
     def sample(self, rng, size=None):
         """Draw 0/1 samples; ``size=None`` gives a single int."""
-        u = rng.random(size if size is not None else 1)
-        x = (u < self.theta).astype(np.int64)
-        return int(x[0]) if size is None else x
+        return _sample_one(self, rng, size, int)
 
     def log_prob(self, x):
-        xs, scalar = _as_samples(x)
-        lp = xs * math.log(self.theta) + (1.0 - xs) * math.log(1.0 - self.theta)
-        return _squeeze(lp, scalar)
+        return _per_sample(self._block().log_prob, x)
 
     def score(self, x):
-        """d/d theta of the log-pmf: (x - theta) / (theta (1 - theta))."""
-        xs, scalar = _as_samples(x)
-        g = (xs - self.theta) / (self.theta * (1.0 - self.theta))
-        return _squeeze(g[:, None], scalar)
+        return _per_sample(self._block().score, x)
 
     def natural_score(self, x):
-        """Score preconditioned by 1/F = theta (1 - theta): just x - theta."""
-        xs, scalar = _as_samples(x)
-        return _squeeze((xs - self.theta)[:, None], scalar)
+        return _per_sample(self._block().natural_score, x)
 
     def prob_gradient(self, x):
-        """d/d theta of the pmf itself: +1 for x=1, -1 for x=0."""
-        xs, scalar = _as_samples(x)
-        probs = np.where(xs > 0.5, self.theta, 1.0 - self.theta)
-        g = probs[:, None] * np.atleast_2d(self.score(xs))
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().prob_gradient, x)
 
     def fim(self):
         """Fisher information, as the single diagonal entry."""
@@ -132,18 +348,14 @@ class BernoulliParams:
         return np.array([self.theta * (1.0 - self.theta)])
 
     def entropy(self):
-        t = self.theta
-        return -(t * math.log(t) + (1.0 - t) * math.log(1.0 - t))
+        return float(self._block().entropy()[0])
 
     def greedy(self):
-        """Modal value; ties at theta == 0.5 resolve to 1."""
-        return 1 if self.theta >= 0.5 else 0
+        return self._block().greedy()[0]
 
     def stepped(self, gradient, eta):
         """Ascent step followed by the clamping projection."""
-        theta = self.theta + eta * float(np.asarray(gradient).reshape(-1)[0])
-        return _projected(BernoulliParams,
-                          theta=float(np.clip(theta, EPS, 1.0 - EPS)))
+        return ParamState.of([self]).stepped([gradient], eta)[0]
 
     def copy(self):
         return BernoulliParams(self.theta)
@@ -179,6 +391,9 @@ class CategoricalParams:
             if abs(self.values.sum() - 1.0) > 1e-6:
                 raise ValueError("probabilities must sum to 1")
 
+    def _block(self):
+        return CategoricalBlock(self.values[None, :], self.mode)
+
     @property
     def k(self):
         return self.values.size
@@ -188,46 +403,23 @@ class CategoricalParams:
         return np.arange(self.k)
 
     def probs(self):
-        return self.values.copy() if self.mode == PROBS else softmax(self.values)
+        return self._block().p[0].copy()
 
     def sample(self, rng, size=None):
         """Inverse-CDF sampling; boundary ties break toward the lower index."""
-        p = self.probs()
-        cum = np.cumsum(p)
-        u = rng.random(size if size is not None else 1)
-        idx = np.searchsorted(cum, u, side="left")
-        idx = np.minimum(idx, self.k - 1)
-        return int(idx[0]) if size is None else idx
+        return _sample_one(self, rng, size, int)
 
     def log_prob(self, x):
-        xs, scalar = _as_samples(x)
-        lp = np.log(self.probs())[xs.astype(np.int64)]
-        return _squeeze(lp, scalar)
-
-    def _onehot(self, xs):
-        return _eye(self.k)[xs.astype(np.int64)]
+        return _per_sample(self._block().log_prob, x)
 
     def score(self, x):
-        xs, scalar = _as_samples(x)
-        onehot = self._onehot(xs)
-        if self.mode == LOGITS:
-            g = onehot - self.probs()[None, :]
-        else:
-            g = onehot / self.values[None, :]
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().score, x)
 
     def natural_score(self, x):
-        """Probability-space natural score: ``p_i * (onehot(x)_i - p_i)``."""
-        xs, scalar = _as_samples(x)
-        p = self.probs()
-        g = p[None, :] * (self._onehot(xs) - p[None, :])
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().natural_score, x)
 
     def prob_gradient(self, x):
-        xs, scalar = _as_samples(x)
-        p = self.probs()
-        g = p[xs.astype(np.int64)][:, None] * np.atleast_2d(self.score(xs))
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().prob_gradient, x)
 
     def fim(self):
         """Diagonal Fisher entries 1/p_k; requires the PROBS parametrization."""
@@ -240,20 +432,13 @@ class CategoricalParams:
         return self.probs()
 
     def entropy(self):
-        p = self.probs()
-        return float(-(p * np.log(p)).sum())
+        return float(self._block().entropy()[0])
 
     def greedy(self):
-        """Modal category; ties break toward the lower index."""
-        return int(np.argmax(self.probs()))
+        return self._block().greedy()[0]
 
     def stepped(self, gradient, eta):
-        g = np.asarray(gradient, dtype=np.float64).reshape(-1)
-        values = self.values + eta * g
-        if self.mode == PROBS:
-            values = np.clip(values, EPS, 1.0 - EPS)
-            values = values / values.sum()
-        return _projected(CategoricalParams, values=values, mode=self.mode)
+        return ParamState.of([self]).stepped([gradient], eta)[0]
 
     def copy(self):
         return CategoricalParams(self.values.copy(), mode=self.mode)
@@ -270,61 +455,36 @@ class GaussianParams:
         if not (math.isfinite(self.mu) and math.isfinite(self.log_sigma)):
             raise ValueError("mu and log_sigma must be finite")
 
+    def _block(self):
+        return GaussianBlock(np.array([[self.mu, self.log_sigma]]))
+
     @property
     def sigma(self):
         return math.exp(self.log_sigma)
 
     def sample(self, rng, size=None):
-        z = rng.standard_normal(size if size is not None else 1)
-        x = self.mu + self.sigma * z
-        return float(x[0]) if size is None else x
+        return _sample_one(self, rng, size, float)
 
     def log_prob(self, x):
-        xs, scalar = _as_samples(x)
-        z = (xs - self.mu) / self.sigma
-        lp = -0.5 * z * z - self.log_sigma - 0.5 * math.log(2.0 * math.pi)
-        return _squeeze(lp, scalar)
+        return _per_sample(self._block().log_prob, x)
 
     def score(self, x):
-        """Gradient of the log-density wrt (mu, log_sigma)."""
-        xs, scalar = _as_samples(x)
-        z = (xs - self.mu) / self.sigma
-        g = np.empty((xs.size, 2))
-        g[:, 0] = z / self.sigma
-        g[:, 1] = z * z - 1.0
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().score, x)
 
     def natural_score(self, x):
-        """Score preconditioned by the inverse Fisher diag(sigma^2, 1/2).
-
-        This is the variance-adaptive update of continuous evolution-strategy
-        practice: the mu component becomes ``x - mu`` and the log_sigma
-        component ``(z^2 - 1) / 2``.
-        """
-        xs, scalar = _as_samples(x)
-        z = (xs - self.mu) / self.sigma
-        g = np.empty((xs.size, 2))
-        g[:, 0] = xs - self.mu
-        g[:, 1] = 0.5 * (z * z - 1.0)
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().natural_score, x)
 
     def prob_gradient(self, x):
-        xs, scalar = _as_samples(x)
-        dens = np.exp(self.log_prob(xs))
-        g = dens[:, None] * np.atleast_2d(self.score(xs))
-        return _squeeze(g, scalar)
+        return _per_sample(self._block().prob_gradient, x)
 
     def entropy(self):
-        """Differential entropy, in nats."""
-        return 0.5 * math.log(2.0 * math.pi * math.e) + self.log_sigma
+        return float(self._block().entropy()[0])
 
     def greedy(self):
-        return self.mu
+        return self._block().greedy()[0]
 
     def stepped(self, gradient, eta):
-        g = np.asarray(gradient, dtype=np.float64).reshape(-1)
-        return _projected(GaussianParams, mu=self.mu + eta * float(g[0]),
-                          log_sigma=self.log_sigma + eta * float(g[1]))
+        return ParamState.of([self]).stepped([gradient], eta)[0]
 
     def copy(self):
         return GaussianParams(self.mu, self.log_sigma)
@@ -335,3 +495,128 @@ DISCRETE_FAMILIES = (BernoulliParams, CategoricalParams)
 
 def is_discrete(params):
     return isinstance(params, DISCRETE_FAMILIES)
+
+
+# --- The flat parameter state -----------------------------------------------
+
+class _Group:
+    """The holes of one (family, K, mode): rows ``start:stop`` of the vector."""
+
+    def __init__(self, block_type, width, mode, holes, start):
+        self.block_type, self.width, self.mode = block_type, width, mode
+        self.holes = tuple(holes)
+        self.index = np.array(holes, dtype=np.intp)
+        self.start, self.stop = start, start + width * len(holes)
+
+
+class _Layout:
+    """Where each hole's parameters sit in the vector; shared by every
+    state stepped from the same params-set."""
+
+    def __init__(self, blocks):
+        by_key = {}
+        for hole, block in enumerate(blocks):
+            key = (type(block), block.values.shape[1], block.mode)
+            by_key.setdefault(key, []).append(hole)
+        self.groups, start = [], 0
+        for (block_type, width, mode), holes in by_key.items():
+            self.groups.append(_Group(block_type, width, mode, holes, start))
+            start = self.groups[-1].stop
+        self.size = len(blocks)
+        self.widths = [b.values.shape[1] for b in blocks]  # hole order
+        # vector position -> its hole, and -> its position in the
+        # hole-order concatenation of per-hole arrays
+        offset = np.cumsum([0] + self.widths)
+        self.hole_of = np.array([h for g in self.groups for h in g.holes
+                                 for _ in range(g.width)], dtype=np.intp)
+        self.order = np.array([offset[h] + i for g in self.groups
+                               for h in g.holes for i in range(g.width)],
+                              dtype=np.intp)
+        # runs of consecutive holes with the same draw type, in hole order
+        self.runs = []
+        for hole, block in enumerate(blocks):
+            if self.runs and self.runs[-1][0] == block.draw:
+                self.runs[-1][2] = hole + 1
+            else:
+                self.runs.append([block.draw, hole, hole + 1])
+
+
+class ParamState:
+    """Every hole's parameters in one float64 vector, grouped by
+    (family, K, mode).
+
+    A state stands wherever a params-set (a list of per-hole
+    distributions) is read: ``len``, indexing and iteration give per-hole
+    distributions, as copies.  :meth:`of` builds one from a params-set.
+    """
+
+    def __init__(self, layout, vector):
+        self.layout = layout
+        self.vector = vector
+        # one block per group, each a view of the vector
+        self.blocks = [
+            g.block_type(vector[g.start:g.stop].reshape(-1, g.width), g.mode)
+            for g in layout.groups]
+
+    @classmethod
+    def of(cls, params_set):
+        """``params_set`` if it is a state, else a state holding a copy of
+        each distribution's parameters."""
+        if isinstance(params_set, ParamState):
+            return params_set
+        blocks = [p._block() for p in params_set]
+        layout = _Layout(blocks)
+        vector = np.empty(layout.hole_of.size)
+        for group in layout.groups:
+            vector[group.start:group.stop] = np.concatenate(
+                [blocks[h].values[0] for h in group.holes])
+        return cls(layout, vector)
+
+    def __len__(self):
+        return self.layout.size
+
+    def __getitem__(self, hole):
+        return self.params()[hole]
+
+    def __iter__(self):
+        return iter(self.params())
+
+    def _per_group(self, rows_of):
+        """A per-hole list of the rows ``rows_of(group, block)`` gives."""
+        out = [None] * len(self)
+        for group, block in zip(self.layout.groups, self.blocks):
+            for hole, row in zip(group.holes, rows_of(group, block)):
+                out[hole] = row
+        return out
+
+    def params(self):
+        """The per-hole distributions, as copies, in hole order."""
+        return self._per_group(
+            lambda g, b: [b.distribution(j) for j in range(len(g.holes))])
+
+    def sample(self, rng, lam):
+        """``lam`` draws per hole, one array per hole in hole order."""
+        noise = np.empty((len(self), lam))
+        for draw, start, stop in self.layout.runs:
+            getattr(rng, draw)(out=noise[start:stop])
+        return self._per_group(lambda g, b: b.sample(noise[g.index]))
+
+    def stepped(self, gradients, eta):
+        """The state after the ascent step ``theta + eta * g`` and each
+        family's projection; ``gradients`` has one array per hole."""
+        if [np.asarray(g).size for g in gradients] != self.layout.widths:
+            raise ValueError("gradient layout does not match params layout")
+        flat = np.concatenate(gradients, axis=None)
+        vector = self.vector + eta * flat[self.layout.order]
+        for g in self.layout.groups:
+            g.block_type.project(
+                vector[g.start:g.stop].reshape(-1, g.width), g.mode)
+        return ParamState(self.layout, vector)
+
+    def entropies(self):
+        """Entropy per hole in nats, in hole order."""
+        return self._per_group(lambda g, b: b.entropy().tolist())
+
+    def greedy(self):
+        """Modal value per hole (category index, 0/1 or Gaussian mean)."""
+        return self._per_group(lambda g, b: b.greedy())

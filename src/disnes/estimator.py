@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import is_discrete
+from .distributions import ParamState, is_discrete
 
 SEARCH = "search"
 NATURAL = "natural"
@@ -48,7 +48,13 @@ class GradientEstimate:
 
     @property
     def mean_fitness(self):
-        return float(self.fitnesses.mean())
+        return float(mean(self.fitnesses))
+
+
+def mean(values):
+    """``values.mean()`` of a 1-D array, bit for bit, without the Python
+    layer of ``ndarray.mean``."""
+    return np.add.reduce(values) / values.size
 
 
 def _resolve_kinds(kinds, n):
@@ -72,7 +78,7 @@ def sample_population(params_set, lam, rng):
     """
     if lam < 1:
         raise ValueError("population size must be >= 1")
-    return [p.sample(rng, size=lam) for p in params_set]
+    return ParamState.of(params_set).sample(rng, lam)
 
 
 def evaluate_fitnesses(fitness, draws, lam):
@@ -101,6 +107,9 @@ def evaluate_fitnesses(fitness, draws, lam):
 
 
 def _weights(params, xs, kind):
+    """Per-sample weights of one kind: ``(n, width)`` for a distribution
+    and its ``n`` samples, ``(m, n, width)`` for a block of ``m`` holes
+    and their ``(m, n)`` samples."""
     if kind == SEARCH:
         return np.atleast_2d(params.score(xs))
     if kind == NATURAL:
@@ -112,21 +121,31 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
                       fitness_transform=None):
     """Core estimator: (1/lam) * sum_k f(x_k) * w(x_k) per distribution.
 
+    ``params_set`` is a :class:`ParamState` or a list of distributions.
     ``kinds`` is a single kind applied to every distribution or a per-
     distribution sequence (the training loop mixes kinds across hole
     families).  ``fitness_transform``, when given, maps the population
     fitness vector to the weights actually used (e.g. mean-centering);
-    the reported fitnesses stay untransformed.
+    the reported fitnesses stay untransformed.  The weights and the
+    weighted sum are one NumPy operation per group of holes with the
+    same family, K and mode (and per kind, where a group mixes kinds).
     """
-    kinds = _resolve_kinds(kinds, len(params_set))
-    draws = sample_population(params_set, lam, rng)
+    state = ParamState.of(params_set)
+    kinds = _resolve_kinds(kinds, len(state))
+    draws = sample_population(state, lam, rng)
     fits = evaluate_fitnesses(fitness, draws, lam)
     degenerate = bool(np.all(fits == fits[0]))
     weights = fits if fitness_transform is None else fitness_transform(fits)
-    gradients = [
-        weights @ _weights(p, xs, kind) / lam
-        for p, xs, kind in zip(params_set, draws, kinds)
-    ]
+    samples = np.array(draws, dtype=np.float64)
+    gradients = [None] * len(state)
+    for group, block in zip(state.layout.groups, state.blocks):
+        group_kinds = [kinds[h] for h in group.holes]
+        xs = samples[group.index]
+        for kind in dict.fromkeys(group_kinds):
+            grads = np.matmul(weights, _weights(block, xs, kind)) / lam
+            for hole, k, g in zip(group.holes, group_kinds, grads):
+                if k == kind:
+                    gradients[hole] = g
     return GradientEstimate(gradients, fits, degenerate)
 
 

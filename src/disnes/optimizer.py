@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from .distributions import CategoricalParams, GaussianParams, LOGITS, PROBS, is_discrete
+from .distributions import LOGITS, PROBS, ParamState, is_discrete
 
 
 # estimator kind for Gaussian holes: standard continuous-ES variance
@@ -42,8 +42,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be a finite number > 0")
         if self.population < 1:
             raise ValueError("population must be >= 1")
         if self.log_every < 1:
@@ -57,11 +58,14 @@ def _transform_for(name):
     if name == "raw":
         return None
     if name == "baseline":
-        return lambda f: f - f.mean()
+        return lambda f: f - est.mean(f)
 
     def standardize(f):
-        centered = f - f.mean()
-        scale = centered.std()
+        # the steps of ``centered.std()``: the mean is taken again of the
+        # centered values before squaring
+        centered = f - est.mean(f)
+        deviation = centered - est.mean(centered)
+        scale = np.sqrt(est.mean(deviation * deviation))
         return centered / scale if scale > 0.0 else centered
 
     return standardize
@@ -100,23 +104,24 @@ class TrainingLog:
 
 
 def sgd_step(params_set, gradients, eta, hole_ids=None):
-    """Ascent step per distribution, followed by each family's projection.
+    """Ascent step on every hole, followed by each family's projection.
 
-    Every stepped distribution passes :func:`_check_finite`, so a
-    divergent update raises ``FloatingPointError`` naming its hole: the
-    id from ``hole_ids``, else the position in ``params_set``.
+    ``params_set`` is a :class:`ParamState` or a list of distributions and
+    ``gradients`` has one array per hole, of that hole's parameter count
+    (else ``ValueError``).  The step is one NumPy operation on the flat
+    vector plus one projection per group, and the result is a
+    :class:`ParamState`.  :func:`_check_finite` then checks the stepped
+    vector, so a divergent update raises ``FloatingPointError`` naming its
+    first non-finite hole: the id from ``hole_ids``, else the position.
     """
-    if len(gradients) != len(params_set):
-        raise ValueError("gradient layout does not match params layout")
-    stepped = [p.stepped(g, eta) for p, g in zip(params_set, gradients)]
-    for hole, p in zip(hole_ids or range(len(stepped)), stepped):
-        _check_finite(hole, p)
+    stepped = ParamState.of(params_set).stepped(gradients, eta)
+    _check_finite(stepped, hole_ids)
     return stepped
 
 
 def greedy_decode(params_set):
     """Modal value per distribution (argmax category / Gaussian mean)."""
-    return [p.greedy() for p in params_set]
+    return ParamState.of(params_set).greedy()
 
 
 def initial_params(problem, config):
@@ -142,42 +147,40 @@ def train(problem, config):
     kinds = _kinds_for(params, config)
     fitness = problem.fitness
     hole_ids = problem.hole_ids()
-    discrete_ids = [h for h, p in zip(hole_ids, params) if is_discrete(p)]
+    discrete = [h for h, p in enumerate(params) if is_discrete(p)]
     rng = np.random.default_rng(config.seed)
-    log = TrainingLog(discrete_ids)
+    log = TrainingLog([hole_ids[h] for h in discrete])
 
+    state = ParamState.of(params)
     transform = _transform_for(config.fitness_transform)
     for i in range(1, config.iterations + 1):
         estimate = est.estimate_gradient(
-            params, fitness, config.population, rng, kinds,
+            state, fitness, config.population, rng, kinds,
             fitness_transform=transform)
-        params = sgd_step(params, estimate.gradients, config.learning_rate,
-                          hole_ids)
+        state = sgd_step(state, estimate.gradients, config.learning_rate,
+                         hole_ids)
         if (i - 1) % config.log_every == 0:
             decode_loss = None
             if (i - 1) % (config.log_every * 10) == 0:
-                decode_loss = -float(fitness(tuple(greedy_decode(params))))
-            entropies = {
-                h: p.entropy()
-                for h, p in zip(hole_ids, params) if is_discrete(p)
-            }
+                decode_loss = -float(fitness(tuple(greedy_decode(state))))
+            entropies = state.entropies()
             log.records.append(LogRecord(
                 iteration=i,
                 loss=-estimate.mean_fitness,
-                entropies=entropies,
+                entropies={hole_ids[h]: entropies[h] for h in discrete},
                 decode_loss=decode_loss,
-                params=[p.copy() for p in params],
+                params=state.params(),
             ))
-    return log, params
+    return log, state.params()
 
 
-def _check_finite(hole, params):
-    if isinstance(params, GaussianParams):
-        ok = math.isfinite(params.mu) and math.isfinite(params.log_sigma)
-    elif isinstance(params, CategoricalParams):
-        ok = bool(np.isfinite(params.values).all())
-    else:
-        ok = math.isfinite(params.theta)
-    if not ok:
+def _check_finite(state, hole_ids=None):
+    """Raise ``FloatingPointError`` naming the first hole, in hole order,
+    whose parameters in ``state`` are not all finite."""
+    finite = np.isfinite(state.vector)
+    if not finite.all():
+        hole = int(state.layout.hole_of[~finite].min())
+        name = hole_ids[hole] if hole_ids else hole
         raise FloatingPointError(
-            f"non-finite parameters for hole {hole!r} after update: {params}")
+            f"non-finite parameters for hole {name!r} after update: "
+            f"{state[hole]}")

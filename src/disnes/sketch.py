@@ -606,6 +606,22 @@ def holes_to_distributions(program, categorical_mode=LOGITS):
     return params
 
 
+def check_params_fit(program, params_set):
+    """Raise :class:`SketchError` unless each hole's distribution is the one
+    :func:`holes_to_distributions` gives it: a Gaussian for a REAL hole and
+    a categorical over the hole's categories for a COND or OP hole."""
+    def family(params):
+        if isinstance(params, CategoricalParams):
+            return f"a {params.k}-way CategoricalParams"
+        return f"a {type(params).__name__}"
+
+    for hole, params, wanted in zip(program.holes, params_set,
+                                    holes_to_distributions(program)):
+        if family(params) != family(wanted):
+            raise SketchError(f"hole {hole.id!r} ({hole.kind}) needs "
+                              f"{family(wanted)}, got {family(params)}")
+
+
 @dataclass
 class SketchProblem:
     """A sketch plus the specification it must match."""

@@ -6,7 +6,7 @@ import pytest
 
 from disnes import checks, estimator as est
 from disnes.distributions import (
-    BernoulliParams, CategoricalParams, GaussianParams,
+    BernoulliParams, CategoricalBlock, CategoricalParams, GaussianParams,
 )
 
 CHECKS = checks.check_list()
@@ -41,6 +41,10 @@ def _biased_sampler(params_set, lam, rng):
     return [shifted(p).sample(rng, size=lam) for p in params_set]
 
 
+# A fault in a per-hole method reaches the enumeration oracle, which works
+# per hole, but not the Monte Carlo estimator, which runs the block
+# formulas, so estimator-vs-oracle trips as well.  A fault in a block
+# formula reaches both, like any fault did before blocks existed.
 FAULTS = {
     "score-offset": (
         GaussianParams, "score",
@@ -54,12 +58,19 @@ FAULTS = {
         CategoricalParams, "natural_score",
         lambda orig: CategoricalParams.score,
         ["equivalence/categorical-k2-vs-bernoulli",
+         "estimator-vs-oracle/natural",
+         "identity/categorical-natural-eq-diag-p",
+         "identity/categorical-natural-eq-invfim-score"]),
+    "block-natural-score-is-score": (
+        CategoricalBlock, "natural_score",
+        lambda orig: CategoricalBlock.score,
+        ["equivalence/categorical-k2-vs-bernoulli",
          "identity/categorical-natural-eq-diag-p",
          "identity/categorical-natural-eq-invfim-score"]),
     "vo-term-without-p": (
         CategoricalParams, "prob_gradient",
         lambda orig: CategoricalParams.score,
-        ["identity/vo-term-eq-prob-times-score"]),
+        ["estimator-vs-oracle/vo", "identity/vo-term-eq-prob-times-score"]),
     "biased-population": (
         est, "sample_population", lambda orig: _biased_sampler,
         sorted(f"estimator-vs-oracle/{kind}" for kind in est.KINDS)),

@@ -9,7 +9,16 @@ from disnes.distributions import (
     LOGITS, BernoulliParams, CategoricalParams, GaussianParams,
 )
 from disnes.optimizer import TrainConfig
-from disnes.sketch import parse
+from disnes.sketch import holes_to_distributions, parse
+
+
+def _main_snapshot(hole, params):
+    """A params snapshot of the main sketch's holes with ``params`` in place
+    of the fitting distribution of hole number ``hole``."""
+    program = parse(harness.MAIN_SKETCH)
+    params_set = holes_to_distributions(program)
+    params_set[hole] = params
+    return harness.params_to_json(params_set, program.hole_ids())
 
 
 def quick_config(**kwargs):
@@ -246,6 +255,9 @@ class TestCli:
         ["decode", "--params", "{bad_json}", "--sketch", "{main}"],
         ["decode", "--params", "{no_family}", "--sketch", "{main}"],
         ["decode", "--params", "{good}", "--sketch", "{sketch}"],
+        ["decode", "--params", "{gaussian_on_cond}", "--sketch", "{main}"],
+        ["decode", "--params", "{categorical_on_real}", "--sketch", "{main}"],
+        ["decode", "--params", "{k4_on_cond}", "--sketch", "{main}"],
     ], ids=" ".join)
     def test_malformed_input_exits_2_with_one_line_error(
             self, tmp_path, capsys, argv):
@@ -255,6 +267,11 @@ class TestCli:
             "bad_json": '{"holes": [',
             "no_family": json.dumps({"holes": [{"id": "cond0"}]}),
             "good": harness.params_to_json([BernoulliParams(0.5)], ["h"]),
+            "gaussian_on_cond": _main_snapshot(0, GaussianParams(0.0, 0.0)),
+            "categorical_on_real": _main_snapshot(
+                1, CategoricalParams(np.zeros(4), mode=LOGITS)),
+            "k4_on_cond": _main_snapshot(
+                0, CategoricalParams(np.zeros(4), mode=LOGITS)),
         }
         paths = {"out": tmp_path / "out"}
         for name, text in files.items():

@@ -6,7 +6,8 @@ from disnes.distributions import (
     EPS, LOGITS, PROBS, BernoulliParams, CategoricalParams, GaussianParams,
 )
 from disnes.optimizer import (
-    TrainConfig, TrainingLog, greedy_decode, initial_params, sgd_step, train,
+    TrainConfig, TrainingLog, _transform_for, greedy_decode, initial_params,
+    sgd_step, train,
 )
 
 
@@ -252,10 +253,29 @@ class TestConfigValidation:
         {"population": 0},
         {"log_every": 0},
         {"fitness_transform": "clip"},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": float("-inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+
+class TestFitnessTransform:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_standardize_matches_ndarray_std_bit_for_bit(self, ties):
+        rng = np.random.default_rng(8)
+        standardize = _transform_for("standardize")
+        for _ in range(500):
+            f = rng.normal(size=50) * rng.uniform(0.01, 100)
+            if ties:
+                f = np.round(f)
+            centered = f - f.mean()
+            scale = centered.std()
+            want = centered / scale if scale > 0.0 else centered
+            assert standardize(f).tobytes() == want.tobytes()
+            assert est.mean(f) == f.mean()
 
 
 class TestCsv:

@@ -1,0 +1,313 @@
+"""The flat parameter state against a per-hole reference, bit for bit.
+
+The reference below is the per-hole arithmetic of a training step written
+out one hole at a time: one ``Generator`` call, one weight matrix, one
+weighted sum and one projected step per hole.  It lives only here.  The
+state groups holes by (family, K, mode) and shares a ``Generator`` call
+between neighbouring holes with the same draw type; every draw, gradient,
+stepped parameter, entropy and greedy value must still equal the
+reference's bit for bit, and the rng must end in the same state.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from disnes import estimator as est
+from disnes.distributions import (
+    EPS, LOGITS, PROBS, BernoulliParams, CategoricalBlock, CategoricalParams,
+    GaussianParams, ParamState,
+)
+from disnes.optimizer import _transform_for, greedy_decode, sgd_step
+
+# --- the per-hole reference ------------------------------------------------
+
+
+def ref_probs(p):
+    if p.mode == PROBS:
+        return p.values.copy()
+    z = p.values - p.values.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def ref_sample(p, rng, n):
+    if isinstance(p, BernoulliParams):
+        return (rng.random(n) < p.theta).astype(np.int64)
+    if isinstance(p, CategoricalParams):
+        cum = np.cumsum(ref_probs(p))
+        idx = np.searchsorted(cum, rng.random(n), side="left")
+        return np.minimum(idx, p.k - 1)
+    return p.mu + math.exp(p.log_sigma) * rng.standard_normal(n)
+
+
+def ref_weights(p, xs, kind):
+    """(n, width) weights of one hole for samples ``xs`` (float64)."""
+    if isinstance(p, BernoulliParams):
+        t = p.theta
+        search = ((xs - t) / (t * (1.0 - t)))[:, None]
+        if kind == est.SEARCH:
+            return search
+        if kind == est.NATURAL:
+            return (xs - t)[:, None]
+        return np.where(xs > 0.5, t, 1.0 - t)[:, None] * search
+    if isinstance(p, CategoricalParams):
+        probs = ref_probs(p)
+        onehot = np.eye(p.k)[xs.astype(np.int64)]
+        if p.mode == LOGITS:
+            search = onehot - probs[None, :]
+        else:
+            search = onehot / p.values[None, :]
+        if kind == est.SEARCH:
+            return search
+        if kind == est.NATURAL:
+            return probs[None, :] * (onehot - probs[None, :])
+        return probs[xs.astype(np.int64)][:, None] * search
+    sigma = math.exp(p.log_sigma)
+    z = (xs - p.mu) / sigma
+    g = np.empty((xs.size, 2))
+    if kind == est.NATURAL:
+        g[:, 0] = xs - p.mu
+        g[:, 1] = 0.5 * (z * z - 1.0)
+        return g
+    g[:, 0] = z / sigma
+    g[:, 1] = z * z - 1.0
+    if kind == est.SEARCH:
+        return g
+    log_p = -0.5 * z * z - p.log_sigma - 0.5 * math.log(2.0 * math.pi)
+    return np.exp(log_p)[:, None] * g
+
+
+def ref_estimate(params_set, fitness, lam, rng, kinds, transform=None):
+    draws = [ref_sample(p, rng, lam) for p in params_set]
+    fits = fitness.population(draws)
+    weights = fits if transform is None else transform(fits)
+    grads = [weights @ ref_weights(p, np.asarray(x, dtype=np.float64), k)
+             / lam for p, x, k in zip(params_set, draws, kinds)]
+    return draws, fits, grads
+
+
+def ref_step(p, g, eta):
+    """The stepped parameters of one hole, as a float64 vector."""
+    g = np.asarray(g, dtype=np.float64).reshape(-1)
+    if isinstance(p, BernoulliParams):
+        theta = p.theta + eta * float(g[0])
+        return np.array([float(np.clip(theta, EPS, 1.0 - EPS))])
+    if isinstance(p, CategoricalParams):
+        values = p.values + eta * g
+        if p.mode == PROBS:
+            values = np.clip(values, EPS, 1.0 - EPS)
+            values = values / values.sum()
+        return values
+    return np.array([p.mu + eta * float(g[0]), p.log_sigma + eta * float(g[1])])
+
+
+def ref_entropy(p):
+    if isinstance(p, BernoulliParams):
+        t = p.theta
+        return -(t * math.log(t) + (1.0 - t) * math.log(1.0 - t))
+    if isinstance(p, CategoricalParams):
+        probs = ref_probs(p)
+        return float(-(probs * np.log(probs)).sum())
+    return 0.5 * math.log(2.0 * math.pi * math.e) + p.log_sigma
+
+
+def ref_greedy(p):
+    if isinstance(p, BernoulliParams):
+        return 1 if p.theta >= 0.5 else 0
+    if isinstance(p, CategoricalParams):
+        return int(np.argmax(ref_probs(p)))
+    return p.mu
+
+
+# --- fixtures ----------------------------------------------------------------
+
+def vector_of(p):
+    if isinstance(p, BernoulliParams):
+        return np.array([p.theta])
+    if isinstance(p, CategoricalParams):
+        return p.values
+    return np.array([p.mu, p.log_sigma])
+
+
+def make_params(codes, rng):
+    """One distribution per code: B, G, or L/P (logits/probs) plus K."""
+    params = []
+    for code in codes:
+        if code == "B":
+            params.append(BernoulliParams(rng.uniform(0.05, 0.95)))
+        elif code == "G":
+            params.append(GaussianParams(rng.normal(), rng.uniform(-1, 1)))
+        elif code[0] == "L":
+            params.append(CategoricalParams(rng.normal(size=int(code[1:])),
+                                            mode=LOGITS))
+        else:
+            probs = np.clip(rng.dirichlet(np.ones(int(code[1:]))), 0.01, None)
+            params.append(CategoricalParams(probs / probs.sum(), mode=PROBS))
+    return params
+
+
+class Fitness:
+    """A fitness with varied, mostly distinct values over the draws."""
+
+    def __init__(self, n):
+        self.coef = np.linspace(0.3, 1.7, n)
+
+    def population(self, draws):
+        total = sum(c * np.asarray(d, dtype=np.float64)
+                    for c, d in zip(self.coef, draws))
+        return np.sin(total) - 0.1 * total
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+ORDERS = {
+    "G,C,C,G,B,C": ["G", "L6", "L4", "G", "B", "P6"],
+    "main-nes": ["P6", "G", "G", "P4", "P4", "G"],
+    "main-vo": ["L6", "G", "G", "L4", "L4", "G"],
+    "bernoulli-run": ["B", "B", "B", "G", "B"],
+    "every-family": ["P2", "L2", "P4", "L4", "P6", "L6", "B", "G"],
+    "one-hole": ["G"],
+}
+
+
+def check_against_reference(codes, seed, lam, kinds):
+    params = make_params(codes, np.random.default_rng(seed))
+    state = ParamState.of(params)
+    fitness = Fitness(len(params))
+    transform = _transform_for("standardize")
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    recorded = []
+    sample_population = est.sample_population
+
+    def recording(*args):
+        recorded.append(sample_population(*args))
+        return recorded[-1]
+
+    est.sample_population = recording
+    try:
+        estimate = est.estimate_gradient(state, fitness, lam, rng, kinds,
+                                         fitness_transform=transform)
+    finally:
+        est.sample_population = sample_population
+    resolved = est._resolve_kinds(kinds, len(params))
+    draws, fits, grads = ref_estimate(params, fitness, lam, ref_rng,
+                                      resolved, transform)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for got, want in zip(recorded[0], draws):
+        assert_same_bits(got, want)
+    assert_same_bits(estimate.fitnesses, fits)
+    assert estimate.mean_fitness == float(fits.mean())
+    for got, want in zip(estimate.gradients, grads):
+        assert_same_bits(got, want)
+
+    stepped = sgd_step(state, estimate.gradients, 0.37)
+    for p, g, q in zip(params, grads, stepped):
+        assert_same_bits(vector_of(q), ref_step(p, g, 0.37))
+    assert stepped.entropies() == [ref_entropy(q) for q in stepped]
+    assert greedy_decode(stepped) == [ref_greedy(q) for q in stepped]
+    assert state.entropies() == [ref_entropy(p) for p in params]
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_state_matches_per_hole_reference(order, kind):
+    check_against_reference(ORDERS[order], seed=11, lam=50, kinds=kind)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_mixed_kinds_within_a_family(order):
+    kinds = [est.KINDS[i % 3] for i in range(len(ORDERS[order]))]
+    check_against_reference(ORDERS[order], seed=12, lam=7, kinds=kinds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes=st.lists(st.sampled_from(["B", "G", "L2", "L4", "L6", "P2",
+                                       "P4", "P6"]), min_size=1, max_size=9),
+       seed=st.integers(0, 2**32 - 1), lam=st.integers(1, 40),
+       kinds=st.sampled_from(est.KINDS))
+def test_random_family_sequences(codes, seed, lam, kinds):
+    check_against_reference(codes, seed, lam, kinds)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_per_hole_methods_match_reference(order):
+    rng = np.random.default_rng(5)
+    for p in make_params(ORDERS[order], rng):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        xs = p.sample(a, size=20)
+        assert_same_bits(xs, ref_sample(p, b, 20))
+        x = np.asarray(xs, dtype=np.float64)
+        for kind, method in ((est.SEARCH, p.score),
+                             (est.NATURAL, p.natural_score),
+                             (est.VO, p.prob_gradient)):
+            assert_same_bits(method(xs), ref_weights(p, x, kind))
+            assert_same_bits(method(xs[0]), ref_weights(p, x[:1], kind)[0])
+        assert p.entropy() == ref_entropy(p)
+        assert p.greedy() == ref_greedy(p)
+        g = rng.normal(size=vector_of(p).size)
+        assert_same_bits(vector_of(p.stepped(g, 0.2)), ref_step(p, g, 0.2))
+
+
+def test_projection_at_the_bounds():
+    params = make_params(["B", "P4", "B", "P2"], np.random.default_rng(2))
+    grads = [np.array([50.0]), np.array([90.0, -90.0, 0.0, 1.0]),
+             np.array([-50.0]), np.array([-1e3, 1e3])]
+    stepped = sgd_step(params, grads, 1.0)
+    for p, g, q in zip(params, grads, stepped):
+        assert_same_bits(vector_of(q), ref_step(p, g, 1.0))
+    assert stepped[0].theta == 1.0 - EPS and stepped[2].theta == EPS
+
+
+def test_state_reads_as_a_params_set():
+    params = make_params(ORDERS["G,C,C,G,B,C"], np.random.default_rng(4))
+    state = ParamState.of(params)
+    assert ParamState.of(state) is state
+    assert len(state) == len(params)
+    assert [type(q) for q in state] == [type(p) for p in params]
+    for p, q in zip(params, state):
+        assert_same_bits(vector_of(q), vector_of(p))
+    state[1].values[0] = 99.0  # a copy: the state is unchanged
+    assert_same_bits(vector_of(state[1]), vector_of(params[1]))
+
+
+def test_divergence_names_first_hole_in_hole_order():
+    # the vector holds groups G[0,3], L6[1], L4[2], B[4], P6[5]: hole 3
+    # sits before hole 1 in the vector, but hole 1 comes first in hole order
+    params = make_params(ORDERS["G,C,C,G,B,C"], np.random.default_rng(6))
+    grads = [np.zeros(vector_of(p).size) for p in params]
+    grads[3][1] = np.nan
+    grads[1][4] = np.inf
+    ids = [f"h{i}" for i in range(len(params))]
+    with pytest.raises(FloatingPointError, match="hole 'h1' after update"):
+        sgd_step(ParamState.of(params), grads, 0.1, hole_ids=ids)
+    with pytest.raises(FloatingPointError, match="hole 1 after update"):
+        sgd_step(params, grads, 0.1)
+
+
+def test_categorical_sample_ties_break_low():
+    # a uniform equal to a cumulative probability picks that category,
+    # as ``searchsorted(side="left")`` does
+    probs = np.array([[0.25, 0.25, 0.5]])
+    u = np.array([[0.0, 0.25, 0.3, 0.5, 0.75, 1.0]])
+    got = CategoricalBlock(probs, PROBS).sample(u)
+    want = np.minimum(np.searchsorted(np.cumsum(probs[0]), u[0],
+                                      side="left"), 2)
+    assert_same_bits(got[0], want)
+    assert got.tolist() == [[0, 0, 1, 1, 2, 2]]
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (2, 4, 1), (2,)],
+                         ids=str)
+def test_gradient_layout_must_match(sizes):
+    # (3, 3) has the right total, but not per hole
+    params = make_params(["G", "L4"], np.random.default_rng(7))
+    with pytest.raises(ValueError, match="layout"):
+        sgd_step(params, [np.zeros(n) for n in sizes], 0.1)
