@@ -17,7 +17,7 @@ def main():
     problem = SketchProblem(program, MAIN_SPEC)
     config = TrainConfig(iterations=2000, learning_rate=0.1, population=50,
                          seed=1, log_every=100)
-    log, params = train(problem, config)
+    [(log, params)] = train(problem, [config])
 
     print("iter    population-MSE    entropies (cond0, op3, op4)")
     for rec in log.records:

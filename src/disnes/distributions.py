@@ -22,7 +22,10 @@ hole; samples are ``(m, n)`` and gradients come back ``(m, n, width)``.
 :class:`ParamState` keeps every hole's parameters in one float64 vector.
 Holes are grouped by (family, K, mode); the vector holds one group after
 the other, so each group's block is a reshaped slice of it and a training
-step is one NumPy operation per group, not per hole.
+step is one NumPy operation per group, not per hole.  A state may hold
+several cells (independent training runs, each with its own learning rate
+and ``Generator``), one after the other in hole order; every formula works
+row by row, so a cell's numbers do not depend on the cells beside it.
 
 The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
 :class:`GaussianParams`) are the API for single distributions; their
@@ -36,6 +39,9 @@ consecutive holes with the same draw type shares one ``Generator`` call,
 which reads the stream exactly as one call per hole would, so a state and
 its per-hole distributions draw the same samples from the same seed.
 
+A run never crosses a cell boundary, and each cell draws from its own
+generator, so a cell of a joint state draws what it would draw alone.
+
 All operations are pure given ``(params, rng)``; callers that run
 concurrently must each own a distinct ``numpy.random.Generator``.
 """
@@ -43,6 +49,7 @@ concurrently must each own a distinct ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,6 +58,9 @@ import numpy as np
 # Probability floor applied after every parameter update; keeps scores and
 # Fisher terms finite.
 EPS = 1e-6
+
+# Largest log sigma whose sigma = exp(log sigma) is a finite float.
+LOG_SIGMA_MAX = math.log(sys.float_info.max)
 
 LOGITS = "logits"
 PROBS = "probs"
@@ -102,8 +112,11 @@ class _Block:
 
     A block is read-only: quantities derived from ``values`` are computed
     once, on first use.  :meth:`project` acts on a values array before a
-    block is made of it.
+    block is made of it.  ``upper`` bounds each column from above, where a
+    finite value can still break a formula (None: finiteness suffices).
     """
+
+    upper = None
 
     def __init__(self, values, mode=None):
         self.values = values
@@ -246,6 +259,7 @@ class GaussianBlock(_Block):
     """Gaussian holes: two columns, ``mu`` and ``log_sigma``."""
 
     draw = "standard_normal"
+    upper = (math.inf, LOG_SIGMA_MAX)  # sigma must stay finite
 
     @cached_property
     def sigma(self):
@@ -500,30 +514,38 @@ def is_discrete(params):
 # --- The flat parameter state -----------------------------------------------
 
 class _Group:
-    """The holes of one (family, K, mode): rows ``start:stop`` of the vector."""
+    """The holes of one (family, K, mode): rows ``start:stop`` of the
+    vector; ``cells`` gives each row's cell."""
 
-    def __init__(self, block_type, width, mode, holes, start):
+    def __init__(self, block_type, width, mode, holes, start, cell_of_hole):
         self.block_type, self.width, self.mode = block_type, width, mode
         self.holes = tuple(holes)
         self.index = np.array(holes, dtype=np.intp)
+        self.cells = cell_of_hole[self.index]
         self.start, self.stop = start, start + width * len(holes)
 
 
 class _Layout:
     """Where each hole's parameters sit in the vector; shared by every
-    state stepped from the same params-set."""
+    state stepped from the same params-set.
 
-    def __init__(self, blocks):
+    ``keys`` gives each hole's (block type, width, mode) in hole order and
+    ``cell_of_hole`` its cell, out of ``cell_count`` (default: one cell).
+    """
+
+    def __init__(self, keys, cell_of_hole=None, cell_count=1):
+        self.keys, self.size, self.cell_count = keys, len(keys), cell_count
+        cells = np.zeros(self.size, dtype=np.intp) if cell_of_hole is None \
+            else np.array(cell_of_hole, dtype=np.intp)
         by_key = {}
-        for hole, block in enumerate(blocks):
-            key = (type(block), block.values.shape[1], block.mode)
+        for hole, key in enumerate(keys):
             by_key.setdefault(key, []).append(hole)
         self.groups, start = [], 0
         for (block_type, width, mode), holes in by_key.items():
-            self.groups.append(_Group(block_type, width, mode, holes, start))
+            self.groups.append(
+                _Group(block_type, width, mode, holes, start, cells))
             start = self.groups[-1].stop
-        self.size = len(blocks)
-        self.widths = [b.values.shape[1] for b in blocks]  # hole order
+        self.widths = [width for _, width, _ in keys]  # hole order
         # vector position -> its hole, and -> its position in the
         # hole-order concatenation of per-hole arrays
         offset = np.cumsum([0] + self.widths)
@@ -532,13 +554,39 @@ class _Layout:
         self.order = np.array([offset[h] + i for g in self.groups
                                for h in g.holes for i in range(g.width)],
                               dtype=np.intp)
-        # runs of consecutive holes with the same draw type, in hole order
+        self.cell_of = cells[self.hole_of]  # vector position -> its cell
+        # vector position -> its upper bound (see _Block.upper)
+        self.upper = np.full(self.hole_of.size, np.inf)
+        for g in self.groups:
+            if g.block_type.upper is not None:
+                self.upper[g.start:g.stop] = np.tile(g.block_type.upper,
+                                                     len(g.holes))
+        # runs of consecutive holes of one cell with the same draw type,
+        # in hole order: [draw, start, stop, cell]
         self.runs = []
-        for hole, block in enumerate(blocks):
-            if self.runs and self.runs[-1][0] == block.draw:
-                self.runs[-1][2] = hole + 1
+        for hole, ((block_type, _, _), cell) in enumerate(
+                zip(keys, cells.tolist())):
+            run = self.runs[-1] if self.runs else None
+            if run and run[0] == block_type.draw and run[3] == cell:
+                run[2] = hole + 1
             else:
-                self.runs.append([block.draw, hole, hole + 1])
+                self.runs.append([block_type.draw, hole, hole + 1, cell])
+        # per cell: its one-cell layout, and the positions in this vector
+        # of that layout's vector
+        self.cells = [(self, np.arange(self.hole_of.size))]
+
+    @classmethod
+    def joined(cls, layouts):
+        """The one-cell ``layouts`` side by side, one cell each."""
+        joint = cls([key for lay in layouts for key in lay.keys],
+                    [c for c, lay in enumerate(layouts) for _ in lay.keys],
+                    len(layouts))
+        position = np.empty_like(joint.order)  # hole-order index -> position
+        position[joint.order] = np.arange(joint.order.size)
+        offsets = np.cumsum([0] + [lay.order.size for lay in layouts])
+        joint.cells = [(lay, position[offset + lay.order])
+                       for lay, offset in zip(layouts, offsets)]
+        return joint
 
 
 class ParamState:
@@ -548,29 +596,59 @@ class ParamState:
     A state stands wherever a params-set (a list of per-hole
     distributions) is read: ``len``, indexing and iteration give per-hole
     distributions, as copies.  :meth:`of` builds one from a params-set.
+    A state may hold several cells: :meth:`joined` puts one-cell states
+    side by side, cell after cell in hole order, and :meth:`cell` takes
+    one out again.
     """
+
+    # snapshots of a long run are kept by the thousand: no instance dict
+    __slots__ = ("layout", "vector", "_blocks")
 
     def __init__(self, layout, vector):
         self.layout = layout
         self.vector = vector
-        # one block per group, each a view of the vector
-        self.blocks = [
-            g.block_type(vector[g.start:g.stop].reshape(-1, g.width), g.mode)
-            for g in layout.groups]
+        self._blocks = None
+
+    @property
+    def blocks(self):
+        """One block per group, each a view of the vector; made on first
+        use."""
+        if self._blocks is None:
+            self._blocks = [
+                g.block_type(self.vector[g.start:g.stop].reshape(-1, g.width),
+                             g.mode)
+                for g in self.layout.groups]
+        return self._blocks
 
     @classmethod
     def of(cls, params_set):
-        """``params_set`` if it is a state, else a state holding a copy of
-        each distribution's parameters."""
+        """``params_set`` if it is a state, else a one-cell state holding a
+        copy of each distribution's parameters."""
         if isinstance(params_set, ParamState):
             return params_set
         blocks = [p._block() for p in params_set]
-        layout = _Layout(blocks)
+        layout = _Layout([(type(b), b.values.shape[1], b.mode)
+                          for b in blocks])
         vector = np.empty(layout.hole_of.size)
         for group in layout.groups:
             vector[group.start:group.stop] = np.concatenate(
                 [blocks[h].values[0] for h in group.holes])
         return cls(layout, vector)
+
+    @classmethod
+    def joined(cls, states):
+        """One state whose cells are the one-cell ``states``, in order."""
+        layout = _Layout.joined([s.layout for s in states])
+        vector = np.empty(layout.hole_of.size)
+        for state, (_, positions) in zip(states, layout.cells):
+            vector[positions] = state.vector
+        return cls(layout, vector)
+
+    def cell(self, c):
+        """Cell ``c`` as a one-cell state: a copy of its parameters in its
+        own layout."""
+        layout, positions = self.layout.cells[c]
+        return ParamState(layout, self.vector[positions])
 
     def __len__(self):
         return self.layout.size
@@ -594,19 +672,23 @@ class ParamState:
         return self._per_group(
             lambda g, b: [b.distribution(j) for j in range(len(g.holes))])
 
-    def sample(self, rng, lam):
-        """``lam`` draws per hole, one array per hole in hole order."""
+    def sample(self, rngs, lam):
+        """``lam`` draws per hole, one array per hole in hole order; cell
+        ``c`` draws from ``rngs[c]``."""
         noise = np.empty((len(self), lam))
-        for draw, start, stop in self.layout.runs:
-            getattr(rng, draw)(out=noise[start:stop])
+        for draw, start, stop, cell in self.layout.runs:
+            getattr(rngs[cell], draw)(out=noise[start:stop])
         return self._per_group(lambda g, b: b.sample(noise[g.index]))
 
     def stepped(self, gradients, eta):
         """The state after the ascent step ``theta + eta * g`` and each
-        family's projection; ``gradients`` has one array per hole."""
+        family's projection; ``gradients`` has one array per hole and
+        ``eta`` is one learning rate or one per cell."""
         if [np.asarray(g).size for g in gradients] != self.layout.widths:
             raise ValueError("gradient layout does not match params layout")
         flat = np.concatenate(gradients, axis=None)
+        if np.ndim(eta):
+            eta = np.asarray(eta, dtype=np.float64)[self.layout.cell_of]
         vector = self.vector + eta * flat[self.layout.order]
         for g in self.layout.groups:
             g.block_type.project(

@@ -37,24 +37,22 @@ class GradientEstimate:
     """Result of one population estimate.
 
     ``gradients`` holds one array per distribution, aligned with the
-    params-set order.  ``degenerate`` flags a population whose fitnesses
-    were all equal after non-finite replacement (advisory only; the
-    gradient is still returned).
+    params-set order.  ``fitnesses`` holds every member's fitness, cell
+    after cell for a state of several cells.  ``degenerate`` counts the
+    cells whose fitnesses were all equal after non-finite replacement
+    (advisory only; their gradients are still returned).
     """
 
     gradients: list
     fitnesses: np.ndarray
-    degenerate: bool
-
-    @property
-    def mean_fitness(self):
-        return float(mean(self.fitnesses))
+    degenerate: int
 
 
 def mean(values):
-    """``values.mean()`` of a 1-D array, bit for bit, without the Python
-    layer of ``ndarray.mean``."""
-    return np.add.reduce(values) / values.size
+    """``values.mean(axis=-1)``, bit for bit, without the Python layer of
+    ``ndarray.mean``: a number for a 1-D array, one per row for a 2-D
+    one."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 def _resolve_kinds(kinds, n):
@@ -74,35 +72,53 @@ def sample_population(params_set, lam, rng):
 
     Consumption order over the rng is the params-set order, so identical
     rng states give identical populations regardless of which estimator
-    kind is computed afterwards.
+    kind is computed afterwards.  ``rng`` is a ``Generator``, or one per
+    cell of a :class:`ParamState` of several cells.
     """
     if lam < 1:
         raise ValueError("population size must be >= 1")
-    return ParamState.of(params_set).sample(rng, lam)
+    rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
+    return ParamState.of(params_set).sample(rngs, lam)
 
 
-def evaluate_fitnesses(fitness, draws, lam):
+def _members(draws, cells):
+    """Per-hole draws of ``cells`` cells of one problem as the program's
+    per-hole draws of all their members, cell after cell."""
+    if cells == 1:
+        return draws
+    holes = len(draws) // cells
+    return [np.concatenate(draws[h::holes]) for h in range(holes)]
+
+
+def evaluate_fitnesses(fitness, draws, lam, cells=1):
     """Evaluate the fitness of every population member.
 
-    Uses the batched ``fitness.population(draws)`` path when the callable
-    provides one, otherwise calls ``fitness`` once per member with the
-    tuple of per-hole values.  Non-finite fitnesses are replaced by the
-    worst finite fitness in the population minus 1 (or -1.0 if the whole
-    population is non-finite).
+    ``draws`` holds ``cells * lam`` members, the populations of ``cells``
+    cells one after the other.  Uses the batched
+    ``fitness.population(draws)`` path when the callable provides one,
+    otherwise calls ``fitness`` once per member with the tuple of per-hole
+    values.  Non-finite fitnesses are replaced by the worst finite fitness
+    of the member's cell minus 1 (or -1.0 if the cell's whole population
+    is non-finite).
     """
+    members = cells * lam
     if hasattr(fitness, "population"):
         fits = np.asarray(fitness.population(draws), dtype=np.float64)
     else:
         fits = np.array(
-            [float(fitness(tuple(d[i] for d in draws))) for i in range(lam)],
+            [float(fitness(tuple(d[i] for d in draws)))
+             for i in range(members)],
             dtype=np.float64,
         )
-    if fits.shape != (lam,):
-        raise ValueError(f"fitness returned shape {fits.shape}, expected ({lam},)")
+    if fits.shape != (members,):
+        raise ValueError(
+            f"fitness returned shape {fits.shape}, expected ({members},)")
     finite = np.isfinite(fits)
     if not finite.all():
-        floor = fits[finite].min() - 1.0 if finite.any() else -1.0
-        fits = np.where(finite, fits, floor)
+        fits = fits.copy()
+        for row, ok in zip(fits.reshape(cells, lam),
+                           finite.reshape(cells, lam)):
+            row[~ok] = row[ok].min() - 1.0 if ok.any() else -1.0
     return fits
 
 
@@ -124,25 +140,38 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     ``params_set`` is a :class:`ParamState` or a list of distributions.
     ``kinds`` is a single kind applied to every distribution or a per-
     distribution sequence (the training loop mixes kinds across hole
-    families).  ``fitness_transform``, when given, maps the population
-    fitness vector to the weights actually used (e.g. mean-centering);
-    the reported fitnesses stay untransformed.  The weights and the
-    weighted sum are one NumPy operation per group of holes with the
-    same family, K and mode (and per kind, where a group mixes kinds).
+    families).  ``fitness_transform``, when given, maps the fitnesses to
+    the weights actually used (e.g. mean-centering), row by row of a
+    ``(cells, lam)`` array; the reported fitnesses stay untransformed.
+    The weights and the weighted sum are one NumPy operation per group of
+    holes with the same family, K and mode (and per kind, where a group
+    mixes kinds).
+
+    A state of several cells (see :meth:`ParamState.joined`) holds the
+    holes of one problem once per cell, and ``rng`` is then one
+    ``Generator`` per cell.  Every cell draws its own population, all of
+    them are evaluated in one ``fitness`` call, and each cell's fitness
+    replacement, transform and weights use only its own row, so each
+    cell's gradients are those it would get alone.
     """
     state = ParamState.of(params_set)
     kinds = _resolve_kinds(kinds, len(state))
+    cells = state.layout.cell_count
     draws = sample_population(state, lam, rng)
-    fits = evaluate_fitnesses(fitness, draws, lam)
-    degenerate = bool(np.all(fits == fits[0]))
-    weights = fits if fitness_transform is None else fitness_transform(fits)
+    fits = evaluate_fitnesses(fitness, _members(draws, cells), lam, cells)
+    rows = fits.reshape(cells, lam)
+    degenerate = int(np.count_nonzero((rows == rows[:, :1]).all(axis=1)))
+    weights = rows if fitness_transform is None else fitness_transform(rows)
     samples = np.array(draws, dtype=np.float64)
     gradients = [None] * len(state)
     for group, block in zip(state.layout.groups, state.blocks):
         group_kinds = [kinds[h] for h in group.holes]
         xs = samples[group.index]
+        # each hole's row of weights is its own cell's
+        cell_weights = weights[group.cells][:, None, :]
         for kind in dict.fromkeys(group_kinds):
-            grads = np.matmul(weights, _weights(block, xs, kind)) / lam
+            grads = np.matmul(cell_weights, _weights(block, xs, kind))
+            grads = grads[:, 0] / lam
             for hole, k, g in zip(group.holes, group_kinds, grads):
                 if k == kind:
                     gradients[hole] = g

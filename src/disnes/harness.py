@@ -17,7 +17,9 @@ import numpy as np
 
 from . import estimator as est
 from .distributions import BernoulliParams, CategoricalParams, GaussianParams
-from .optimizer import CONTINUOUS_KIND, TrainConfig, greedy_decode, train
+from .optimizer import (
+    CONTINUOUS_KIND, DivergenceError, TrainConfig, greedy_decode, train,
+)
 from .sketch import Specification, SketchProblem, parse, render
 
 MAIN_SKETCH = """\
@@ -127,18 +129,13 @@ def params_from_json(text):
     return hole_ids, params
 
 
-def run_single(experiment, arm, program, spec, config, out_dir):
-    """Train one (arm, lr, seed) cell of a parsed sketch and persist its
-    artifacts."""
-    problem = SketchProblem(program, spec)
-    config = replace(config, estimator_kind=ARM_KINDS[arm])
-    log, params = train(problem, config)
-
+def run_single(experiment, arm, problem, config, log, params, out_dir):
+    """Decode one trained (arm, lr, seed) cell and persist its artifacts."""
     decoded = greedy_decode(params)
     assignment = dict(zip(problem.hole_ids(), decoded))
     outputs = problem.fitness.predicted_outputs(decoded)
     final_loss = float(problem.fitness.mean_squared_error(outputs))
-    program_text = render(program, assignment)
+    program_text = render(problem.program, assignment)
 
     stem = f"{arm}_lr{config.learning_rate:g}_seed{config.seed}"
     os.makedirs(out_dir, exist_ok=True)
@@ -155,6 +152,30 @@ def run_single(experiment, arm, program, spec, config, out_dir):
                      final_loss, outputs, program_text, csv_path)
 
 
+def _run_cells(experiment, program, spec, cells, out_dir):
+    """Train the (arm, config) ``cells`` in one batch and persist each.
+
+    If a cell diverges, the cells before it are persisted, as a run of
+    one cell after another would have left them, before its error is
+    raised.
+    """
+    problem = SketchProblem(program, spec)
+    configs = [replace(config, estimator_kind=ARM_KINDS[arm])
+               for arm, config in cells]
+    failure = None
+    try:
+        trained = train(problem, configs)
+    except DivergenceError as exc:
+        failure, trained = exc, exc.finished
+    results = [run_single(experiment, arm, problem, config, log, params,
+                          out_dir)
+               for (arm, _), config, (log, params)
+               in zip(cells, configs, trained)]
+    if failure is not None:
+        raise failure
+    return results
+
+
 def _write_config_echo(out_dir, entries):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8",
@@ -165,7 +186,8 @@ def _write_config_echo(out_dir, entries):
 
 def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
              arms=MAIN_ARMS):
-    """Both arms of the single-input induction experiment for one seed.
+    """Both arms of the single-input induction experiment for one seed,
+    trained in one batch.
 
     The sketch is parsed once, before anything is written, so a malformed
     one raises :class:`SketchError` with ``out_dir`` untouched.
@@ -185,8 +207,8 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
         ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
-    return [run_single("main", arm, program, spec, config, out_dir)
-            for arm in arms]
+    return _run_cells("main", program, spec,
+                      [(arm, config) for arm in arms], out_dir)
 
 
 def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
@@ -194,7 +216,7 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
     """Learning-rate sweep comparing explicit-Fisher vs plain score arms.
 
     The sketch is parsed once for the whole sweep, before anything is
-    written.
+    written, and every (arm, lr, seed) cell trains in one batch.
     """
     config = config or TrainConfig()
     program = parse(sketch_text or ABLATION_SKETCH)
@@ -210,14 +232,9 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
         ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
-    results = []
-    for arm in arms:
-        for lr in learning_rates:
-            for seed in seeds:
-                cell = replace(config, learning_rate=lr, seed=seed)
-                results.append(run_single("ablation", arm, program, spec,
-                                          cell, out_dir))
-    return results
+    cells = [(arm, replace(config, learning_rate=lr, seed=seed))
+             for arm in arms for lr in learning_rates for seed in seeds]
+    return _run_cells("ablation", program, spec, cells, out_dir)
 
 
 def emit_summary(results, path):

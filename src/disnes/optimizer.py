@@ -8,6 +8,13 @@ Continuous REAL holes always use the Fisher-preconditioned Gaussian
 update: with the plain score at the default learning rate the mu-step
 exceeds the curvature limit of the quadratic loss and training diverges,
 while preconditioning scales the step by sigma^2 and stays stable.
+
+:func:`train` runs a list of cells -- configs that differ only in
+estimator kind, learning rate and seed -- in one loop over one joint
+:class:`ParamState`: one estimate, one fitness evaluation and one step
+per iteration for all of them.  Each cell keeps its own ``Generator``
+and every operation works row by row, so each cell's log and parameters
+are those it would get trained alone.
 """
 
 from __future__ import annotations
@@ -55,29 +62,32 @@ class TrainConfig:
 
 
 def _transform_for(name):
+    """The fitness transform ``name``, applied along the last axis: to a
+    population's fitnesses, or to each row of a ``(cells, lam)`` array."""
     if name == "raw":
         return None
     if name == "baseline":
-        return lambda f: f - est.mean(f)
+        return lambda f: f - est.mean(f)[..., None]
 
     def standardize(f):
         # the steps of ``centered.std()``: the mean is taken again of the
         # centered values before squaring
-        centered = f - est.mean(f)
-        deviation = centered - est.mean(centered)
+        centered = f - est.mean(f)[..., None]
+        deviation = centered - est.mean(centered)[..., None]
         scale = np.sqrt(est.mean(deviation * deviation))
-        return centered / scale if scale > 0.0 else centered
+        # a zero (or NaN) scale leaves the row centered: x / 1.0 == x
+        return centered / np.where(scale > 0.0, scale, 1.0)[..., None]
 
     return standardize
 
 
-@dataclass
+@dataclass(slots=True)  # a batch keeps every cell's records
 class LogRecord:
     iteration: int
     loss: float
     entropies: dict  # discrete hole id -> entropy in nats
     decode_loss: float | None
-    params: list     # snapshot of the params-set after the update
+    params: ParamState  # one-cell copy of the parameters after the update
 
 
 @dataclass
@@ -108,11 +118,13 @@ def sgd_step(params_set, gradients, eta, hole_ids=None):
 
     ``params_set`` is a :class:`ParamState` or a list of distributions and
     ``gradients`` has one array per hole, of that hole's parameter count
-    (else ``ValueError``).  The step is one NumPy operation on the flat
-    vector plus one projection per group, and the result is a
+    (else ``ValueError``).  ``eta`` is one learning rate, or one per cell
+    of a state of several cells.  The step is one NumPy operation on the
+    flat vector plus one projection per group, and the result is a
     :class:`ParamState`.  :func:`_check_finite` then checks the stepped
-    vector, so a divergent update raises ``FloatingPointError`` naming its
-    first non-finite hole: the id from ``hole_ids``, else the position.
+    vector, so a divergent update raises :class:`DivergenceError` (a
+    ``FloatingPointError``) naming its first non-finite hole: the id from
+    ``hole_ids``, else the position.
     """
     stepped = ParamState.of(params_set).stepped(gradients, eta)
     _check_finite(stepped, hole_ids)
@@ -136,51 +148,131 @@ def _kinds_for(params_set, config):
     )
 
 
-def train(problem, config):
-    """Run the full loop; returns ``(TrainingLog, final params-set)``.
+# the settings a batch of cells shares; the others are per cell
+_SHARED = ("iterations", "population", "log_every", "fitness_transform")
 
-    The per-iteration loss is the mean population MSE (negated mean
-    fitness).  The greedy-decode MSE is logged additionally every
-    ``log_every * 10`` iterations.
+
+class _Cell:
+    """One config's training run inside a batch."""
+
+    def __init__(self, problem, config):
+        params = initial_params(problem, config)
+        self.learning_rate = config.learning_rate
+        self.kinds = _kinds_for(params, config)
+        self.discrete = [h for h, p in enumerate(params) if is_discrete(p)]
+        self.state = ParamState.of(params)
+        self.rng = np.random.default_rng(config.seed)
+        hole_ids = problem.hole_ids()
+        self.log = TrainingLog([hole_ids[h] for h in self.discrete])
+
+
+def train(problem, configs):
+    """Train one cell per config in one batched loop; returns one
+    ``(TrainingLog, final params)`` pair per config, in order.
+
+    The configs may differ only in ``estimator_kind``, ``learning_rate``
+    and ``seed`` (else ``ValueError``).  The per-iteration loss is the
+    mean population MSE (negated mean fitness).  The greedy-decode MSE is
+    logged additionally every ``log_every * 10`` iterations.  Each record
+    keeps a one-cell :class:`ParamState` of the parameters after its
+    update; the final params are one too.
+
+    A cell whose step diverges leaves the batch at once, and so does
+    every cell after it in the list: trained one after another, those
+    would never have run.  The cells before it finish, and then its
+    :class:`DivergenceError` is raised with their pairs as ``finished``.
     """
-    params = initial_params(problem, config)
-    kinds = _kinds_for(params, config)
+    configs = list(configs)
+    if not configs:
+        raise ValueError("train needs at least one config")
+    for name in _SHARED:
+        if len({getattr(c, name) for c in configs}) > 1:
+            raise ValueError(f"the cells of one batch must share {name}")
+    shared = configs[0]
     fitness = problem.fitness
     hole_ids = problem.hole_ids()
-    discrete = [h for h, p in enumerate(params) if is_discrete(p)]
-    rng = np.random.default_rng(config.seed)
-    log = TrainingLog([hole_ids[h] for h in discrete])
-
-    state = ParamState.of(params)
-    transform = _transform_for(config.fitness_transform)
-    for i in range(1, config.iterations + 1):
+    cells = [_Cell(problem, c) for c in configs]
+    state = ParamState.joined([c.state for c in cells])
+    rngs, kinds, rates, ids = _batch(cells, hole_ids)
+    transform = _transform_for(shared.fitness_transform)
+    failure = None
+    for i in range(1, shared.iterations + 1):
         estimate = est.estimate_gradient(
-            state, fitness, config.population, rng, kinds,
+            state, fitness, shared.population, rngs, kinds,
             fitness_transform=transform)
-        state = sgd_step(state, estimate.gradients, config.learning_rate,
-                         hole_ids)
-        if (i - 1) % config.log_every == 0:
-            decode_loss = None
-            if (i - 1) % (config.log_every * 10) == 0:
-                decode_loss = -float(fitness(tuple(greedy_decode(state))))
-            entropies = state.entropies()
-            log.records.append(LogRecord(
-                iteration=i,
-                loss=-estimate.mean_fitness,
-                entropies={hole_ids[h]: entropies[h] for h in discrete},
-                decode_loss=decode_loss,
-                params=state.params(),
-            ))
-    return log, state.params()
+        try:
+            state = sgd_step(state, estimate.gradients, rates, ids)
+        except DivergenceError as exc:
+            failure = exc
+            cells = cells[:exc.hole // len(hole_ids)]
+            if not cells:
+                break
+            state = ParamState.joined(
+                [exc.state.cell(k) for k in range(len(cells))])
+            rngs, kinds, rates, ids = _batch(cells, hole_ids)
+        if (i - 1) % shared.log_every == 0:
+            decode = (i - 1) % (shared.log_every * 10) == 0
+            fits = estimate.fitnesses.reshape(-1, shared.population)
+            _log(cells, state, fits, i, fitness, hole_ids, decode)
+    finished = [(c.log, state.cell(k)) for k, c in enumerate(cells)]
+    if failure is not None:
+        failure.finished = finished
+        raise failure
+    return finished
+
+
+def _batch(cells, hole_ids):
+    """What each iteration passes on for ``cells``: their generators, the
+    estimator kind of each of their holes, their learning rates and the
+    id of each of their holes."""
+    return ([c.rng for c in cells], [k for c in cells for k in c.kinds],
+            np.array([c.learning_rate for c in cells]),
+            hole_ids * len(cells))
+
+
+def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
+    """One record of ``iteration`` for each cell's log; row ``k`` of
+    ``fits`` is cell ``k``'s population."""
+    holes = len(hole_ids)
+    means = est.mean(fits)
+    entropies = state.entropies()
+    greedy = greedy_decode(state) if decode else None
+    for k, cell in enumerate(cells):
+        own = slice(k * holes, (k + 1) * holes)
+        decode_loss = (-float(fitness(tuple(greedy[own]))) if decode
+                       else None)
+        cell_entropies = entropies[own]
+        cell.log.records.append(LogRecord(
+            iteration=iteration,
+            loss=-float(means[k]),
+            entropies={hole_ids[h]: cell_entropies[h] for h in cell.discrete},
+            decode_loss=decode_loss,
+            params=state.cell(k),
+        ))
+
+
+class DivergenceError(FloatingPointError):
+    """A step left a hole's parameters non-finite, or a Gaussian's log
+    sigma too large for sigma to be finite.  ``hole`` is its position in
+    ``state``, the stepped state.  Raised by :func:`train`, it also holds
+    the ``(log, params)`` pairs of the cells that finished before the
+    diverging one, as ``finished``."""
+
+    def __init__(self, message, hole, state):
+        super().__init__(message)
+        self.hole, self.state, self.finished = hole, state, []
 
 
 def _check_finite(state, hole_ids=None):
-    """Raise ``FloatingPointError`` naming the first hole, in hole order,
-    whose parameters in ``state`` are not all finite."""
-    finite = np.isfinite(state.vector)
-    if not finite.all():
-        hole = int(state.layout.hole_of[~finite].min())
+    """Raise :class:`DivergenceError` naming the first hole, in hole
+    order, whose parameters in ``state`` are not all finite or exceed
+    their family's bound (a log sigma whose sigma overflows)."""
+    vector = state.vector
+    ok = np.isfinite(vector)
+    ok &= vector <= state.layout.upper
+    if not ok.all():
+        hole = int(state.layout.hole_of[~ok].min())
         name = hole_ids[hole] if hole_ids else hole
-        raise FloatingPointError(
+        raise DivergenceError(
             f"non-finite parameters for hole {name!r} after update: "
-            f"{state[hole]}")
+            f"{state[hole]}", hole, state)

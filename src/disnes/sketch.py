@@ -492,9 +492,11 @@ class SpecFitness:
         return eval_batch(self.program, hole_values, self.spec.inputs)
 
     def mean_squared_error(self, outputs):
-        """MSE of ``outputs`` against the specification (last axis)."""
+        """MSE of ``outputs`` against the specification (last axis): the
+        bits of ``mean(axis=-1)`` without the Python layer of
+        ``ndarray.mean``."""
         err = outputs.astype(np.float64) - self.spec.outputs.astype(np.float64)
-        return (err * err).mean(axis=-1)
+        return np.add.reduce(err * err, axis=-1) / err.shape[-1]
 
     def population(self, draws):
         """Fitness of ``lam`` members given per-hole draw arrays."""

@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disnes import estimator as est
+from disnes import harness, optimizer
 from disnes.distributions import (
     EPS, LOGITS, PROBS, BernoulliParams, CategoricalParams, GaussianParams,
+    ParamState,
 )
 from disnes.optimizer import (
     TrainConfig, TrainingLog, _transform_for, greedy_decode, initial_params,
     sgd_step, train,
 )
+from disnes.sketch import SketchProblem, parse
 
 
 class BasicProblem:
@@ -86,6 +92,21 @@ class TestSgdStep:
         with pytest.raises(FloatingPointError, match="hole 0 "):
             sgd_step([params], [np.array(gradient)], 0.1)
 
+    def test_sigma_overflow_raises_naming_the_hole(self):
+        # log sigma = 800 is finite, but sigma = exp(800) is not: sampling
+        # would end in math.exp's OverflowError
+        with pytest.raises(FloatingPointError, match="hole 'h7'"):
+            sgd_step([GaussianParams(0.0, 0.0)], [np.array([0.0, 8000.0])],
+                     0.1, hole_ids=["h7"])
+        with pytest.raises(FloatingPointError, match="hole 0 "):
+            sgd_step([GaussianParams(0.0, 0.0)], [np.array([0.0, 8000.0])],
+                     0.1)
+        # just below the bound the state still samples
+        state = sgd_step([GaussianParams(0.0, 0.0)],
+                         [np.array([0.0, 7090.0])], 0.1)
+        draws = est.sample_population(state, 8, np.random.default_rng(0))
+        assert np.isfinite(draws[0]).all()
+
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sgd_step([BernoulliParams(0.5)], [], 0.1)
@@ -125,7 +146,7 @@ class TestGreedyDecode:
 class TestTrainLoop:
     def test_single_iteration_single_record(self):
         cfg = TrainConfig(iterations=1, seed=3, population=8)
-        log, params = train(bern_problem(), cfg)
+        [(log, params)] = train(bern_problem(), [cfg])
         assert len(log.records) == 1
         assert log.records[0].iteration == 1
         assert log.records[0].decode_loss is not None
@@ -145,11 +166,11 @@ class TestTrainLoop:
                                lambda xs: -float(xs[1]) ** 2,
                                hole_ids=["flag", "shift"])
         with pytest.raises(FloatingPointError, match="hole 'shift'"):
-            train(problem, TrainConfig(iterations=2, population=4))
+            train(problem, [TrainConfig(iterations=2, population=4)])
 
     def test_record_count_matches_log_every(self):
         cfg = TrainConfig(iterations=95, log_every=10, seed=3, population=8)
-        log, _ = train(bern_problem(), cfg)
+        [(log, _)] = train(bern_problem(), [cfg])
         assert [r.iteration for r in log.records] == list(range(1, 96, 10))
         with_decode = [r for r in log.records if r.decode_loss is not None]
         assert len(with_decode) == 1  # only iteration 1 hits every*10
@@ -157,7 +178,7 @@ class TestTrainLoop:
     def test_onemax_converges(self):
         cfg = TrainConfig(iterations=200, learning_rate=0.1, population=32,
                           seed=11)
-        _, params = train(bern_problem(), cfg)
+        [(_, params)] = train(bern_problem(), [cfg])
         for p in params:
             assert p.theta >= 0.99
 
@@ -171,7 +192,7 @@ class TestTrainLoop:
             for seed in range(20):
                 cfg = TrainConfig(iterations=it, learning_rate=0.05,
                                   population=16, seed=seed)
-                _, params = train(bern_problem(n=4), cfg)
+                [(_, params)] = train(bern_problem(n=4), [cfg])
                 thetas += [p.theta for p in params]
             medians.append(np.median(thetas))
         assert all(a <= b + 1e-12 for a, b in zip(medians, medians[1:]))
@@ -181,7 +202,7 @@ class TestTrainLoop:
         for kind in (est.SEARCH, est.NATURAL):
             cfg = TrainConfig(iterations=300, learning_rate=0.05,
                               population=32, seed=5, estimator_kind=kind)
-            _, params = train(bern_problem(n=4), cfg)
+            [(_, params)] = train(bern_problem(n=4), [cfg])
             assert greedy_decode(params) == [1, 1, 1, 1]
 
     def test_categorical_problem_decodes_argmax(self):
@@ -194,7 +215,7 @@ class TestTrainLoop:
             [CategoricalParams(np.zeros(4), mode=LOGITS)], fitness)
         cfg = TrainConfig(iterations=300, learning_rate=0.1, population=32,
                           seed=8)
-        _, params = train(problem, cfg)
+        [(_, params)] = train(problem, [cfg])
         assert greedy_decode(params) == [target]
 
     def test_decode_invariant_under_fitness_scaling(self):
@@ -202,20 +223,20 @@ class TestTrainLoop:
             [BernoulliParams(0.5) for _ in range(6)],
             lambda xs: 4.0 * onemax(xs))
         cfg = TrainConfig(iterations=150, population=32, seed=13)
-        _, pa = train(bern_problem(n=6), cfg)
-        _, pb = train(scaled, cfg)
+        [(_, pa)] = train(bern_problem(n=6), [cfg])
+        [(_, pb)] = train(scaled, [cfg])
         assert greedy_decode(pa) == greedy_decode(pb)
 
     def test_determinism(self):
         cfg = TrainConfig(iterations=40, seed=21, population=16)
-        la, pa = train(bern_problem(), cfg)
-        lb, pb = train(bern_problem(), cfg)
+        [(la, pa)] = train(bern_problem(), [cfg])
+        [(lb, pb)] = train(bern_problem(), [cfg])
         assert la.to_csv() == lb.to_csv()
         assert [p.theta for p in pa] == [p.theta for p in pb]
 
     def test_loss_is_negated_mean_fitness(self):
         cfg = TrainConfig(iterations=1, seed=2, population=16)
-        log, _ = train(bern_problem(n=3), cfg)
+        [(log, _)] = train(bern_problem(n=3), [cfg])
         # one-max fitness lies in [0, 3], so the logged loss must be in [-3, 0]
         assert -3.0 <= log.records[0].loss <= 0.0
 
@@ -225,7 +246,7 @@ class TestTrainLoop:
             lambda xs: -float(xs[0] - 1.0) ** 2)
         cfg = TrainConfig(iterations=500, learning_rate=0.1, population=32,
                           seed=4)
-        _, params = train(problem, cfg)
+        [(_, params)] = train(problem, [cfg])
         assert params[0].mu == pytest.approx(1.0, abs=0.1)
         assert params[0].sigma < 0.2  # variance collapses onto the optimum
 
@@ -239,7 +260,7 @@ class TestTrainLoop:
 
     def test_params_snapshots_are_copies(self):
         cfg = TrainConfig(iterations=15, log_every=1, seed=6, population=8)
-        log, final = train(bern_problem(n=2), cfg)
+        [(log, final)] = train(bern_problem(n=2), [cfg])
         thetas = [rec.params[0].theta for rec in log.records]
         assert len(set(thetas)) > 1  # snapshots track the trajectory
         assert log.records[-1].params[0].theta == final[0].theta
@@ -285,7 +306,7 @@ class TestCsv:
             [BernoulliParams(0.5), GaussianParams(0.0, 0.0)],
             lambda xs: float(xs[0]) - xs[1] ** 2,
             hole_ids=["flag", "knob"])
-        log, _ = train(problem, cfg)
+        [(log, _)] = train(problem, [cfg])
         lines = log.to_csv().strip().split("\n")
         assert lines[0] == "iter,loss,entropy_flag,decode_loss"
         assert len(lines) == 3
@@ -298,7 +319,7 @@ class TestCsv:
 
     def test_values_round_trip_exactly(self):
         cfg = TrainConfig(iterations=5, log_every=1, seed=10, population=8)
-        log, _ = train(bern_problem(n=2), cfg)
+        [(log, _)] = train(bern_problem(n=2), [cfg])
         lines = log.to_csv().strip().split("\n")
         for rec, line in zip(log.records, lines[1:]):
             fields = line.split(",")
@@ -306,7 +327,172 @@ class TestCsv:
 
     def test_write_csv(self, tmp_path):
         cfg = TrainConfig(iterations=1, seed=1, population=8)
-        log, _ = train(bern_problem(n=2), cfg)
+        [(log, _)] = train(bern_problem(n=2), [cfg])
         path = tmp_path / "log.csv"
         log.write_csv(path)
         assert path.read_text(encoding="utf-8") == log.to_csv()
+
+
+# --- one batch of cells against the same cells trained one by one ---------
+
+def main_problem():
+    return SketchProblem(parse(harness.MAIN_SKETCH), harness.MAIN_SPEC)
+
+
+def mixed_problem():
+    """Bernoulli, categorical and Gaussian holes with no sketch behind."""
+    return BasicProblem(
+        [BernoulliParams(0.5), CategoricalParams(np.zeros(4), mode=LOGITS),
+         GaussianParams(0.0, 0.0), BernoulliParams(0.3)],
+        lambda xs: (float(xs[0]) + (1.0 if int(xs[1]) == 2 else 0.0)
+                    - (xs[2] - 1.5) ** 2 - float(xs[3])),
+        hole_ids=["b0", "c1", "g2", "b3"])
+
+
+def cell_configs(cells, **shared):
+    return [TrainConfig(estimator_kind=kind, learning_rate=lr, seed=seed,
+                        **shared) for kind, lr, seed in cells]
+
+
+def assert_same_run(got, want):
+    """Two ``(log, params)`` pairs agree bit for bit."""
+    (log, params), (want_log, want_params) = got, want
+    assert log.to_csv() == want_log.to_csv()
+    assert isinstance(params, ParamState)
+    assert params.vector.tobytes() == want_params.vector.tobytes()
+    assert [repr(p) for p in params] == [repr(p) for p in want_params]
+    assert len(log.records) == len(want_log.records)
+    for rec, want in zip(log.records, want_log.records):
+        assert (rec.iteration, repr(rec.loss), repr(rec.entropies),
+                repr(rec.decode_loss)) == (
+            want.iteration, repr(want.loss), repr(want.entropies),
+            repr(want.decode_loss))
+        assert isinstance(rec.params, ParamState)
+        assert len(rec.params) == len(want_params)
+        assert rec.params.vector.tobytes() == want.params.vector.tobytes()
+
+
+def train_until_divergence(problem, configs):
+    """The finished ``(log, params)`` pairs and the divergence message, or
+    None."""
+    try:
+        return train(problem, configs), None
+    except optimizer.DivergenceError as exc:
+        return exc.finished, str(exc)
+
+
+def assert_batch_equals_serial(problem, configs):
+    """One batch gives what the cells give trained one after another,
+    stopping at the first that diverges."""
+    batch, failure = train_until_divergence(problem, configs)
+    serial, serial_failure = [], None
+    for config in configs:
+        finished, serial_failure = train_until_divergence(problem, [config])
+        serial += finished
+        if serial_failure:
+            break
+    assert failure == serial_failure
+    assert len(batch) == len(serial)
+    for got, want in zip(batch, serial):
+        assert_same_run(got, want)
+
+
+MIXED_CELLS = [(est.NATURAL, 0.1, 1), (est.SEARCH, 0.05, 2),
+               (est.VO, 0.1, 3), (est.NATURAL, 0.001, 2), (est.VO, 0.5, 1),
+               (est.SEARCH, 0.1, 1)]
+
+
+class TestBatch:
+    def test_batch_equals_cells_trained_one_by_one(self):
+        assert_batch_equals_serial(
+            main_problem(), cell_configs(MIXED_CELLS, iterations=60,
+                                         population=16, log_every=3))
+
+    @pytest.mark.parametrize("transform", ["raw", "baseline", "standardize"])
+    def test_every_transform_works_per_cell(self, transform):
+        # the fitness is bounded, so raw weights keep the steps small
+        assert_batch_equals_serial(
+            mixed_problem(), cell_configs(MIXED_CELLS, iterations=40,
+                                          population=16, log_every=3,
+                                          fitness_transform=transform))
+
+    @settings(max_examples=20, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from(est.KINDS),
+                                    st.sampled_from((0.3, 0.1, 0.01)),
+                                    st.integers(0, 99)),
+                          min_size=1, max_size=4),
+           iterations=st.integers(1, 25))
+    def test_random_cell_lists(self, cells, iterations):
+        assert_batch_equals_serial(
+            main_problem(), cell_configs(cells, iterations=iterations,
+                                         population=8, log_every=2))
+
+    @pytest.mark.parametrize("setting,value", [
+        ("iterations", 7), ("population", 9), ("log_every", 3),
+        ("fitness_transform", "raw")])
+    def test_cells_must_share_the_loop_settings(self, setting, value):
+        configs = [TrainConfig(iterations=5),
+                   replace(TrainConfig(iterations=5), **{setting: value})]
+        with pytest.raises(ValueError, match=setting):
+            train(bern_problem(), configs)
+        with pytest.raises(ValueError):
+            train(bern_problem(), [])
+
+
+def diverging_steps(schedule):
+    """``sgd_step`` that poisons, on the ``schedule[lr]``-th step of the
+    cells with learning rate ``lr``, the gradient of their hole 1 with NaN.
+    Steps are counted once per call for each learning rate present, so a
+    batch and one-cell runs count alike."""
+    step = optimizer.sgd_step
+    counts = dict.fromkeys(schedule, 0)
+
+    def faulty(state, gradients, eta, hole_ids=None):
+        rates = list(np.broadcast_to(eta, (state.layout.cell_count,)))
+        holes = len(state) // len(rates)
+        for lr in set(rates) & set(schedule):
+            counts[lr] += 1
+        gradients = list(gradients)
+        for cell, lr in enumerate(rates):
+            if lr in schedule and counts[lr] == schedule[lr]:
+                hole = cell * holes + 1
+                gradients[hole] = gradients[hole] * np.nan
+        return step(state, gradients, eta, hole_ids)
+    return faulty
+
+
+def _files(out_dir):
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()
+            if path.name != "config.txt"}  # the echo lists the batch
+
+
+class TestBatchDivergence:
+    ARMS, RATES, SEEDS = ("nes", "sg"), (0.1, 0.05, 0.01, 0.001), (1, 2)
+
+    @pytest.mark.parametrize("schedule", [
+        {0.01: 4},                # the fifth cell in order: four written
+        {0.05: 9, 0.001: 2},      # a later cell fails first, then cell 3
+        {0.1: 1},                 # the first cell: nothing written
+    ])
+    def test_same_error_and_files_as_one_cell_after_another(
+            self, tmp_path, monkeypatch, schedule):
+        config = TrainConfig(iterations=12, population=8, log_every=2)
+        batch, serial = tmp_path / "batch", tmp_path / "serial"
+        monkeypatch.setattr(optimizer, "sgd_step", diverging_steps(schedule))
+        with pytest.raises(FloatingPointError) as batch_error:
+            harness.run_ablation(self.SEEDS, str(batch), config=config,
+                                 learning_rates=self.RATES, arms=self.ARMS)
+
+        with pytest.raises(FloatingPointError) as serial_error:
+            for arm in self.ARMS:
+                for lr in self.RATES:
+                    for seed in self.SEEDS:
+                        monkeypatch.setattr(optimizer, "sgd_step",
+                                            diverging_steps(schedule))
+                        harness.run_ablation(
+                            (seed,), str(serial), config=config,
+                            learning_rates=(lr,), arms=(arm,))
+        assert str(batch_error.value) == str(serial_error.value)
+        assert "non-finite parameters for hole 'real" in str(
+            batch_error.value)
+        assert _files(batch) == _files(serial)

@@ -241,6 +241,26 @@ class TestFitness:
             member = tuple(d[i] for d in draws)
             assert fitness(member) == batch[i]
 
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("rows", [50, 500], ids=["lam", "cells-x-lam"])
+    def test_mean_squared_error_keeps_the_bits_of_mean(self, rows, n):
+        """One population (lam rows) or a batch of cells (R * lam rows):
+        every row's MSE equals ``ndarray.mean(axis=-1)`` bit for bit,
+        ties and values near the f32 limit included."""
+        rng = np.random.default_rng(n + rows)
+        spec = Specification(rng.normal(size=(n, 1)), rng.normal(size=n))
+        fitness = SpecFitness(parse(MAIN_SKETCH), spec)
+        for scale in (1.0, 1e3, 1e19, 3e38):
+            outputs = rng.uniform(-scale, scale, (rows, n)).astype(np.float32)
+            outputs[::7] = np.round(outputs[::7])  # ties
+            outputs[::11, 0] = np.float32(3.4e38)
+            err = (outputs.astype(np.float64)
+                   - spec.outputs.astype(np.float64))
+            want = (err * err).mean(axis=-1)
+            assert fitness.mean_squared_error(outputs).tobytes() == \
+                want.tobytes()
+            assert fitness.mean_squared_error(outputs[0]) == want[0]
+
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             Specification(np.zeros((0, 1)), np.zeros(0))
