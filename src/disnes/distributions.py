@@ -38,6 +38,9 @@ Random draws follow hole order: each Bernoulli or categorical hole takes
 consecutive holes with the same draw type shares one ``Generator`` call,
 which reads the stream exactly as one call per hole would, so a state and
 its per-hole distributions draw the same samples from the same seed.
+A :class:`DrawPlan` binds those calls once, each to its rows of one
+reused noise buffer; a state's draws come back as one ``(holes, n)``
+float64 matrix in hole order.
 
 A run never crosses a cell boundary, and each cell draws from its own
 generator, so a cell of a joint state draws what it would draw alone.
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -59,8 +62,10 @@ import numpy as np
 # Fisher terms finite.
 EPS = 1e-6
 
-# Largest log sigma whose sigma = exp(log sigma) is a finite float.
+# Largest log sigma whose sigma = exp(log sigma) is a finite float, and
+# smallest whose sigma is a positive normal float.
 LOG_SIGMA_MAX = math.log(sys.float_info.max)
+LOG_SIGMA_MIN = math.log(sys.float_info.min)
 
 LOGITS = "logits"
 PROBS = "probs"
@@ -81,6 +86,12 @@ def _sample_one(params, rng, size, scalar_type):
     noise = getattr(rng, block.draw)((1, 1 if size is None else size))
     x = block.sample(noise)[0]
     return scalar_type(x[0]) if size is None else x
+
+
+def _stepped_one(params, gradient, eta):
+    """One hole's ``stepped``: the step of a one-hole state."""
+    state = ParamState.of([params])
+    return state.stepped(state.layout.vector_of([gradient]), eta)[0]
 
 
 def _unchecked(cls, **fields):
@@ -112,11 +123,13 @@ class _Block:
 
     A block is read-only: quantities derived from ``values`` are computed
     once, on first use.  :meth:`project` acts on a values array before a
-    block is made of it.  ``upper`` bounds each column from above, where a
-    finite value can still break a formula (None: finiteness suffices).
+    block is made of it.  ``lower`` and ``upper`` bound each column, where
+    a finite value can still break a formula (None: finiteness suffices).
+    ``discrete`` tells whether samples are category indices.
     """
 
-    upper = None
+    lower = upper = None
+    discrete = True
 
     def __init__(self, values, mode=None):
         self.values = values
@@ -193,11 +206,13 @@ class CategoricalBlock(_Block):
         """Inverse-CDF sampling; boundary ties break toward the lower index.
 
         The category is the count of cumulative probabilities below the
-        uniform, which is ``searchsorted(cum, u, side="left")``.
+        uniform, which is ``searchsorted(cum, u, side="left")`` capped at
+        K - 1.  The cumulative sums never decrease, so counting over the
+        first K - 1 of them is that cap.
         """
-        cum = np.cumsum(self.p, axis=1)
-        idx = (cum[:, :, None] < u[:, None, :]).sum(axis=1)
-        return np.minimum(idx, cum.shape[1] - 1)
+        cum = np.add.accumulate(self.p, axis=1)[:, :-1]
+        return np.add.reduce(cum[:, :, None] < u[:, None, :], axis=1,
+                             dtype=np.int64)
 
     def _onehot(self, x):
         return x[:, None, :] == _categories(self.values.shape[1])
@@ -224,7 +239,13 @@ class CategoricalBlock(_Block):
         return _by_sample(p_x[:, None, :] * self._score(x))
 
     def entropy(self):
-        return -(self.p * np.log(self.p)).sum(axis=1)
+        """Entropy per hole, taking 0 * log 0 as 0: a softmax can underflow
+        to a zero probability."""
+        p = self.p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * np.log(p)
+        terms[p == 0.0] = 0.0
+        return -terms.sum(axis=1)
 
     def greedy(self):
         """Modal categories; ties break toward the lower index."""
@@ -259,7 +280,10 @@ class GaussianBlock(_Block):
     """Gaussian holes: two columns, ``mu`` and ``log_sigma``."""
 
     draw = "standard_normal"
-    upper = (math.inf, LOG_SIGMA_MAX)  # sigma must stay finite
+    discrete = False
+    # sigma must stay a finite, positive normal float
+    lower = (-sys.float_info.max, LOG_SIGMA_MIN)
+    upper = (sys.float_info.max, LOG_SIGMA_MAX)
 
     @cached_property
     def sigma(self):
@@ -369,7 +393,7 @@ class BernoulliParams:
 
     def stepped(self, gradient, eta):
         """Ascent step followed by the clamping projection."""
-        return ParamState.of([self]).stepped([gradient], eta)[0]
+        return _stepped_one(self, gradient, eta)
 
     def copy(self):
         return BernoulliParams(self.theta)
@@ -452,7 +476,7 @@ class CategoricalParams:
         return self._block().greedy()[0]
 
     def stepped(self, gradient, eta):
-        return ParamState.of([self]).stepped([gradient], eta)[0]
+        return _stepped_one(self, gradient, eta)
 
     def copy(self):
         return CategoricalParams(self.values.copy(), mode=self.mode)
@@ -498,7 +522,7 @@ class GaussianParams:
         return self._block().greedy()[0]
 
     def stepped(self, gradient, eta):
-        return ParamState.of([self]).stepped([gradient], eta)[0]
+        return _stepped_one(self, gradient, eta)
 
     def copy(self):
         return GaussianParams(self.mu, self.log_sigma)
@@ -514,15 +538,15 @@ def is_discrete(params):
 # --- The flat parameter state -----------------------------------------------
 
 class _Group:
-    """The holes of one (family, K, mode): rows ``start:stop`` of the
-    vector; ``cells`` gives each row's cell."""
+    """The holes of one (family, K, mode): positions ``start:stop`` of the
+    vector, and ``rows`` of a per-hole array in group order (see
+    :attr:`_Layout.grouped`)."""
 
-    def __init__(self, block_type, width, mode, holes, start, cell_of_hole):
+    def __init__(self, block_type, width, mode, holes, start, first):
         self.block_type, self.width, self.mode = block_type, width, mode
         self.holes = tuple(holes)
-        self.index = np.array(holes, dtype=np.intp)
-        self.cells = cell_of_hole[self.index]
         self.start, self.stop = start, start + width * len(holes)
+        self.rows = slice(first, first + len(holes))
 
 
 class _Layout:
@@ -540,11 +564,18 @@ class _Layout:
         by_key = {}
         for hole, key in enumerate(keys):
             by_key.setdefault(key, []).append(hole)
-        self.groups, start = [], 0
+        self.groups, start, first = [], 0, 0
         for (block_type, width, mode), holes in by_key.items():
             self.groups.append(
-                _Group(block_type, width, mode, holes, start, cells))
-            start = self.groups[-1].stop
+                _Group(block_type, width, mode, holes, start, first))
+            start, first = self.groups[-1].stop, first + len(holes)
+        # group order: the holes of one group after the other, and the
+        # cell of each; ``ungrouped`` takes group order back to hole order
+        self.grouped = np.array([h for g in self.groups for h in g.holes],
+                                dtype=np.intp)
+        self.grouped_cells = cells[self.grouped]
+        self.ungrouped = np.empty_like(self.grouped)
+        self.ungrouped[self.grouped] = np.arange(self.size)
         self.widths = [width for _, width, _ in keys]  # hole order
         # vector position -> its hole, and -> its position in the
         # hole-order concatenation of per-hole arrays
@@ -555,12 +586,21 @@ class _Layout:
                                for h in g.holes for i in range(g.width)],
                               dtype=np.intp)
         self.cell_of = cells[self.hole_of]  # vector position -> its cell
-        # vector position -> its upper bound (see _Block.upper)
-        self.upper = np.full(self.hole_of.size, np.inf)
+        # vector position -> its bounds (see _Block.lower and .upper)
+        self.lower = np.full(self.hole_of.size, -sys.float_info.max)
+        self.upper = np.full(self.hole_of.size, sys.float_info.max)
         for g in self.groups:
-            if g.block_type.upper is not None:
-                self.upper[g.start:g.stop] = np.tile(g.block_type.upper,
-                                                     len(g.holes))
+            for bounds, column in ((self.lower, g.block_type.lower),
+                                   (self.upper, g.block_type.upper)):
+                if column is not None:
+                    bounds[g.start:g.stop] = np.tile(column, len(g.holes))
+        # hole -> its slice of the vector, and whether it draws categories
+        self.spans = [None] * self.size
+        for g in self.groups:
+            for j, hole in enumerate(g.holes):
+                start = g.start + j * g.width
+                self.spans[hole] = slice(start, start + g.width)
+        self.discrete = [block_type.discrete for block_type, _, _ in keys]
         # runs of consecutive holes of one cell with the same draw type,
         # in hole order: [draw, start, stop, cell]
         self.runs = []
@@ -587,6 +627,63 @@ class _Layout:
         joint.cells = [(lay, position[offset + lay.order])
                        for lay, offset in zip(layouts, offsets)]
         return joint
+
+    def vector_of(self, gradients):
+        """``gradients`` as one vector in this layout's order.
+
+        ``gradients`` is one array per hole, in hole order, each of its
+        hole's parameter count (else ``ValueError``), or already such a
+        vector.
+        """
+        if (isinstance(gradients, np.ndarray)
+                and gradients.shape == self.hole_of.shape):
+            return gradients
+        if [np.asarray(g).size for g in gradients] != self.widths:
+            raise ValueError("gradient layout does not match params layout")
+        return np.concatenate(gradients, axis=None)[self.order]
+
+    def per_hole(self, vector):
+        """The per-hole parts of a vector in this layout's order, in hole
+        order, as views of it."""
+        return [vector[span] for span in self.spans]
+
+    def rates_of(self, eta):
+        """One learning rate, one per cell or one per vector position, as
+        what a step multiplies each position by."""
+        if not np.ndim(eta):
+            return eta
+        eta = np.asarray(eta, dtype=np.float64)
+        # a layout with as many cells as positions has one position a cell
+        return eta if eta.size == self.cell_of.size else eta[self.cell_of]
+
+
+class DrawPlan:
+    """The ``lam`` draws per hole of one layout's states, set up once.
+
+    Each run of holes (see :class:`_Layout`) has its ``Generator`` method
+    bound to the run's rows of one noise buffer, which every draw
+    overwrites; cell ``c`` draws from ``rngs[c]``.  The stream is read as
+    by one call per run, so the draws do not depend on the plan.
+    """
+
+    def __init__(self, layout, rngs, lam):
+        self.layout, self.lam = layout, lam
+        self.noise = np.empty((layout.size, lam))
+        # positional (size, dtype, out): cheaper to call than a keyword
+        self.calls = [partial(getattr(rngs[cell], draw), None, np.float64,
+                              self.noise[start:stop])
+                      for draw, start, stop, cell in layout.runs]
+
+    def sample(self, blocks):
+        """The draws of the state whose blocks are ``blocks``: a fresh
+        ``(holes, lam)`` float64 matrix in hole order."""
+        for call in self.calls:
+            call()
+        layout = self.layout
+        samples = self.noise[layout.grouped]  # a copy, in group order
+        for group, block in zip(layout.groups, blocks):
+            samples[group.rows] = block.sample(samples[group.rows])
+        return samples[layout.ungrouped]
 
 
 class ParamState:
@@ -673,23 +770,21 @@ class ParamState:
             lambda g, b: [b.distribution(j) for j in range(len(g.holes))])
 
     def sample(self, rngs, lam):
-        """``lam`` draws per hole, one array per hole in hole order; cell
-        ``c`` draws from ``rngs[c]``."""
-        noise = np.empty((len(self), lam))
-        for draw, start, stop, cell in self.layout.runs:
-            getattr(rngs[cell], draw)(out=noise[start:stop])
-        return self._per_group(lambda g, b: b.sample(noise[g.index]))
+        """``lam`` draws per hole as one ``(holes, lam)`` float64 matrix in
+        hole order; cell ``c`` draws from ``rngs[c]``.  ``rngs`` may be a
+        :class:`DrawPlan` made for this layout and ``lam``."""
+        plan = rngs if isinstance(rngs, DrawPlan) else \
+            DrawPlan(self.layout, rngs, lam)
+        if plan.layout is not self.layout or plan.lam != lam:
+            raise ValueError("the draw plan is for another layout or lam")
+        return plan.sample(self.blocks)
 
-    def stepped(self, gradients, eta):
-        """The state after the ascent step ``theta + eta * g`` and each
-        family's projection; ``gradients`` has one array per hole and
-        ``eta`` is one learning rate or one per cell."""
-        if [np.asarray(g).size for g in gradients] != self.layout.widths:
-            raise ValueError("gradient layout does not match params layout")
-        flat = np.concatenate(gradients, axis=None)
-        if np.ndim(eta):
-            eta = np.asarray(eta, dtype=np.float64)[self.layout.cell_of]
-        vector = self.vector + eta * flat[self.layout.order]
+    def stepped(self, gradient, eta):
+        """The state after the ascent step ``theta + eta * gradient`` and
+        each family's projection; ``gradient`` is a vector in this state's
+        order and ``eta`` one learning rate or one per vector position (see
+        :meth:`_Layout.vector_of` and :meth:`_Layout.rates_of`)."""
+        vector = self.vector + eta * gradient
         for g in self.layout.groups:
             g.block_type.project(
                 vector[g.start:g.stop].reshape(-1, g.width), g.mode)

@@ -16,7 +16,8 @@ Monte Carlo paths can be tested against an independent computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,16 +37,24 @@ MAX_ORACLE_SUPPORT = 10**6
 class GradientEstimate:
     """Result of one population estimate.
 
-    ``gradients`` holds one array per distribution, aligned with the
-    params-set order.  ``fitnesses`` holds every member's fitness, cell
-    after cell for a state of several cells.  ``degenerate`` counts the
-    cells whose fitnesses were all equal after non-finite replacement
-    (advisory only; their gradients are still returned).
+    ``vector`` holds the gradient of every hole in the vector order of the
+    state's ``layout``; ``gradients`` gives it as one array per
+    distribution, aligned with the params-set order, as views of
+    ``vector`` made on first use.  ``fitnesses`` holds every member's
+    fitness, cell after cell for a state of several cells.
+    ``degenerate`` counts the cells whose fitnesses were all equal after
+    non-finite replacement (advisory only; their gradients are still
+    returned).
     """
 
-    gradients: list
+    vector: np.ndarray
     fitnesses: np.ndarray
     degenerate: int
+    layout: object = field(repr=False)
+
+    @cached_property
+    def gradients(self):
+        return self.layout.per_hole(self.vector)
 
 
 def mean(values):
@@ -67,13 +76,32 @@ def _resolve_kinds(kinds, n):
     return kinds
 
 
+class KindPlan:
+    """The estimator kinds of one layout's holes, split by group once:
+    per group, ``(kind, rows)`` pairs, where ``rows`` picks the group's
+    rows of that kind, or is None when the whole group has it."""
+
+    def __init__(self, layout, kinds):
+        kinds = _resolve_kinds(kinds, layout.size)
+        self.layout, self.groups = layout, []
+        for group in layout.groups:
+            group_kinds = np.array([kinds[h] for h in group.holes])
+            split = dict.fromkeys(group_kinds.tolist())
+            self.groups.append([
+                (kind, None if len(split) == 1
+                 else np.flatnonzero(group_kinds == kind))
+                for kind in split])
+
+
 def sample_population(params_set, lam, rng):
-    """Draw ``lam`` joint samples, one array per distribution.
+    """Draw ``lam`` joint samples: one ``(holes, lam)`` float64 matrix,
+    one row per distribution, in params-set order.
 
     Consumption order over the rng is the params-set order, so identical
     rng states give identical populations regardless of which estimator
-    kind is computed afterwards.  ``rng`` is a ``Generator``, or one per
-    cell of a :class:`ParamState` of several cells.
+    kind is computed afterwards.  ``rng`` is a ``Generator``, one per
+    cell of a :class:`ParamState` of several cells, or a
+    :class:`~disnes.distributions.DrawPlan` made for the state and ``lam``.
     """
     if lam < 1:
         raise ValueError("population size must be >= 1")
@@ -81,30 +109,25 @@ def sample_population(params_set, lam, rng):
     return ParamState.of(params_set).sample(rngs, lam)
 
 
-def _members(draws, cells):
-    """Per-hole draws of ``cells`` cells of one problem as the program's
-    per-hole draws of all their members, cell after cell."""
-    if cells == 1:
-        return draws
-    holes = len(draws) // cells
-    return [np.concatenate(draws[h::holes]) for h in range(holes)]
-
-
-def evaluate_fitnesses(fitness, draws, lam, cells=1):
+def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
     """Evaluate the fitness of every population member.
 
-    ``draws`` holds ``cells * lam`` members, the populations of ``cells``
-    cells one after the other.  Uses the batched
-    ``fitness.population(draws)`` path when the callable provides one,
-    otherwise calls ``fitness`` once per member with the tuple of per-hole
-    values.  Non-finite fitnesses are replaced by the worst finite fitness
-    of the member's cell minus 1 (or -1.0 if the cell's whole population
-    is non-finite).
+    ``draws`` holds one row of values per hole, each of ``cells * lam``
+    members, the populations of ``cells`` cells one after the other.  Uses
+    the batched ``fitness.population(draws)`` path when the callable
+    provides one, otherwise calls ``fitness`` once per member with the
+    tuple of per-hole values; the values of a hole flagged in
+    ``discrete`` then come as integers.  Non-finite fitnesses are replaced
+    by the worst finite fitness of the member's cell minus 1 (or -1.0 if
+    the cell's whole population is non-finite).
     """
     members = cells * lam
     if hasattr(fitness, "population"):
         fits = np.asarray(fitness.population(draws), dtype=np.float64)
     else:
+        if discrete is not None:
+            draws = [row.astype(np.int64) if flag else row
+                     for row, flag in zip(draws, discrete)]
         fits = np.array(
             [float(fitness(tuple(d[i] for d in draws)))
              for i in range(members)],
@@ -138,44 +161,54 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     """Core estimator: (1/lam) * sum_k f(x_k) * w(x_k) per distribution.
 
     ``params_set`` is a :class:`ParamState` or a list of distributions.
-    ``kinds`` is a single kind applied to every distribution or a per-
+    ``kinds`` is a single kind applied to every distribution, a per-
     distribution sequence (the training loop mixes kinds across hole
-    families).  ``fitness_transform``, when given, maps the fitnesses to
-    the weights actually used (e.g. mean-centering), row by row of a
-    ``(cells, lam)`` array; the reported fitnesses stay untransformed.
-    The weights and the weighted sum are one NumPy operation per group of
-    holes with the same family, K and mode (and per kind, where a group
-    mixes kinds).
+    families) or a :class:`KindPlan` made for the state's layout.
+    ``fitness_transform``, when given, maps the fitnesses to the weights
+    actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
+    array; the reported fitnesses stay untransformed.  The weights and
+    the weighted sum are one NumPy operation per group of holes with the
+    same family, K and mode (and per kind, where a group mixes kinds),
+    written straight into the gradient vector.
 
     A state of several cells (see :meth:`ParamState.joined`) holds the
     holes of one problem once per cell, and ``rng`` is then one
-    ``Generator`` per cell.  Every cell draws its own population, all of
-    them are evaluated in one ``fitness`` call, and each cell's fitness
-    replacement, transform and weights use only its own row, so each
-    cell's gradients are those it would get alone.
+    ``Generator`` per cell (or a draw plan, see :func:`sample_population`).
+    Every cell draws its own population, all of them are evaluated in one
+    ``fitness`` call, and each cell's fitness replacement, transform and
+    weights use only its own row, so each cell's gradients are those it
+    would get alone.
     """
     state = ParamState.of(params_set)
-    kinds = _resolve_kinds(kinds, len(state))
-    cells = state.layout.cell_count
-    draws = sample_population(state, lam, rng)
-    fits = evaluate_fitnesses(fitness, _members(draws, cells), lam, cells)
+    layout = state.layout
+    plan = kinds if isinstance(kinds, KindPlan) else KindPlan(layout, kinds)
+    if plan.layout is not layout:
+        raise ValueError("the kind plan is for another layout")
+    cells = layout.cell_count
+    samples = sample_population(state, lam, rng)
+    holes = layout.size // cells
+    # the program's holes, each with the members of every cell in turn
+    members = samples if cells == 1 else samples.reshape(
+        cells, holes, lam).transpose(1, 0, 2).reshape(holes, cells * lam)
+    fits = evaluate_fitnesses(fitness, members, lam, cells,
+                              layout.discrete[:holes])
     rows = fits.reshape(cells, lam)
     degenerate = int(np.count_nonzero((rows == rows[:, :1]).all(axis=1)))
     weights = rows if fitness_transform is None else fitness_transform(rows)
-    samples = np.array(draws, dtype=np.float64)
-    gradients = [None] * len(state)
-    for group, block in zip(state.layout.groups, state.blocks):
-        group_kinds = [kinds[h] for h in group.holes]
-        xs = samples[group.index]
-        # each hole's row of weights is its own cell's
-        cell_weights = weights[group.cells][:, None, :]
-        for kind in dict.fromkeys(group_kinds):
-            grads = np.matmul(cell_weights, _weights(block, xs, kind))
-            grads = grads[:, 0] / lam
-            for hole, k, g in zip(group.holes, group_kinds, grads):
-                if k == kind:
-                    gradients[hole] = g
-    return GradientEstimate(gradients, fits, degenerate)
+    # per hole in group order: its samples, and its own cell's weights
+    grouped = samples[layout.grouped]
+    hole_weights = weights[layout.grouped_cells][:, None, :]
+    vector = np.empty(state.vector.size)
+    for group, block, split in zip(layout.groups, state.blocks, plan.groups):
+        xs, cell_weights = grouped[group.rows], hole_weights[group.rows]
+        out = vector[group.start:group.stop].reshape(-1, group.width)
+        for kind, picked in split:
+            grads = np.matmul(cell_weights, _weights(block, xs, kind))[:, 0]
+            if picked is None:
+                np.divide(grads, lam, out=out)
+            else:
+                out[picked] = grads[picked] / lam
+    return GradientEstimate(vector, fits, degenerate, layout)
 
 
 def joint_support_size(params_set):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from .distributions import LOGITS, PROBS, ParamState, is_discrete
+from .distributions import LOGITS, PROBS, DrawPlan, ParamState, is_discrete
 
 
 # estimator kind for Gaussian holes: standard continuous-ES variance
@@ -118,15 +118,19 @@ def sgd_step(params_set, gradients, eta, hole_ids=None):
 
     ``params_set`` is a :class:`ParamState` or a list of distributions and
     ``gradients`` has one array per hole, of that hole's parameter count
-    (else ``ValueError``).  ``eta`` is one learning rate, or one per cell
-    of a state of several cells.  The step is one NumPy operation on the
-    flat vector plus one projection per group, and the result is a
+    (else ``ValueError``), or is one vector in the state's order (as
+    :attr:`GradientEstimate.vector <disnes.estimator.GradientEstimate>`).
+    ``eta`` is one learning rate, one per cell of a state of several
+    cells, or one per vector position.  The step is one NumPy operation on
+    the flat vector plus one projection per group, and the result is a
     :class:`ParamState`.  :func:`_check_finite` then checks the stepped
     vector, so a divergent update raises :class:`DivergenceError` (a
     ``FloatingPointError``) naming its first non-finite hole: the id from
     ``hole_ids``, else the position.
     """
-    stepped = ParamState.of(params_set).stepped(gradients, eta)
+    state = ParamState.of(params_set)
+    layout = state.layout
+    stepped = state.stepped(layout.vector_of(gradients), layout.rates_of(eta))
     _check_finite(stepped, hole_ids)
     return stepped
 
@@ -191,17 +195,17 @@ def train(problem, configs):
     shared = configs[0]
     fitness = problem.fitness
     hole_ids = problem.hole_ids()
+    lam = shared.population
     cells = [_Cell(problem, c) for c in configs]
     state = ParamState.joined([c.state for c in cells])
-    rngs, kinds, rates, ids = _batch(cells, hole_ids)
+    draws, kinds, rates, ids = _batch(cells, state.layout, lam, hole_ids)
     transform = _transform_for(shared.fitness_transform)
     failure = None
     for i in range(1, shared.iterations + 1):
         estimate = est.estimate_gradient(
-            state, fitness, shared.population, rngs, kinds,
-            fitness_transform=transform)
+            state, fitness, lam, draws, kinds, fitness_transform=transform)
         try:
-            state = sgd_step(state, estimate.gradients, rates, ids)
+            state = sgd_step(state, estimate.vector, rates, ids)
         except DivergenceError as exc:
             failure = exc
             cells = cells[:exc.hole // len(hole_ids)]
@@ -209,7 +213,8 @@ def train(problem, configs):
                 break
             state = ParamState.joined(
                 [exc.state.cell(k) for k in range(len(cells))])
-            rngs, kinds, rates, ids = _batch(cells, hole_ids)
+            draws, kinds, rates, ids = _batch(cells, state.layout, lam,
+                                              hole_ids)
         if (i - 1) % shared.log_every == 0:
             decode = (i - 1) % (shared.log_every * 10) == 0
             fits = estimate.fitnesses.reshape(-1, shared.population)
@@ -221,12 +226,13 @@ def train(problem, configs):
     return finished
 
 
-def _batch(cells, hole_ids):
-    """What each iteration passes on for ``cells``: their generators, the
-    estimator kind of each of their holes, their learning rates and the
-    id of each of their holes."""
-    return ([c.rng for c in cells], [k for c in cells for k in c.kinds],
-            np.array([c.learning_rate for c in cells]),
+def _batch(cells, layout, lam, hole_ids):
+    """What every iteration of ``cells``, joined in ``layout``, reuses: the
+    plan of their draws, the split of their holes' estimator kinds, the
+    learning rate of each vector position and the id of each hole."""
+    return (DrawPlan(layout, [c.rng for c in cells], lam),
+            est.KindPlan(layout, [k for c in cells for k in c.kinds]),
+            layout.rates_of([c.learning_rate for c in cells]),
             hole_ids * len(cells))
 
 
@@ -253,7 +259,8 @@ def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
 
 class DivergenceError(FloatingPointError):
     """A step left a hole's parameters non-finite, or a Gaussian's log
-    sigma too large for sigma to be finite.  ``hole`` is its position in
+    sigma outside the range where sigma is a positive normal float.
+    ``hole`` is its position in
     ``state``, the stepped state.  Raised by :func:`train`, it also holds
     the ``(log, params)`` pairs of the cells that finished before the
     diverging one, as ``finished``."""
@@ -265,10 +272,12 @@ class DivergenceError(FloatingPointError):
 
 def _check_finite(state, hole_ids=None):
     """Raise :class:`DivergenceError` naming the first hole, in hole
-    order, whose parameters in ``state`` are not all finite or exceed
-    their family's bound (a log sigma whose sigma overflows)."""
+    order, whose parameters in ``state`` are not all finite or leave
+    their family's bounds (a log sigma whose sigma overflows, or underflows
+    below the smallest normal float).  The bounds of every other position
+    are the largest finite floats, so a NaN or an infinity fails them."""
     vector = state.vector
-    ok = np.isfinite(vector)
+    ok = vector >= state.layout.lower
     ok &= vector <= state.layout.upper
     if not ok.all():
         hole = int(state.layout.hole_of[~ok].min())

@@ -32,13 +32,15 @@ def _negated(method):
 
 
 def _biased_sampler(params_set, lam, rng):
-    """Draws the population from distributions shifted toward the last
-    category: an estimator fed these is biased."""
+    """Draws the population, one row per hole as ``sample_population``
+    does, from distributions shifted toward the last category: an
+    estimator fed these is biased."""
     def shifted(p):
         if isinstance(p, BernoulliParams):
             return BernoulliParams(min(p.theta + 0.1, 0.99))
         return CategoricalParams(p.values + np.eye(p.k)[-1], mode=p.mode)
-    return [shifted(p).sample(rng, size=lam) for p in params_set]
+    return np.array([shifted(p).sample(rng, size=lam) for p in params_set],
+                    dtype=np.float64)
 
 
 # A fault in a per-hole method reaches the enumeration oracle, which works

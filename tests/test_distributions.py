@@ -5,7 +5,7 @@ import pytest
 
 from disnes.distributions import (
     EPS, LOGITS, PROBS,
-    BernoulliParams, CategoricalParams, GaussianParams,
+    BernoulliParams, CategoricalBlock, CategoricalParams, GaussianParams,
 )
 
 
@@ -165,6 +165,22 @@ class TestEntropy:
     def test_gaussian_differential(self):
         p = GaussianParams(3.0, 0.0)
         assert p.entropy() == pytest.approx(0.5 * math.log(2 * math.pi * math.e))
+
+    def test_categorical_underflowed_probability_counts_zero(self):
+        # a softmax over logits 1000 apart underflows to p = 0; its term is
+        # 0 * log 0 = 0, not NaN (nor a RuntimeWarning)
+        p = CategoricalParams(np.array([0.0, -1000.0, 0.0]), mode=LOGITS)
+        assert p.probs()[1] == 0.0
+        assert p.entropy() == CategoricalParams(
+            np.zeros(2), mode=LOGITS).entropy() == math.log(2)
+
+    def test_categorical_bits_kept_without_underflow(self):
+        r = rng(21)
+        for values, mode in [(r.normal(size=(7, 6)) * 5, LOGITS),
+                             (r.dirichlet(np.ones(4), size=5), PROBS)]:
+            block = CategoricalBlock(values, mode)
+            want = -(block.p * np.log(block.p)).sum(axis=1)
+            assert block.entropy().tobytes() == want.tobytes()
 
 
 class TestProjection:

@@ -4,6 +4,7 @@ import pytest
 from disnes import estimator as est
 from disnes.distributions import (
     LOGITS, PROBS, BernoulliParams, CategoricalParams, GaussianParams,
+    ParamState,
 )
 
 
@@ -146,7 +147,7 @@ class TestPopulationMechanics:
 
         def recording(params_set, lam, r):
             draws = orig(params_set, lam, r)
-            recorded.append([d.copy() for d in draws])
+            recorded.append(draws.copy())
             return draws
 
         monkeypatch.setattr(est, "sample_population", recording)
@@ -159,9 +160,37 @@ class TestPopulationMechanics:
         for kind in (est.SEARCH, est.NATURAL, est.VO):
             est.estimate_gradient(params, fitness, 40, rng(12), kind)
         assert len(calls) == 3 * 40  # exactly lam evaluations per estimate
+        assert recorded[0].shape == (len(params), 40)
         for draws in recorded[1:]:
-            for a, b in zip(recorded[0], draws):
-                assert np.array_equal(a, b)
+            assert np.array_equal(recorded[0], draws)
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    def test_per_member_fitness_gets_integer_categories(self, cells):
+        # the population is one float64 matrix, but a plain fitness callable
+        # still sees each discrete hole's value as an integer
+        params = bern_cat_set() + [GaussianParams(0.2, -0.1)]
+        state = ParamState.joined([ParamState.of(params)] * cells)
+        seen = []
+
+        def fitness(xs):
+            seen.append(xs)
+            return float(xs[0]) + float(xs[1]) + float(xs[2])
+
+        out = est.estimate_gradient(state, fitness, 6,
+                                    [rng(c) for c in range(cells)],
+                                    est.SEARCH)
+        assert len(seen) == cells * 6
+        for xs in seen:
+            assert len(xs) == len(params)
+            assert isinstance(xs[0], np.integer)
+            assert isinstance(xs[1], np.integer)
+            assert isinstance(xs[2], np.floating)
+        draws = est.sample_population(state, 6,
+                                      [rng(c) for c in range(cells)])
+        members = [[draws[c * 3 + h][i] for h in range(3)]
+                   for c in range(cells) for i in range(6)]
+        assert [[float(v) for v in xs] for xs in seen] == members
+        assert out.fitnesses.tolist() == [sum(m) for m in members]
 
     def test_determinism(self):
         params = bern_cat_set() + [GaussianParams(0.2, -0.1)]

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +109,21 @@ class TestSgdStep:
         draws = est.sample_population(state, 8, np.random.default_rng(0))
         assert np.isfinite(draws[0]).all()
 
+    def test_sigma_underflow_raises_naming_the_hole(self):
+        # log sigma = -709 is finite, but sigma = exp(-709) is subnormal,
+        # and further down 0.0: the Gaussian scores would divide 0 / 0
+        with pytest.raises(FloatingPointError, match="hole 'h7'"):
+            sgd_step([GaussianParams(0.0, 0.0)], [np.array([0.0, -7090.0])],
+                     0.1, hole_ids=["h7"])
+        # just above the bound sigma is the smallest normal float or more,
+        # and sampling and scoring stay finite
+        state = sgd_step([GaussianParams(0.0, 0.0)],
+                         [np.array([0.0, -7083.0])], 0.1)
+        assert state[0].sigma >= np.finfo(np.float64).tiny
+        draws = est.sample_population(state, 8, np.random.default_rng(0))
+        [block] = state.blocks
+        assert np.isfinite(block.natural_score(draws)).all()
+
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sgd_step([BernoulliParams(0.5)], [], 0.1)
@@ -131,6 +148,34 @@ class TestSgdStep:
             # renormalization after the clamp can shrink the floor by at
             # most a factor of K
             assert np.all(params[1].values >= EPS / 4)
+
+
+class TestDivergenceWithoutWarnings:
+    """Runs that diverge past the bounds a finite check misses end in the
+    documented error, or train on, but never in a ``RuntimeWarning``."""
+
+    @staticmethod
+    def _train(seed, transform):
+        problem = SketchProblem(parse(harness.MAIN_SKETCH), harness.MAIN_SPEC)
+        config = TrainConfig(iterations=3, population=8, log_every=2,
+                             estimator_kind=est.SEARCH, learning_rate=0.3,
+                             seed=seed, fitness_transform=transform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return train(problem, [config])
+
+    def test_sigma_underflow_is_a_divergence_error(self):
+        # log sigma falls below about -745 here, where sigma = 0.0
+        with pytest.raises(optimizer.DivergenceError,
+                           match="hole 'real2' after update"):
+            self._train(49, "raw")
+
+    def test_softmax_underflow_logs_finite_entropies(self):
+        [(log, params)] = self._train(37, "baseline")
+        assert 0.0 in params[0].probs()  # the regime is reached
+        assert "nan" not in log.to_csv()
+        assert all(math.isfinite(v) for r in log.records
+                   for v in r.entropies.values())
 
 
 class TestGreedyDecode:
@@ -158,7 +203,7 @@ class TestTrainLoop:
 
         def diverging(*args, **kwargs):
             estimate = estimate_gradient(*args, **kwargs)
-            estimate.gradients[1] = estimate.gradients[1] * np.nan
+            estimate.gradients[1] *= np.nan  # a view of estimate.vector
             return estimate
 
         monkeypatch.setattr(est, "estimate_gradient", diverging)
@@ -448,16 +493,19 @@ def diverging_steps(schedule):
     counts = dict.fromkeys(schedule, 0)
 
     def faulty(state, gradients, eta, hole_ids=None):
-        rates = list(np.broadcast_to(eta, (state.layout.cell_count,)))
+        layout = state.layout
+        vector = layout.vector_of(gradients).copy()
+        per_position = np.broadcast_to(layout.rates_of(eta), vector.shape)
+        # a cell's learning rate is that of its first vector position
+        rates = [float(per_position[positions[0]])
+                 for _, positions in layout.cells]
         holes = len(state) // len(rates)
         for lr in set(rates) & set(schedule):
             counts[lr] += 1
-        gradients = list(gradients)
         for cell, lr in enumerate(rates):
             if lr in schedule and counts[lr] == schedule[lr]:
-                hole = cell * holes + 1
-                gradients[hole] = gradients[hole] * np.nan
-        return step(state, gradients, eta, hole_ids)
+                vector[layout.spans[cell * holes + 1]] *= np.nan
+        return step(state, vector, eta, hole_ids)
     return faulty
 
 

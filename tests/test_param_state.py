@@ -4,9 +4,10 @@ The reference below is the per-hole arithmetic of a training step written
 out one hole at a time: one ``Generator`` call, one weight matrix, one
 weighted sum and one projected step per hole.  It lives only here.  The
 state groups holes by (family, K, mode) and shares a ``Generator`` call
-between neighbouring holes with the same draw type; every draw, gradient,
-stepped parameter, entropy and greedy value must still equal the
-reference's bit for bit, and the rng must end in the same state.
+between neighbouring holes with the same draw type; the sample matrix,
+the gradient vector, every per-hole gradient, stepped parameter, entropy
+and greedy value must still equal the reference's bit for bit, and the
+rng must end in the same state.
 """
 
 import math
@@ -161,6 +162,19 @@ class Fitness:
         return np.sin(total) - 0.1 * total
 
 
+def ref_vector(params, per_hole):
+    """Per-hole arrays laid out as a state's vector: holes grouped by
+    (family, K, mode) in order of first appearance, in hole order within a
+    group."""
+    def key(p):
+        return type(p), vector_of(p).size, getattr(p, "mode", None)
+
+    return np.concatenate([
+        np.asarray(x, dtype=np.float64).reshape(-1)
+        for k in dict.fromkeys(map(key, params))
+        for p, x in zip(params, per_hole) if key(p) == k])
+
+
 def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -177,13 +191,21 @@ ORDERS = {
 }
 
 
-def check_against_reference(codes, seed, lam, kinds):
-    params = make_params(codes, np.random.default_rng(seed))
-    state = ParamState.of(params)
-    fitness = Fitness(len(params))
+def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,)):
+    """One estimate and step of the state joining one cell per entry of
+    ``cell_codes`` (each cell drawing from its own generator) against the
+    per-hole reference run for each cell alone."""
+    cell_params = [make_params(codes, np.random.default_rng(seed + c))
+                   for c, codes in enumerate(cell_codes)]
+    params = [p for cell in cell_params for p in cell]
+    states = [ParamState.of(cell) for cell in cell_params]
+    state = states[0] if len(states) == 1 else ParamState.joined(states)
+    fitness = Fitness(len(cell_codes[0]))
     transform = _transform_for("standardize")
 
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed + c) for c in range(len(cell_codes))]
+    ref_rngs = [np.random.default_rng(seed + c)
+                for c in range(len(cell_codes))]
     recorded = []
     sample_population = est.sample_population
 
@@ -193,24 +215,42 @@ def check_against_reference(codes, seed, lam, kinds):
 
     est.sample_population = recording
     try:
-        estimate = est.estimate_gradient(state, fitness, lam, rng, kinds,
-                                         fitness_transform=transform)
+        estimate = est.estimate_gradient(
+            state, fitness, lam, rngs[0] if len(rngs) == 1 else rngs,
+            [k for cell, kinds in zip(cell_params, cell_kinds)
+             for k in est._resolve_kinds(kinds, len(cell))],
+            fitness_transform=transform)
     finally:
         est.sample_population = sample_population
-    resolved = est._resolve_kinds(kinds, len(params))
-    draws, fits, grads = ref_estimate(params, fitness, lam, ref_rng,
-                                      resolved, transform)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for got, want in zip(recorded[0], draws):
-        assert_same_bits(got, want)
+    draws, fits, grads = [], [], []
+    for cell, kinds, ref_rng in zip(cell_params, cell_kinds, ref_rngs):
+        d, f, g = ref_estimate(cell, fitness, lam, ref_rng,
+                               est._resolve_kinds(kinds, len(cell)),
+                               transform)
+        draws += d
+        fits.append(f)
+        grads += g
+    fits = np.concatenate(fits)
+    for rng, ref_rng in zip(rngs, ref_rngs):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    [samples] = recorded
+    assert_same_bits(samples, np.array(draws, dtype=np.float64))
     assert_same_bits(estimate.fitnesses, fits)
-    assert est.mean(estimate.fitnesses) == fits.mean()
+    for cell_fits in fits.reshape(len(cell_codes), lam):
+        assert est.mean(cell_fits) == cell_fits.mean()
+    assert_same_bits(estimate.vector, ref_vector(params, grads))
+    assert len(estimate.gradients) == len(params)
     for got, want in zip(estimate.gradients, grads):
         assert_same_bits(got, want)
 
-    stepped = sgd_step(state, estimate.gradients, 0.37)
-    for p, g, q in zip(params, grads, stepped):
-        assert_same_bits(vector_of(q), ref_step(p, g, 0.37))
+    stepped = sgd_step(state, estimate.gradients, etas)
+    cell_eta = [eta for cell, eta in zip(cell_params, etas) for _ in cell]
+    want = [ref_step(p, g, eta) for p, g, eta in zip(params, grads, cell_eta)]
+    assert_same_bits(stepped.vector, ref_vector(params, want))
+    for q, w in zip(stepped, want):
+        assert_same_bits(vector_of(q), w)
+    assert_same_bits(sgd_step(state, estimate.vector, etas).vector,
+                     stepped.vector)
     assert stepped.entropies() == [ref_entropy(q) for q in stepped]
     assert greedy_decode(stepped) == [ref_greedy(q) for q in stepped]
     assert state.entropies() == [ref_entropy(p) for p in params]
@@ -219,13 +259,37 @@ def check_against_reference(codes, seed, lam, kinds):
 @pytest.mark.parametrize("kind", est.KINDS)
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_state_matches_per_hole_reference(order, kind):
-    check_against_reference(ORDERS[order], seed=11, lam=50, kinds=kind)
+    check_against_reference([ORDERS[order]], seed=11, lam=50,
+                            cell_kinds=[kind])
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_mixed_kinds_within_a_family(order):
     kinds = [est.KINDS[i % 3] for i in range(len(ORDERS[order]))]
-    check_against_reference(ORDERS[order], seed=12, lam=7, kinds=kinds)
+    check_against_reference([ORDERS[order]], seed=12, lam=7,
+                            cell_kinds=[kinds])
+
+
+# cells of one batch: one program's holes, each cell with its own
+# parametrization, kinds and learning rate
+BATCHES = {
+    "main-nes+vo": ([ORDERS["main-nes"], ORDERS["main-vo"]],
+                    [est.NATURAL, est.VO]),
+    "ablation-like": ([ORDERS["main-nes"]] * 2 + [ORDERS["main-vo"]] * 2,
+                      [est.NATURAL, est.NATURAL, est.SEARCH, est.SEARCH]),
+    "mixed-kinds": ([ORDERS["every-family"]] * 3,
+                    [[est.KINDS[(i + c) % 3] for i in range(8)]
+                     for c in range(3)]),
+    "one-hole": ([ORDERS["one-hole"]] * 3, [est.NATURAL] * 3),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+def test_joined_cells_match_per_hole_reference(batch):
+    codes, kinds = BATCHES[batch]
+    etas = [0.37, 0.05, 0.2, 1.3][:len(codes)]
+    check_against_reference(codes, seed=13, lam=9, cell_kinds=kinds,
+                            etas=etas)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,7 +298,7 @@ def test_mixed_kinds_within_a_family(order):
        seed=st.integers(0, 2**32 - 1), lam=st.integers(1, 40),
        kinds=st.sampled_from(est.KINDS))
 def test_random_family_sequences(codes, seed, lam, kinds):
-    check_against_reference(codes, seed, lam, kinds)
+    check_against_reference([codes], seed, lam, [kinds])
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
