@@ -19,9 +19,6 @@ from .distributions import (
     BernoulliParams, CategoricalParams, GaussianParams, LOGITS, PROBS,
 )
 
-_FAMILY = {BernoulliParams: "bernoulli", CategoricalParams: "categorical",
-           GaussianParams: "gaussian"}
-
 
 @dataclass
 class Check:
@@ -39,7 +36,7 @@ def score_zero_mean(rng, params, samples):
     """E[score] = 0 to 3 standard errors.  A categorical must use LOGITS:
     the PROBS partials ignore the simplex constraint and are not zero-mean."""
     mean, se = _mean_and_se(params.score(params.sample(rng, size=samples)))
-    return Check(f"score-zero-mean/{_FAMILY[type(params)]}",
+    return Check(f"score-zero-mean/{params.family}",
                  bool(np.all(np.abs(mean) <= 3.0 * se + 1e-12)),
                  f"mean={mean}, 3se={3 * se}")
 
@@ -56,7 +53,7 @@ def fim_consistency(rng, params, samples):
     mean, se = _mean_and_se(sq)
     ok = (np.all(np.abs(mean - expected) <= 3.0 * se)
           and np.allclose(params.fim(), expected, rtol=1e-12, atol=0.0))
-    return Check(f"fim-consistency/{_FAMILY[type(params)]}", bool(ok),
+    return Check(f"fim-consistency/{params.family}", bool(ok),
                  f"observed={mean}, expected={expected}, "
                  f"fim()={params.fim()}, 3se={3 * se}")
 

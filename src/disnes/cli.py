@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``run-main``, ``run-ablation``, ``verify``, ``decode``.
-Exit codes: 0 success, 1 check or runtime failure, 2 usage error or
-malformed input (a flag value, a sketch file or a params snapshot).
+Exit codes: 0 success, 1 check or runtime failure (a missing file, or a
+diverging run), 2 usage error or malformed input (a flag value, a sketch
+file or a params snapshot).  Every failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import sys
 
 from . import checks, harness
-from .optimizer import TrainConfig, greedy_decode
+from .optimizer import DivergenceError, TrainConfig, greedy_decode
 from .sketch import SketchError, check_params_fit, parse, render
 
 
@@ -54,13 +55,20 @@ def _config(args, seed, **overrides):
                        seed=seed, log_every=args.log_every, **overrides)
 
 
+def _read_sketch(path):
+    """The text of the sketch file ``path``; text that is not UTF-8 is a
+    malformed sketch (:class:`SketchError`)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SketchError(f"{path}: {exc}") from exc
+
+
 def _sketch_text(args):
     """The ``--sketch`` text; the harness parses it before writing anything,
     so a malformed file fails early."""
-    if args.sketch:
-        with open(args.sketch, encoding="utf-8") as fh:
-            return fh.read()
-    return None
+    return _read_sketch(args.sketch) if args.sketch else None
 
 
 def build_parser():
@@ -134,13 +142,11 @@ def main(argv=None):
             return 0 if all(c.passed for c in results) else 1
 
         if args.command == "decode":
-            with open(args.sketch, encoding="utf-8") as fh:
-                program = parse(fh.read())
-            with open(args.params, encoding="utf-8") as fh:
-                text = fh.read()
+            program = parse(_read_sketch(args.sketch))
             try:
-                hole_ids, params = harness.params_from_json(text)
-            except ValueError as exc:
+                with open(args.params, encoding="utf-8") as fh:
+                    hole_ids, params = harness.params_from_json(fh.read())
+            except ValueError as exc:  # UnicodeDecodeError included
                 print(f"error: {args.params}: {exc}", file=sys.stderr)
                 return 2
             if hole_ids != program.hole_ids():
@@ -151,7 +157,7 @@ def main(argv=None):
             assignment = dict(zip(hole_ids, greedy_decode(params)))
             sys.stdout.write(render(program, assignment))
             return 0
-    except OSError as exc:
+    except (OSError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SketchError as exc:

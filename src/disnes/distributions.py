@@ -31,7 +31,9 @@ The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
 :class:`GaussianParams`) are the API for single distributions; their
 methods run the block formulas on a one-row block.  Per-sample methods
 accept a single sample or a 1-D array of samples; in the array case
-gradients come back as ``(n, width)`` with one row per sample.
+gradients come back as ``(n, width)`` with one row per sample.  Each class
+names its family and gives its params-snapshot fields; :data:`FAMILIES`
+maps the names back to the classes.
 
 Random draws follow hole order: each Bernoulli or categorical hole takes
 ``n`` uniforms and each Gaussian hole ``n`` standard normals.  A run of
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -341,19 +343,39 @@ class GaussianBlock(_Block):
 
 # --- Per-hole distributions -------------------------------------------------
 
+class _Distribution:
+    """What the per-hole families share.  ``family`` names a family in
+    params snapshots (see :data:`FAMILIES`) and check names; its dataclass
+    fields are the snapshot's fields, which :meth:`snapshot` gives in
+    snapshot order as JSON values."""
+
+    def log_prob(self, x):
+        return _per_sample(self._block().log_prob, x)
+
+    def greedy(self):
+        return self._block().greedy()[0]
+
+    def copy(self):
+        return replace(self)
+
+
 @dataclass
-class BernoulliParams:
+class BernoulliParams(_Distribution):
     """Bernoulli search distribution with success probability ``theta``.
 
     ``theta`` is kept strictly inside (0, 1); :meth:`stepped` clamps to
     ``[EPS, 1 - EPS]`` after every update.
     """
 
+    family = "bernoulli"
     theta: float
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+
+    def snapshot(self):
+        return {"theta": float(self.theta)}
 
     def _block(self):
         return BernoulliBlock(np.array([[self.theta]]))
@@ -365,9 +387,6 @@ class BernoulliParams:
     def sample(self, rng, size=None):
         """Draw 0/1 samples; ``size=None`` gives a single int."""
         return _sample_one(self, rng, size, int)
-
-    def log_prob(self, x):
-        return _per_sample(self._block().log_prob, x)
 
     def score(self, x):
         return _per_sample(self._block().score, x)
@@ -388,19 +407,13 @@ class BernoulliParams:
     def entropy(self):
         return float(self._block().entropy()[0])
 
-    def greedy(self):
-        return self._block().greedy()[0]
-
     def stepped(self, gradient, eta):
         """Ascent step followed by the clamping projection."""
         return _stepped_one(self, gradient, eta)
 
-    def copy(self):
-        return BernoulliParams(self.theta)
-
 
 @dataclass
-class CategoricalParams:
+class CategoricalParams(_Distribution):
     """Categorical search distribution over ``K >= 2`` categories.
 
     ``mode=LOGITS`` stores unconstrained logits (probabilities via softmax);
@@ -412,6 +425,7 @@ class CategoricalParams:
       by the explicit Fisher path).
     """
 
+    family = "categorical"
     values: np.ndarray
     mode: str = LOGITS
 
@@ -428,6 +442,9 @@ class CategoricalParams:
                 raise ValueError("probabilities must lie in (0, 1)")
             if abs(self.values.sum() - 1.0) > 1e-6:
                 raise ValueError("probabilities must sum to 1")
+
+    def snapshot(self):
+        return {"mode": self.mode, "values": self.values.tolist()}
 
     def _block(self):
         return CategoricalBlock(self.values[None, :], self.mode)
@@ -446,9 +463,6 @@ class CategoricalParams:
     def sample(self, rng, size=None):
         """Inverse-CDF sampling; boundary ties break toward the lower index."""
         return _sample_one(self, rng, size, int)
-
-    def log_prob(self, x):
-        return _per_sample(self._block().log_prob, x)
 
     def score(self, x):
         return _per_sample(self._block().score, x)
@@ -472,26 +486,24 @@ class CategoricalParams:
     def entropy(self):
         return float(self._block().entropy()[0])
 
-    def greedy(self):
-        return self._block().greedy()[0]
-
     def stepped(self, gradient, eta):
         return _stepped_one(self, gradient, eta)
 
-    def copy(self):
-        return CategoricalParams(self.values.copy(), mode=self.mode)
-
 
 @dataclass
-class GaussianParams:
+class GaussianParams(_Distribution):
     """Univariate Gaussian with parameters ``(mu, log_sigma)``."""
 
+    family = "gaussian"
     mu: float
     log_sigma: float
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.log_sigma)):
             raise ValueError("mu and log_sigma must be finite")
+
+    def snapshot(self):
+        return {"mu": float(self.mu), "log_sigma": float(self.log_sigma)}
 
     def _block(self):
         return GaussianBlock(np.array([[self.mu, self.log_sigma]]))
@@ -502,9 +514,6 @@ class GaussianParams:
 
     def sample(self, rng, size=None):
         return _sample_one(self, rng, size, float)
-
-    def log_prob(self, x):
-        return _per_sample(self._block().log_prob, x)
 
     def score(self, x):
         return _per_sample(self._block().score, x)
@@ -518,21 +527,13 @@ class GaussianParams:
     def entropy(self):
         return float(self._block().entropy()[0])
 
-    def greedy(self):
-        return self._block().greedy()[0]
-
     def stepped(self, gradient, eta):
         return _stepped_one(self, gradient, eta)
 
-    def copy(self):
-        return GaussianParams(self.mu, self.log_sigma)
 
-
-DISCRETE_FAMILIES = (BernoulliParams, CategoricalParams)
-
-
-def is_discrete(params):
-    return isinstance(params, DISCRETE_FAMILIES)
+# family name -> its per-hole class
+FAMILIES = {cls.family: cls
+            for cls in (BernoulliParams, CategoricalParams, GaussianParams)}
 
 
 # --- The flat parameter state -----------------------------------------------

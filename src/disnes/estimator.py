@@ -16,12 +16,13 @@ Monte Carlo paths can be tested against an independent computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .distributions import ParamState, is_discrete
+from .distributions import ParamState
 
 SEARCH = "search"
 NATURAL = "natural"
@@ -212,15 +213,12 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
 
 
 def joint_support_size(params_set):
-    size = 1
-    for p in params_set:
-        if not is_discrete(p):
-            raise ValueError(
-                "exact enumeration needs discrete distributions; freeze "
-                "continuous holes to fixed values first"
-            )
-        size *= len(p.support)
-    return size
+    if not all(ParamState.of(params_set).layout.discrete):
+        raise ValueError(
+            "exact enumeration needs discrete distributions; freeze "
+            "continuous holes to fixed values first"
+        )
+    return math.prod(len(p.support) for p in params_set)
 
 
 def exact_gradient_oracle(params_set, fitness, kind):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import estimator as est
-from .distributions import BernoulliParams, CategoricalParams, GaussianParams
+from .distributions import FAMILIES
 from .optimizer import (
     CONTINUOUS_KIND, DivergenceError, TrainConfig, greedy_decode, train,
 )
@@ -95,35 +95,26 @@ class RunResult:
 
 
 def params_to_json(params_set, hole_ids):
-    holes = []
-    for hid, p in zip(hole_ids, params_set):
-        if isinstance(p, BernoulliParams):
-            holes.append({"id": hid, "family": "bernoulli", "theta": p.theta})
-        elif isinstance(p, CategoricalParams):
-            holes.append({"id": hid, "family": "categorical", "mode": p.mode,
-                          "values": [float(v) for v in p.values]})
-        else:
-            holes.append({"id": hid, "family": "gaussian", "mu": p.mu,
-                          "log_sigma": p.log_sigma})
+    holes = [{"id": hid, "family": p.family, **p.snapshot()}
+             for hid, p in zip(hole_ids, params_set)]
     return json.dumps({"holes": holes}, indent=2) + "\n"
 
 
 def params_from_json(text):
     """Inverse of :func:`params_to_json`; malformed text raises ValueError."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("params snapshot nested too deeply") from exc
     hole_ids, params = [], []
     try:
         for h in data["holes"]:
             hole_ids.append(h["id"])
-            if h["family"] == "bernoulli":
-                params.append(BernoulliParams(h["theta"]))
-            elif h["family"] == "categorical":
-                params.append(CategoricalParams(np.array(h["values"]),
-                                                mode=h["mode"]))
-            elif h["family"] == "gaussian":
-                params.append(GaussianParams(h["mu"], h["log_sigma"]))
-            else:
+            family = FAMILIES.get(h["family"])
+            if family is None:
                 raise ValueError(f"unknown family {h['family']!r}")
+            params.append(family(**{f.name: h[f.name]
+                                    for f in fields(family)}))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed params snapshot: {exc!r}") from exc
     return hole_ids, params

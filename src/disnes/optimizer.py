@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from .distributions import LOGITS, PROBS, DrawPlan, ParamState, is_discrete
+from .distributions import LOGITS, PROBS, DrawPlan, ParamState
 
 
 # estimator kind for Gaussian holes: standard continuous-ES variance
@@ -125,8 +125,8 @@ def sgd_step(params_set, gradients, eta, hole_ids=None):
     the flat vector plus one projection per group, and the result is a
     :class:`ParamState`.  :func:`_check_finite` then checks the stepped
     vector, so a divergent update raises :class:`DivergenceError` (a
-    ``FloatingPointError``) naming its first non-finite hole: the id from
-    ``hole_ids``, else the position.
+    ``FloatingPointError``) naming its first hole out of bounds: the id
+    from ``hole_ids``, else the position.
     """
     state = ParamState.of(params_set)
     layout = state.layout
@@ -145,13 +145,6 @@ def initial_params(problem, config):
     return problem.params(categorical_mode=mode)
 
 
-def _kinds_for(params_set, config):
-    return tuple(
-        config.estimator_kind if is_discrete(p) else CONTINUOUS_KIND
-        for p in params_set
-    )
-
-
 # the settings a batch of cells shares; the others are per cell
 _SHARED = ("iterations", "population", "log_every", "fitness_transform")
 
@@ -160,11 +153,12 @@ class _Cell:
     """One config's training run inside a batch."""
 
     def __init__(self, problem, config):
-        params = initial_params(problem, config)
+        self.state = ParamState.of(initial_params(problem, config))
         self.learning_rate = config.learning_rate
-        self.kinds = _kinds_for(params, config)
-        self.discrete = [h for h, p in enumerate(params) if is_discrete(p)]
-        self.state = ParamState.of(params)
+        discrete = self.state.layout.discrete
+        self.kinds = [config.estimator_kind if d else CONTINUOUS_KIND
+                      for d in discrete]
+        self.discrete = [h for h, d in enumerate(discrete) if d]
         self.rng = np.random.default_rng(config.seed)
         hole_ids = problem.hole_ids()
         self.log = TrainingLog([hole_ids[h] for h in self.discrete])
@@ -275,13 +269,17 @@ def _check_finite(state, hole_ids=None):
     order, whose parameters in ``state`` are not all finite or leave
     their family's bounds (a log sigma whose sigma overflows, or underflows
     below the smallest normal float).  The bounds of every other position
-    are the largest finite floats, so a NaN or an infinity fails them."""
+    are the largest finite floats, so a NaN or an infinity fails them.
+    The message calls the parameters non-finite when one is NaN or
+    infinite, and out-of-range when all are finite."""
     vector = state.vector
     ok = vector >= state.layout.lower
     ok &= vector <= state.layout.upper
     if not ok.all():
         hole = int(state.layout.hole_of[~ok].min())
         name = hole_ids[hole] if hole_ids else hole
+        finite = np.isfinite(vector[state.layout.spans[hole]]).all()
+        fault = "out-of-range" if finite else "non-finite"
         raise DivergenceError(
-            f"non-finite parameters for hole {name!r} after update: "
+            f"{fault} parameters for hole {name!r} after update: "
             f"{state[hole]}", hole, state)

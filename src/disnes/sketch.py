@@ -15,6 +15,11 @@ literals and hole tokens.  Holes come in three kinds:
 * ``[OP]``   -- an arithmetic operator, category set ``+ - * /``
 * ``[REAL]`` -- a real-valued constant
 
+An expression may be at most ``MAX_DEPTH`` levels deep, in operators on a
+path from its root and in nested parentheses and unary minuses, and a
+literal must lie in the f32 range; ``parse`` rejects anything else with a
+:class:`SketchSyntaxError` at the offending token.
+
 A hole may carry an explicit id (``[OP:op1]``); unnamed holes are
 auto-numbered in source order (``cond0``, ``real1``, ...).  The category
 sets are ordered as listed above and the index-to-operator mapping is part
@@ -28,6 +33,7 @@ A program is compiled once into an evaluation plan (see ``eval_batch``).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +48,12 @@ REAL = "REAL"
 
 COND_OPS = ("<", "<=", ">", ">=", "==", "!=")
 OP_OPS = ("+", "-", "*", "/")
+
+# How many levels deep an expression may go: operators on a path from its
+# root to a leaf (``x + y`` has one level), and parentheses and unary
+# minuses open at one point.  It keeps parsing, evaluation, rendering and
+# comparison well inside Python's recursion limit.
+MAX_DEPTH = 32
 
 
 class SketchError(Exception):
@@ -164,10 +176,6 @@ def tokenize(text):
 
 # --- Parser ----------------------------------------------------------------
 
-def _f32_value(text):
-    return float(np.float32(text))
-
-
 class _Parser:
     """Recursive-descent parser.  Precedence, loosest first: comparison,
     additive (where operator holes also bind), multiplicative, unary."""
@@ -178,6 +186,8 @@ class _Parser:
         self.args = []
         self.holes = []
         self.hole_ids = set()
+        self.nesting = 0  # parentheses and unary minuses now open
+        self.depths = {}  # id of a BinOp or Neg -> its levels
 
     def peek(self):
         return self.tokens[self.pos]
@@ -217,6 +227,26 @@ class _Parser:
         self.holes.append(hole)
         self.hole_ids.add(hole_id)
         return hole
+
+    def enclosed(self, tok, parse):
+        """``parse()`` inside the parenthesis or unary minus ``tok``, which
+        must not nest deeper than ``MAX_DEPTH``."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels",
+                       tok)
+        node = parse()
+        self.nesting -= 1
+        return node
+
+    def operation(self, tok, node, *operands):
+        """``node``, the operation of ``tok`` on ``operands``, unless it
+        has more than ``MAX_DEPTH`` levels of operators."""
+        depth = 1 + max(self.depths.get(id(o), 0) for o in operands)
+        if depth > MAX_DEPTH:
+            self.error(f"expression deeper than {MAX_DEPTH} levels", tok)
+        self.depths[id(node)] = depth
+        return node
 
     def parse_program(self):
         self.expect("fn")
@@ -259,49 +289,55 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.text in COND_OPS:
-                self.advance()
-                left = BinOp(tok.text, left, self.additive())
+                op = self.advance().text
             elif tok.kind == "hole" and tok.text.startswith("[COND"):
-                hole = self.make_hole(self.advance())
-                left = BinOp(hole, left, self.additive())
+                op = self.make_hole(self.advance())
             else:
                 return left
+            right = self.additive()
+            left = self.operation(tok, BinOp(op, left, right), left, right)
 
     def additive(self):
         left = self.multiplicative()
         while True:
             tok = self.peek()
             if tok.text in ("+", "-"):
-                self.advance()
-                left = BinOp(tok.text, left, self.multiplicative())
+                op = self.advance().text
             elif tok.kind == "hole" and tok.text.startswith("[OP"):
-                hole = self.make_hole(self.advance())
-                left = BinOp(hole, left, self.multiplicative())
+                op = self.make_hole(self.advance())
             else:
                 return left
+            right = self.multiplicative()
+            left = self.operation(tok, BinOp(op, left, right), left, right)
 
     def multiplicative(self):
         left = self.unary()
         while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            left = BinOp(op, left, self.unary())
+            tok = self.advance()
+            right = self.unary()
+            left = self.operation(tok, BinOp(tok.text, left, right), left,
+                                  right)
         return left
 
     def unary(self):
         tok = self.peek()
         if tok.text == "-":
             self.advance()
-            operand = self.unary()
+            operand = self.enclosed(tok, self.unary)
             if isinstance(operand, Num):
                 return Num(-operand.value)
-            return Neg(operand)
+            return self.operation(tok, Neg(operand), operand)
         return self.primary()
 
     def primary(self):
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(_f32_value(tok.text))
+            with np.errstate(over="ignore"):
+                value = float(np.float32(tok.text))
+            if math.isinf(value):
+                self.error(f"literal {tok.text} is beyond the f32 range", tok)
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             if tok.text not in self.args:
@@ -313,7 +349,7 @@ class _Parser:
             self.error(f"operator hole {tok.text} cannot stand as an operand", tok)
         if tok.text == "(":
             self.advance()
-            expr = self.comparison()
+            expr = self.enclosed(tok, self.comparison)
             self.expect(")")
             return expr
         self.error(f"expected expression, found {tok.text!r}")

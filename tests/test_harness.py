@@ -21,6 +21,10 @@ def _main_snapshot(hole, params):
     return harness.params_to_json(params_set, program.hole_ids())
 
 
+def _sketch(expression):
+    return f"fn f(x: f32) -> f32 {{ return {expression}; }}"
+
+
 def quick_config(**kwargs):
     base = dict(iterations=60, population=24, log_every=20, seed=1)
     base.update(kwargs)
@@ -258,6 +262,14 @@ class TestCli:
         ["decode", "--params", "{gaussian_on_cond}", "--sketch", "{main}"],
         ["decode", "--params", "{categorical_on_real}", "--sketch", "{main}"],
         ["decode", "--params", "{k4_on_cond}", "--sketch", "{main}"],
+        ["run-main", "--sketch", "{not_utf8}", "--out", "{out}"],
+        ["run-ablation", "--sketch", "{not_utf8}", "--out", "{out}"],
+        ["decode", "--params", "{good}", "--sketch", "{not_utf8}"],
+        ["decode", "--params", "{not_utf8}", "--sketch", "{main}"],
+        ["decode", "--params", "{nested_json}", "--sketch", "{main}"],
+        ["run-main", "--sketch", "{deep_sketch}", "--out", "{out}"],
+        ["run-main", "--sketch", "{long_chain}", "--out", "{out}"],
+        ["run-main", "--sketch", "{big_literal}", "--out", "{out}"],
     ], ids=" ".join)
     def test_malformed_input_exits_2_with_one_line_error(
             self, tmp_path, capsys, argv):
@@ -272,11 +284,19 @@ class TestCli:
                 1, CategoricalParams(np.zeros(4), mode=LOGITS)),
             "k4_on_cond": _main_snapshot(
                 0, CategoricalParams(np.zeros(4), mode=LOGITS)),
+            "not_utf8": b"fn f(x: f32) -> f32 { return x; } // \xff",
+            "nested_json": "[" * 100_000 + "]" * 100_000,
+            "deep_sketch": _sketch("(" * 5000 + "x" + ")" * 5000),
+            "long_chain": _sketch(" + ".join(["x"] * 3000)),
+            "big_literal": _sketch("x * 1" + "0" * 40 + ".0"),
         }
         paths = {"out": tmp_path / "out"}
         for name, text in files.items():
             paths[name] = tmp_path / name
-            paths[name].write_text(text)
+            if isinstance(text, bytes):
+                paths[name].write_bytes(text)
+            else:
+                paths[name].write_text(text)
         try:
             code = cli.main([a.format(**paths) for a in argv])
         except SystemExit as exc:  # argparse rejects the flag
@@ -286,6 +306,16 @@ class TestCli:
         assert [line for line in lines if "error: " in line] == lines[-1:]
         assert not any("Traceback" in line for line in lines)
         assert not paths["out"].exists()
+
+    def test_diverging_run_exits_1_with_one_line_error(self, tmp_path,
+                                                       capsys):
+        code = cli.main(["run-main", "--lr", "1e30", "--iters", "5",
+                         "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: out-of-range parameters for hole 'real")
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

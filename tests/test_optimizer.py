@@ -167,7 +167,8 @@ class TestDivergenceWithoutWarnings:
     def test_sigma_underflow_is_a_divergence_error(self):
         # log sigma falls below about -745 here, where sigma = 0.0
         with pytest.raises(optimizer.DivergenceError,
-                           match="hole 'real2' after update"):
+                           match="out-of-range parameters for hole 'real2' "
+                                 "after update"):
             self._train(49, "raw")
 
     def test_softmax_underflow_logs_finite_entropies(self):
@@ -466,11 +467,13 @@ class TestBatch:
                                     st.sampled_from((0.3, 0.1, 0.01)),
                                     st.integers(0, 99)),
                           min_size=1, max_size=4),
-           iterations=st.integers(1, 25))
-    def test_random_cell_lists(self, cells, iterations):
+           iterations=st.integers(1, 25),
+           transform=st.sampled_from(("raw", "baseline", "standardize")))
+    def test_random_cell_lists(self, cells, iterations, transform):
         assert_batch_equals_serial(
             main_problem(), cell_configs(cells, iterations=iterations,
-                                         population=8, log_every=2))
+                                         population=8, log_every=2,
+                                         fitness_transform=transform))
 
     @pytest.mark.parametrize("setting,value", [
         ("iterations", 7), ("population", 9), ("log_every", 3),

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disnes.distributions import CategoricalParams, GaussianParams, PROBS
 from disnes.harness import ABLATION_SKETCH, MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
-    COND_OPS, OP_OPS,
+    COND_OPS, MAX_DEPTH, OP_OPS,
     SketchError, SketchSyntaxError, Specification, SpecFitness,
     eval_program, format_f32, holes_to_distributions,
     parse, render,
@@ -79,6 +80,69 @@ class TestParse:
         assert kinds == ["COND", "REAL", "OP", "REAL", "OP", "REAL"]
 
 
+@st.composite
+def grammar_sketches(draw):
+    """Sketch text from the grammar, and whether one of its literals lies
+    beyond the f32 range.  An expression drawn with ``budget`` has at most
+    ``budget`` levels of operators and of nesting, so every expression
+    stays within ``MAX_DEPTH``."""
+    args = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    named, too_big = [], []
+
+    def hole(kind):
+        if draw(st.booleans()):
+            named.append(f"h{len(named)}")
+            return f"[{kind}:{named[-1]}]"
+        return f"[{kind}]"
+
+    def literal():
+        if draw(st.integers(0, 9)) == 0:  # 1e39 and up
+            whole = draw(st.from_regex(r"[1-9][0-9]{39,44}", fullmatch=True))
+            too_big.append(whole)
+        else:
+            whole = draw(st.from_regex(r"[0-9]{0,12}", fullmatch=True))
+        fraction = draw(st.from_regex(r"[0-9]{0,6}", fullmatch=True))
+        if fraction:
+            return f"{whole}.{fraction}"
+        return whole + draw(st.sampled_from(["", "."])) if whole else ".5"
+
+    def operand(budget):
+        form = draw(st.sampled_from(
+            ["leaf"] * 6 + ["neg", "paren", "nest"]
+            if budget else ["leaf"]))
+        if form == "neg":
+            return "-" + operand(budget - 1)
+        if form == "paren":
+            return f"({expression(budget - 1)})"
+        if form == "nest":
+            k = draw(st.integers(1, budget))
+            return "(" * k + expression(budget - k) + ")" * k
+        leaf = draw(st.sampled_from(["var", "literal", "real"]))
+        if leaf == "var":
+            return draw(st.sampled_from(args))
+        return literal() if leaf == "literal" else hole("REAL")
+
+    def operator():
+        op = draw(st.sampled_from(
+            list(COND_OPS) + list(OP_OPS) + ["[COND]", "[OP]"]))
+        return hole(op[1:-1]) if op.startswith("[") else op
+
+    def expression(budget):
+        n = draw(st.integers(1, min(3, budget + 1)))
+        text = operand(budget - n + 1)
+        for _ in range(n - 1):
+            text += f" {operator()} {operand(budget - n + 1)}"
+        return text
+
+    top = MAX_DEPTH
+    body = [f"if {expression(top)} {{ return {expression(top)}; }}"
+            for _ in range(draw(st.integers(0, 3)))]
+    header = ", ".join(f"{a}: f32" for a in args)
+    text = (f"fn f({header}) -> f32 {{ {' '.join(body)} "
+            f"return {expression(top)}; }}")
+    return text, bool(too_big)
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("text", [MAIN_SKETCH, TRUE_PROGRAM, ABLATION_SKETCH])
     def test_parse_render_parse_fixed_corpus(self, text):
@@ -98,6 +162,59 @@ class TestRoundtrip:
     def test_empty_hole_render_has_no_brackets(self):
         ast = parse(TRUE_PROGRAM)
         assert "[" not in render(ast)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_sketches())
+    def test_grammar_roundtrip(self, sketch):
+        text, too_big = sketch
+        if too_big:
+            with pytest.raises(SketchSyntaxError, match="beyond the f32"):
+                parse(text)
+        else:
+            ast = parse(text)
+            assert parse(render(ast)) == ast
+
+
+def _expression_sketch(expression):
+    return f"fn f(x: f32) -> f32 {{ return {expression}; }}"
+
+
+# column of the expression in ``_expression_sketch``
+_COLUMN = len(_expression_sketch("")) - len("; }") + 1
+
+
+class TestLimits:
+    # an expression ``levels`` deep, and where its tokens that open a level
+    # are: the first at ``first``, one every ``step`` characters
+    @pytest.mark.parametrize("expression,first,step", [
+        (lambda levels: "(" * levels + "x" + ")" * levels, 0, 1),
+        (lambda levels: "-" * levels + "x", 0, 1),
+        (lambda levels: "-" * levels + "1.5", 0, 1),  # folds to a literal
+        (lambda levels: " + ".join(["x"] * (levels + 1)), 2, 4),
+        (lambda levels: " / ".join(["x"] * (levels + 1)), 2, 4),
+        (lambda levels: " [OP] ".join(["x"] * (levels + 1)), 2, 7),
+        (lambda levels: " < ".join(["x"] * (levels + 1)), 2, 4),
+        (lambda levels: "x + (" * levels + "x" + ")" * levels, 4, 5),
+    ], ids=["parentheses", "unary", "unary-literal", "sum", "quotient",
+            "operator-hole", "comparison", "nested-sum"])
+    def test_depth_limit(self, expression, first, step):
+        ast = parse(_expression_sketch(expression(MAX_DEPTH)))
+        assert parse(render(ast)) == ast
+        with pytest.raises(SketchSyntaxError,
+                           match=f"than {MAX_DEPTH}") as err:
+            parse(_expression_sketch(expression(MAX_DEPTH + 1)))
+        # the token that opens the level one too many
+        assert err.value.col == _COLUMN + first + step * MAX_DEPTH
+
+    def test_literal_beyond_f32_range_rejected(self):
+        with pytest.raises(SketchSyntaxError, match="beyond the f32") as err:
+            parse(_expression_sketch("x * 1" + "0" * 40 + ".0"))
+        assert err.value.col == _COLUMN + 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ast = parse(_expression_sketch(format_f32(np.finfo("f4").max)))
+        assert ast.else_expr.value == np.finfo("f4").max
+        assert parse(render(ast)) == ast
 
 
 def _random_sketch(rng):
