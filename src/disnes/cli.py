@@ -34,8 +34,8 @@ def _checked(cast, ok, requirement):
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _seed_list = _checked(lambda text: tuple(int(s) for s in text.split(",")),
-                      lambda v: min(v) >= 0,
-                      "a comma-separated list of integers >= 0")
+                      lambda v: min(v) >= 0 and len(set(v)) == len(v),
+                      "a comma-separated list of distinct integers >= 0")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
                            "a finite number > 0")
 
@@ -108,8 +108,20 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv):
+    """The parsed ``argv``; an ``--estimator`` arm given twice is a usage
+    error, as a bad flag value is."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    arms = getattr(args, "arms", None) or ()
+    if len(set(arms)) < len(arms):
+        parser.error(f"argument --estimator: each arm may be given once, "
+                     f"got {' '.join(arms)}")
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "run-main":
             arms = tuple(args.arms) if args.arms else harness.MAIN_ARMS

@@ -35,14 +35,16 @@ gradients come back as ``(n, width)`` with one row per sample.  Each class
 names its family and gives its params-snapshot fields; :data:`FAMILIES`
 maps the names back to the classes.
 
-Random draws follow hole order: each Bernoulli or categorical hole takes
-``n`` uniforms and each Gaussian hole ``n`` standard normals.  A run of
-consecutive holes with the same draw type shares one ``Generator`` call,
-which reads the stream exactly as one call per hole would, so a state and
-its per-hole distributions draw the same samples from the same seed.
-A :class:`DrawPlan` binds those calls once, each to its rows of one
-reused noise buffer; a state's draws come back as one ``(holes, n)``
-float64 matrix in hole order.
+Random draws read the stream in hole order: each Bernoulli or categorical
+hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals.
+A state's draws come as one ``(holes, n)`` float64 matrix in its group
+order (see :class:`ParamState`), so a group's samples are one slice of
+it.  A run of holes with the same draw type, each next to the last both
+in hole order and in group order, shares one ``Generator`` call, which
+reads the stream exactly as one call per hole would, so a state and its
+per-hole distributions draw the same samples from the same seed.  A
+:class:`DrawPlan` binds those calls once, each to its rows of one reused
+noise buffer.
 
 A run never crosses a cell boundary, and each cell draws from its own
 generator, so a cell of a joint state draws what it would draw alone.
@@ -540,8 +542,8 @@ FAMILIES = {cls.family: cls
 
 class _Group:
     """The holes of one (family, K, mode): positions ``start:stop`` of the
-    vector, and ``rows`` of a per-hole array in group order (see
-    :attr:`_Layout.grouped`)."""
+    vector, and ``rows`` of a per-hole array in group order (the holes of
+    one group after the other)."""
 
     def __init__(self, block_type, width, mode, holes, start, first):
         self.block_type, self.width, self.mode = block_type, width, mode
@@ -570,13 +572,15 @@ class _Layout:
             self.groups.append(
                 _Group(block_type, width, mode, holes, start, first))
             start, first = self.groups[-1].stop, first + len(holes)
-        # group order: the holes of one group after the other, and the
-        # cell of each; ``ungrouped`` takes group order back to hole order
-        self.grouped = np.array([h for g in self.groups for h in g.holes],
-                                dtype=np.intp)
-        self.grouped_cells = cells[self.grouped]
-        self.ungrouped = np.empty_like(self.grouped)
-        self.ungrouped[self.grouped] = np.arange(self.size)
+        # group order: the holes of one group after the other; the cell
+        # of each row, and the row of each hole
+        grouped = [h for g in self.groups for h in g.holes]
+        self.grouped_cells = cells[grouped]
+        row_of = np.empty(self.size, dtype=np.intp)
+        row_of[grouped] = np.arange(self.size)
+        # (program hole, cell) -> its row; each cell holds one program's
+        # holes
+        self.member_rows = row_of.reshape(cell_count, -1).T
         self.widths = [width for _, width, _ in keys]  # hole order
         # vector position -> its hole, and -> its position in the
         # hole-order concatenation of per-hole arrays
@@ -602,16 +606,18 @@ class _Layout:
                 start = g.start + j * g.width
                 self.spans[hole] = slice(start, start + g.width)
         self.discrete = [block_type.discrete for block_type, _, _ in keys]
-        # runs of consecutive holes of one cell with the same draw type,
-        # in hole order: [draw, start, stop, cell]
+        # runs of holes of one cell with the same draw type, each hole
+        # next to the last in hole order and in group order, in hole
+        # order: [draw, first row, stop row, cell]
         self.runs = []
-        for hole, ((block_type, _, _), cell) in enumerate(
-                zip(keys, cells.tolist())):
+        for (block_type, _, _), cell, row in zip(keys, cells.tolist(),
+                                                 row_of.tolist()):
             run = self.runs[-1] if self.runs else None
-            if run and run[0] == block_type.draw and run[3] == cell:
-                run[2] = hole + 1
+            if run and run[0] == block_type.draw and run[3] == cell \
+                    and run[2] == row:
+                run[2] = row + 1
             else:
-                self.runs.append([block_type.draw, hole, hole + 1, cell])
+                self.runs.append([block_type.draw, row, row + 1, cell])
         # per cell: its one-cell layout, and the positions in this vector
         # of that layout's vector
         self.cells = [(self, np.arange(self.hole_of.size))]
@@ -662,9 +668,10 @@ class DrawPlan:
     """The ``lam`` draws per hole of one layout's states, set up once.
 
     Each run of holes (see :class:`_Layout`) has its ``Generator`` method
-    bound to the run's rows of one noise buffer, which every draw
-    overwrites; cell ``c`` draws from ``rngs[c]``.  The stream is read as
-    by one call per run, so the draws do not depend on the plan.
+    bound to the run's rows of one noise buffer in group order, which
+    every draw overwrites; cell ``c`` draws from ``rngs[c]``.  The calls
+    read the stream in hole order, as one call per hole would, so the
+    draws do not depend on the plan.
     """
 
     def __init__(self, layout, rngs, lam):
@@ -677,19 +684,20 @@ class DrawPlan:
 
     def sample(self, blocks):
         """The draws of the state whose blocks are ``blocks``: a fresh
-        ``(holes, lam)`` float64 matrix in hole order."""
+        ``(holes, lam)`` float64 matrix in group order."""
         for call in self.calls:
             call()
-        layout = self.layout
-        samples = self.noise[layout.grouped]  # a copy, in group order
-        for group, block in zip(layout.groups, blocks):
-            samples[group.rows] = block.sample(samples[group.rows])
-        return samples[layout.ungrouped]
+        samples = np.empty_like(self.noise)
+        for group, block in zip(self.layout.groups, blocks):
+            samples[group.rows] = block.sample(self.noise[group.rows])
+        return samples
 
 
 class ParamState:
     """Every hole's parameters in one float64 vector, grouped by
-    (family, K, mode).
+    (family, K, mode).  In this group order the groups come in the order
+    of their first holes, and the holes of a group in hole order; the
+    state's draws come in it too.
 
     A state stands wherever a params-set (a list of per-hole
     distributions) is read: ``len``, indexing and iteration give per-hole
@@ -769,16 +777,6 @@ class ParamState:
         """The per-hole distributions, as copies, in hole order."""
         return self._per_group(
             lambda g, b: [b.distribution(j) for j in range(len(g.holes))])
-
-    def sample(self, rngs, lam):
-        """``lam`` draws per hole as one ``(holes, lam)`` float64 matrix in
-        hole order; cell ``c`` draws from ``rngs[c]``.  ``rngs`` may be a
-        :class:`DrawPlan` made for this layout and ``lam``."""
-        plan = rngs if isinstance(rngs, DrawPlan) else \
-            DrawPlan(self.layout, rngs, lam)
-        if plan.layout is not self.layout or plan.lam != lam:
-            raise ValueError("the draw plan is for another layout or lam")
-        return plan.sample(self.blocks)
 
     def stepped(self, gradient, eta):
         """The state after the ascent step ``theta + eta * gradient`` and

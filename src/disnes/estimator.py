@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import ParamState
+from .distributions import DrawPlan, ParamState
 
 SEARCH = "search"
 NATURAL = "natural"
@@ -96,18 +96,24 @@ class KindPlan:
 
 def sample_population(params_set, lam, rng):
     """Draw ``lam`` joint samples: one ``(holes, lam)`` float64 matrix,
-    one row per distribution, in params-set order.
+    one row per distribution, in the state's group order (see
+    :class:`ParamState`), so each group's rows are one slice of it.
 
     Consumption order over the rng is the params-set order, so identical
     rng states give identical populations regardless of which estimator
     kind is computed afterwards.  ``rng`` is a ``Generator``, one per
-    cell of a :class:`ParamState` of several cells, or a
-    :class:`~disnes.distributions.DrawPlan` made for the state and ``lam``.
+    cell of a :class:`ParamState` of several cells, or a :class:`DrawPlan`
+    made for the state's layout and ``lam``.
     """
     if lam < 1:
         raise ValueError("population size must be >= 1")
-    rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
-    return ParamState.of(params_set).sample(rngs, lam)
+    state = ParamState.of(params_set)
+    plan = rng if isinstance(rng, DrawPlan) else DrawPlan(
+        state.layout, (rng,) if isinstance(rng, np.random.Generator) else rng,
+        lam)
+    if plan.layout is not state.layout or plan.lam != lam:
+        raise ValueError("the draw plan is for another layout or lam")
+    return plan.sample(state.blocks)
 
 
 def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
@@ -187,21 +193,19 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
         raise ValueError("the kind plan is for another layout")
     cells = layout.cell_count
     samples = sample_population(state, lam, rng)
-    holes = layout.size // cells
     # the program's holes, each with the members of every cell in turn
-    members = samples if cells == 1 else samples.reshape(
-        cells, holes, lam).transpose(1, 0, 2).reshape(holes, cells * lam)
+    holes = len(layout.member_rows)
+    members = samples[layout.member_rows].reshape(holes, cells * lam)
     fits = evaluate_fitnesses(fitness, members, lam, cells,
                               layout.discrete[:holes])
     rows = fits.reshape(cells, lam)
     degenerate = int(np.count_nonzero((rows == rows[:, :1]).all(axis=1)))
     weights = rows if fitness_transform is None else fitness_transform(rows)
-    # per hole in group order: its samples, and its own cell's weights
-    grouped = samples[layout.grouped]
+    # per sample row: its own cell's weights
     hole_weights = weights[layout.grouped_cells][:, None, :]
     vector = np.empty(state.vector.size)
     for group, block, split in zip(layout.groups, state.blocks, plan.groups):
-        xs, cell_weights = grouped[group.rows], hole_weights[group.rows]
+        xs, cell_weights = samples[group.rows], hole_weights[group.rows]
         out = vector[group.start:group.stop].reshape(-1, group.width)
         for kind, picked in split:
             grads = np.matmul(cell_weights, _weights(block, xs, kind))[:, 0]

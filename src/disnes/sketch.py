@@ -49,6 +49,10 @@ REAL = "REAL"
 COND_OPS = ("<", "<=", ">", ">=", "==", "!=")
 OP_OPS = ("+", "-", "*", "/")
 
+# The binary operator levels, loosest first: each level's operator symbols
+# and the kind of hole that binds there too.
+_LEVELS = ((COND_OPS, COND), (("+", "-"), OP), (("*", "/"), None))
+
 # How many levels deep an expression may go: operators on a path from its
 # root to a leaf (``x + y`` has one level), and parentheses and unary
 # minuses open at one point.  It keeps parsing, evaluation, rendering and
@@ -94,6 +98,11 @@ class Hole:
             return OP_OPS
         raise ValueError(f"{self.kind} holes have no category set")
 
+    @property
+    def token(self):
+        """The hole as sketch source text."""
+        return f"[{self.kind}:{self.id}]" if self.named else f"[{self.kind}]"
+
 
 @dataclass(frozen=True)
 class Neg:
@@ -135,7 +144,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<hole>\[(?:COND|OP|REAL)(?::[A-Za-z_][A-Za-z0-9_]*)?\])
-  | (?P<num>\d+\.\d+|\d+\.|\.\d+|\d+)
+  | (?P<num>[0-9]+\.[0-9]+|[0-9]+\.|\.[0-9]+|[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>->|<=|>=|==|!=|[(){}<>,:;+\-*/])
     """,
@@ -177,8 +186,9 @@ def tokenize(text):
 # --- Parser ----------------------------------------------------------------
 
 class _Parser:
-    """Recursive-descent parser.  Precedence, loosest first: comparison,
-    additive (where operator holes also bind), multiplicative, unary."""
+    """Recursive-descent parser.  Precedence, loosest first: the binary
+    levels of ``_LEVELS`` (comparison, additive, multiplicative), then
+    unary."""
 
     def __init__(self, text):
         self.tokens = tokenize(text)
@@ -268,15 +278,15 @@ class _Parser:
         branches = []
         while self.peek().text == "if":
             self.advance()
-            cond = self.comparison()
+            cond = self.binary()
             self.expect("{")
             self.expect("return")
-            expr = self.comparison()
+            expr = self.binary()
             self.expect(";")
             self.expect("}")
             branches.append((cond, expr))
         self.expect("return")
-        else_expr = self.comparison()
+        else_expr = self.binary()
         self.expect(";")
         self.expect("}")
         if self.peek().kind != "eof":
@@ -284,40 +294,24 @@ class _Parser:
         return Program(name, tuple(self.args), tuple(branches), else_expr,
                        tuple(self.holes))
 
-    def comparison(self):
-        left = self.additive()
+    def binary(self, level=0):
+        """A left-associative chain of the operators of ``_LEVELS[level]``
+        over operands of the next level."""
+        if level == len(_LEVELS):
+            return self.unary()
+        symbols, hole_kind = _LEVELS[level]
+        left = self.binary(level + 1)
         while True:
             tok = self.peek()
-            if tok.text in COND_OPS:
+            if tok.text in symbols:
                 op = self.advance().text
-            elif tok.kind == "hole" and tok.text.startswith("[COND"):
+            elif tok.kind == "hole" and hole_kind \
+                    and tok.text.startswith(f"[{hole_kind}"):
                 op = self.make_hole(self.advance())
             else:
                 return left
-            right = self.additive()
+            right = self.binary(level + 1)
             left = self.operation(tok, BinOp(op, left, right), left, right)
-
-    def additive(self):
-        left = self.multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.text in ("+", "-"):
-                op = self.advance().text
-            elif tok.kind == "hole" and tok.text.startswith("[OP"):
-                op = self.make_hole(self.advance())
-            else:
-                return left
-            right = self.multiplicative()
-            left = self.operation(tok, BinOp(op, left, right), left, right)
-
-    def multiplicative(self):
-        left = self.unary()
-        while self.peek().text in ("*", "/"):
-            tok = self.advance()
-            right = self.unary()
-            left = self.operation(tok, BinOp(tok.text, left, right), left,
-                                  right)
-        return left
 
     def unary(self):
         tok = self.peek()
@@ -349,7 +343,7 @@ class _Parser:
             self.error(f"operator hole {tok.text} cannot stand as an operand", tok)
         if tok.text == "(":
             self.advance()
-            expr = self.enclosed(tok, self.comparison)
+            expr = self.enclosed(tok, self.binary)
             self.expect(")")
             return expr
         self.error(f"expected expression, found {tok.text!r}")
@@ -556,47 +550,36 @@ def format_f32(value):
     return np.format_float_positional(np.float32(value), unique=True, trim="0")
 
 
-_PRECEDENCE = {"cmp": 0, "add": 1, "mul": 2}
+def _level(op):
+    """The index in ``_LEVELS`` of an operator symbol or operator hole."""
+    return next(level for level, (symbols, hole_kind) in enumerate(_LEVELS)
+                if (op.kind == hole_kind if isinstance(op, Hole)
+                    else op in symbols))
 
 
-def _op_level(op):
-    if isinstance(op, Hole):
-        return "cmp" if op.kind == COND else "add"
-    if op in COND_OPS:
-        return "cmp"
-    if op in ("+", "-"):
-        return "add"
-    return "mul"
-
-
-def _render_expr(node, assignment, parent_prec=0):
+def _render_expr(node, assignment, parent_level=0):
     if isinstance(node, Num):
-        text = format_f32(node.value)
-        return text
+        return format_f32(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return "-" + _render_expr(node.operand, assignment, 3)
+        return "-" + _render_expr(node.operand, assignment, len(_LEVELS))
     if isinstance(node, Hole):
         if assignment is not None:
             return format_f32(assignment[node.id])
-        return f"[{node.kind}:{node.id}]" if node.named else f"[{node.kind}]"
+        return node.token
     op = node.op
-    if isinstance(op, Hole):
-        if assignment is not None:
-            op_text = op.categories[int(assignment[op.id])]
-        else:
-            op_text = f"[{op.kind}:{op.id}]" if op.named else f"[{op.kind}]"
-        level = _PRECEDENCE[_op_level(op)]
-    else:
+    if not isinstance(op, Hole):
         op_text = op
-        level = _PRECEDENCE[_op_level(op)]
+    elif assignment is not None:
+        op_text = op.categories[int(assignment[op.id])]
+    else:
+        op_text = op.token
+    level = _level(op)
     left = _render_expr(node.left, assignment, level)
     right = _render_expr(node.right, assignment, level + 1)
     text = f"{left} {op_text} {right}"
-    if level < parent_prec:
-        return f"({text})"
-    return text
+    return f"({text})" if level < parent_level else text
 
 
 def render(program, assignment=None):
@@ -649,9 +632,8 @@ def check_params_fit(program, params_set):
     :func:`holes_to_distributions` gives it: a Gaussian for a REAL hole and
     a categorical over the hole's categories for a COND or OP hole."""
     def family(params):
-        if isinstance(params, CategoricalParams):
-            return f"a {params.k}-way CategoricalParams"
-        return f"a {type(params).__name__}"
+        k = getattr(params, "k", None)
+        return f"a {k}-way {params.family}" if k else f"a {params.family}"
 
     for hole, params, wanted in zip(program.holes, params_set,
                                     holes_to_distributions(program)):

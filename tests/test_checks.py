@@ -32,9 +32,10 @@ def _negated(method):
 
 
 def _biased_sampler(params_set, lam, rng):
-    """Draws the population, one row per hole as ``sample_population``
-    does, from distributions shifted toward the last category: an
-    estimator fed these is biased."""
+    """Draws the population, one row per hole, from distributions shifted
+    toward the last category: an estimator fed these is biased.  The rows
+    come in hole order, which is ``sample_population``'s group order for
+    the oracle's Bernoulli-then-categorical set."""
     def shifted(p):
         if isinstance(p, BernoulliParams):
             return BernoulliParams(min(p.theta + 0.1, 0.99))

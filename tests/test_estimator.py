@@ -187,7 +187,9 @@ class TestPopulationMechanics:
             assert isinstance(xs[2], np.floating)
         draws = est.sample_population(state, 6,
                                       [rng(c) for c in range(cells)])
-        members = [[draws[c * 3 + h][i] for h in range(3)]
+        # each hole is a group of its own, and the draws come in group
+        # order: hole h of cell c is row h * cells + c
+        members = [[draws[h * cells + c][i] for h in range(3)]
                    for c in range(cells) for i in range(6)]
         assert [[float(v) for v in xs] for xs in seen] == members
         assert out.fitnesses.tolist() == [sum(m) for m in members]

@@ -238,6 +238,28 @@ class TestCli:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hole,params,needs", [
+        (0, GaussianParams(0.0, 0.0),
+         "'cond0' (COND) needs a 6-way categorical, got a gaussian"),
+        (1, CategoricalParams(np.zeros(4), mode=LOGITS),
+         "'real1' (REAL) needs a gaussian, got a 4-way categorical"),
+        (0, CategoricalParams(np.zeros(4), mode=LOGITS),
+         "'cond0' (COND) needs a 6-way categorical, got a 4-way categorical"),
+        (3, BernoulliParams(0.5),
+         "'op3' (OP) needs a 4-way categorical, got a bernoulli"),
+    ], ids=["gaussian-on-cond", "categorical-on-real", "k4-on-cond",
+            "bernoulli-on-op"])
+    def test_decode_names_the_family_a_hole_needs(self, tmp_path, capsys,
+                                                  hole, params, needs):
+        sketch_path = tmp_path / "sketch.txt"
+        sketch_path.write_text(harness.MAIN_SKETCH)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(_main_snapshot(hole, params))
+        code = cli.main(["decode", "--params", str(params_path),
+                         "--sketch", str(sketch_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: hole {needs}\n"
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = cli.main(["decode", "--params", str(tmp_path / "no.json"),
                          "--sketch", str(tmp_path / "no.txt")])
@@ -270,6 +292,10 @@ class TestCli:
         ["run-main", "--sketch", "{deep_sketch}", "--out", "{out}"],
         ["run-main", "--sketch", "{long_chain}", "--out", "{out}"],
         ["run-main", "--sketch", "{big_literal}", "--out", "{out}"],
+        ["run-main", "--sketch", "{unicode_digit}", "--out", "{out}"],
+        ["run-ablation", "--seed", "1,1", "--iters", "3", "--out", "{out}"],
+        ["run-main", "--estimator", "nes", "--estimator", "nes",
+         "--out", "{out}"],
     ], ids=" ".join)
     def test_malformed_input_exits_2_with_one_line_error(
             self, tmp_path, capsys, argv):
@@ -289,6 +315,7 @@ class TestCli:
             "deep_sketch": _sketch("(" * 5000 + "x" + ")" * 5000),
             "long_chain": _sketch(" + ".join(["x"] * 3000)),
             "big_literal": _sketch("x * 1" + "0" * 40 + ".0"),
+            "unicode_digit": _sketch("x * \u0663").encode("utf-8"),
         }
         paths = {"out": tmp_path / "out"}
         for name, text in files.items():

@@ -4,10 +4,11 @@ The reference below is the per-hole arithmetic of a training step written
 out one hole at a time: one ``Generator`` call, one weight matrix, one
 weighted sum and one projected step per hole.  It lives only here.  The
 state groups holes by (family, K, mode) and shares a ``Generator`` call
-between neighbouring holes with the same draw type; the sample matrix,
-the gradient vector, every per-hole gradient, stepped parameter, entropy
-and greedy value must still equal the reference's bit for bit, and the
-rng must end in the same state.
+between holes with the same draw type that neighbour each other in hole
+order and in group order; the sample matrix (in group order), the
+gradient vector, every per-hole gradient, stepped parameter, entropy and
+greedy value must still equal the reference's bit for bit, and the rng
+must end in the same state.
 """
 
 import math
@@ -16,12 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disnes import estimator as est
+from disnes import estimator as est, harness
 from disnes.distributions import (
     EPS, LOGITS, PROBS, BernoulliParams, CategoricalBlock, CategoricalParams,
-    GaussianParams, ParamState,
+    DrawPlan, GaussianParams, ParamState,
 )
-from disnes.optimizer import _transform_for, greedy_decode, sgd_step
+from disnes.optimizer import (
+    TrainConfig, _transform_for, greedy_decode, initial_params, sgd_step,
+)
+from disnes.sketch import SketchProblem, parse
 
 # --- the per-hole reference ------------------------------------------------
 
@@ -162,17 +166,21 @@ class Fitness:
         return np.sin(total) - 0.1 * total
 
 
-def ref_vector(params, per_hole):
-    """Per-hole arrays laid out as a state's vector: holes grouped by
+def ref_grouped(params, per_hole):
+    """Per-hole items in a state's group order: holes grouped by
     (family, K, mode) in order of first appearance, in hole order within a
     group."""
     def key(p):
         return type(p), vector_of(p).size, getattr(p, "mode", None)
 
-    return np.concatenate([
-        np.asarray(x, dtype=np.float64).reshape(-1)
-        for k in dict.fromkeys(map(key, params))
-        for p, x in zip(params, per_hole) if key(p) == k])
+    return [x for k in dict.fromkeys(map(key, params))
+            for p, x in zip(params, per_hole) if key(p) == k]
+
+
+def ref_vector(params, per_hole):
+    """Per-hole arrays laid out as a state's vector."""
+    return np.concatenate([np.asarray(x, dtype=np.float64).reshape(-1)
+                           for x in ref_grouped(params, per_hole)])
 
 
 def assert_same_bits(a, b):
@@ -234,7 +242,8 @@ def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,)):
     for rng, ref_rng in zip(rngs, ref_rngs):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     [samples] = recorded
-    assert_same_bits(samples, np.array(draws, dtype=np.float64))
+    assert_same_bits(samples,
+                     np.array(ref_grouped(params, draws), dtype=np.float64))
     assert_same_bits(estimate.fitnesses, fits)
     for cell_fits in fits.reshape(len(cell_codes), lam):
         assert est.mean(cell_fits) == cell_fits.mean()
@@ -281,6 +290,9 @@ BATCHES = {
                     [[est.KINDS[(i + c) % 3] for i in range(8)]
                      for c in range(3)]),
     "one-hole": ([ORDERS["one-hole"]] * 3, [est.NATURAL] * 3),
+    # a COND hole directly followed by an OP hole: neighbours in hole
+    # order, but not in group order once a second cell joins
+    "cond-op": ([["L6", "L4", "G"]] * 2, [est.NATURAL, est.VO]),
 }
 
 
@@ -290,6 +302,62 @@ def test_joined_cells_match_per_hole_reference(batch):
     etas = [0.37, 0.05, 0.2, 1.3][:len(codes)]
     check_against_reference(codes, seed=13, lam=9, cell_kinds=kinds,
                             etas=etas)
+
+
+def test_runs_end_where_group_rows_do_not_follow_on():
+    codes = BATCHES["cond-op"][0][0]
+    one = ParamState.of(make_params(codes, np.random.default_rng(0)))
+    assert one.layout.runs == [["random", 0, 2, 0],
+                               ["standard_normal", 2, 3, 0]]
+    # rows: L6 holes 0 and 3, then L4 holes 1 and 4, then G holes 2 and 5
+    joint = ParamState.joined([one, one])
+    assert joint.layout.runs == [
+        ["random", 0, 1, 0], ["random", 2, 3, 0], ["standard_normal", 4, 5, 0],
+        ["random", 1, 2, 1], ["random", 3, 4, 1], ["standard_normal", 5, 6, 1]]
+
+
+class CountingRng:
+    """A ``Generator`` that counts the calls made to it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args):
+            self.calls += 1
+            return method(*args)
+        return counted
+
+
+# the cells of each command's default batch, by arm, and the Generator
+# calls one draw of that batch makes
+COMMAND_BATCHES = {
+    "run-main": (harness.MAIN_SKETCH, harness.MAIN_SPEC, harness.MAIN_ARMS,
+                 8),
+    "run-ablation": (harness.ABLATION_SKETCH, harness.ABLATION_SPEC,
+                     [arm for arm in harness.ABLATION_ARMS
+                      for _ in harness.ABLATION_LEARNING_RATES], 60),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_BATCHES))
+def test_generator_calls_per_draw(command):
+    sketch, spec, arms, calls = COMMAND_BATCHES[command]
+    problem = SketchProblem(parse(sketch), spec)
+    state = ParamState.joined([ParamState.of(initial_params(
+        problem, TrainConfig(estimator_kind=harness.ARM_KINDS[arm])))
+        for arm in arms])
+    rngs = [CountingRng(c) for c in range(len(arms))]
+    plan = DrawPlan(state.layout, rngs, 50)
+    for draw in range(1, 3):
+        samples = est.sample_population(state, 50, plan)
+        assert sum(r.calls for r in rngs) == draw * calls
+    plain = [np.random.default_rng(c) for c in range(len(arms))]
+    for _ in range(2):
+        want = est.sample_population(state, 50, plain)
+    assert_same_bits(samples, want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -206,6 +206,18 @@ class TestLimits:
         # the token that opens the level one too many
         assert err.value.col == _COLUMN + first + step * MAX_DEPTH
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u0969"],
+                             ids=["arabic-indic", "fullwidth", "devanagari"])
+    def test_non_ascii_digit_rejected(self, digit):
+        # literals are ASCII decimals, as identifiers are ASCII names
+        with pytest.raises(SketchSyntaxError,
+                           match="unexpected character") as err:
+            parse(_expression_sketch("x * " + digit))
+        assert err.value.col == _COLUMN + 4
+        with pytest.raises(SketchSyntaxError) as err:
+            parse(_expression_sketch("x * 1" + digit))
+        assert err.value.col == _COLUMN + 5
+
     def test_literal_beyond_f32_range_rejected(self):
         with pytest.raises(SketchSyntaxError, match="beyond the f32") as err:
             parse(_expression_sketch("x * 1" + "0" * 40 + ".0"))
