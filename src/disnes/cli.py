@@ -32,6 +32,8 @@ def _checked(cast, ok, requirement):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# a standard error needs two values
+_sample_size = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _seed_list = _checked(lambda text: tuple(int(s) for s in text.split(",")),
                       lambda v: min(v) >= 0 and len(set(v)) == len(v),
@@ -96,9 +98,9 @@ def build_parser():
                    action="append", dest="arms")
 
     p = subs.add_parser("verify", help="distribution and estimator checks")
-    p.add_argument("--samples", type=_positive_int, default=100_000)
+    p.add_argument("--samples", type=_sample_size, default=100_000)
     p.add_argument("--cases", type=_positive_int, default=1000)
-    p.add_argument("--estimates", type=_positive_int, default=200)
+    p.add_argument("--estimates", type=_sample_size, default=200)
     p.add_argument("--seed", type=_seed, default=0)
 
     p = subs.add_parser("decode", help="render the greedy program from a snapshot")

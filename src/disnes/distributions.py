@@ -28,26 +28,26 @@ and ``Generator``), one after the other in hole order; every formula works
 row by row, so a cell's numbers do not depend on the cells beside it.
 
 The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
-:class:`GaussianParams`) are the API for single distributions; their
-methods run the block formulas on a one-row block.  Per-sample methods
-accept a single sample or a 1-D array of samples; in the array case
-gradients come back as ``(n, width)`` with one row per sample.  Each class
-names its family and gives its params-snapshot fields; :data:`FAMILIES`
-maps the names back to the classes.
+:class:`GaussianParams`), the API for single distributions, are one-row
+views of their family's block: their methods, written once on
+:class:`_Distribution`, run the block formulas on a one-row block, and
+``stepped`` is the checked step of a one-hole state (see
+:meth:`ParamState.stepped`).  Per-sample methods accept a single sample or
+a 1-D array of samples; in the array case gradients come back as
+``(n, width)`` with one row per sample.  Each class names its family,
+checks its fields and gives its params-snapshot fields; :data:`FAMILIES`
+maps the names back to them.
 
 Random draws read the stream in hole order: each Bernoulli or categorical
 hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals.
 A state's draws come as one ``(holes, n)`` float64 matrix in its group
 order (see :class:`ParamState`), so a group's samples are one slice of
-it.  A run of holes with the same draw type, each next to the last both
-in hole order and in group order, shares one ``Generator`` call, which
-reads the stream exactly as one call per hole would, so a state and its
-per-hole distributions draw the same samples from the same seed.  A
-:class:`DrawPlan` binds those calls once, each to its rows of one reused
-noise buffer.
-
-A run never crosses a cell boundary, and each cell draws from its own
-generator, so a cell of a joint state draws what it would draw alone.
+it.  A run of holes of one cell with the same draw type, each next to the
+last both in hole order and in group order, shares one ``Generator``
+call (bound once by a :class:`DrawPlan`), which reads the stream exactly
+as one call per hole would.  Each cell draws from its own generator, so
+a state, each of its cells and its per-hole distributions draw the same
+samples from the same seeds.
 
 All operations are pure given ``(params, rng)``; callers that run
 concurrently must each own a distinct ``numpy.random.Generator``.
@@ -67,45 +67,18 @@ import numpy as np
 EPS = 1e-6
 
 # Largest log sigma whose sigma = exp(log sigma) is a finite float, and
-# smallest whose sigma is a positive normal float.
+# smallest whose sigma is a positive normal float; the largest finite f32.
 LOG_SIGMA_MAX = math.log(sys.float_info.max)
 LOG_SIGMA_MIN = math.log(sys.float_info.min)
+F32_MAX = float(np.finfo(np.float32).max)
 
 LOGITS = "logits"
 PROBS = "probs"
 
 
-def _per_sample(formula, x):
-    """A block formula of ``(m, n)`` samples applied to one hole's ``x``, a
-    single sample or a 1-D array of them."""
-    xs = np.asarray(x, dtype=np.float64)
-    rows = formula(np.atleast_1d(xs)[None, :])[0]
-    return rows[0] if xs.ndim == 0 else rows
-
-
-def _sample_one(params, rng, size, scalar_type):
-    """One hole's ``sample``: an array of ``size`` draws, or a single
-    ``scalar_type`` value when ``size`` is None."""
-    block = params._block()
-    noise = getattr(rng, block.draw)((1, 1 if size is None else size))
-    x = block.sample(noise)[0]
-    return scalar_type(x[0]) if size is None else x
-
-
-def _stepped_one(params, gradient, eta):
-    """One hole's ``stepped``: the step of a one-hole state."""
-    state = ParamState.of([params])
-    return state.stepped(state.layout.vector_of([gradient]), eta)[0]
-
-
 def _unchecked(cls, **fields):
-    """A ``cls`` built without running ``__post_init__``.
-
-    Values read out of a :class:`ParamState` keep each family's range by
-    construction; finiteness, the one property a step can break, is
-    checked by :func:`disnes.optimizer.sgd_step`, so a divergent step
-    raises ``FloatingPointError`` there instead of ``ValueError`` here.
-    """
+    """A ``cls`` built without running ``__post_init__``, for values that a
+    step checked or, in a :class:`DivergenceError`, found out of bounds."""
     params = object.__new__(cls)
     for name, value in fields.items():
         # attribute by attribute, so instances share their dict's keys
@@ -127,12 +100,12 @@ class _Block:
 
     A block is read-only: quantities derived from ``values`` are computed
     once, on first use.  :meth:`project` acts on a values array before a
-    block is made of it.  ``lower`` and ``upper`` bound each column, where
-    a finite value can still break a formula (None: finiteness suffices).
+    block is made of it.  ``lower`` and ``upper`` bound every column or
+    each column (default: any finite value); a step out of them diverges.
     ``discrete`` tells whether samples are category indices.
     """
 
-    lower = upper = None
+    lower, upper = -sys.float_info.max, sys.float_info.max
     discrete = True
 
     def __init__(self, values, mode=None):
@@ -285,9 +258,10 @@ class GaussianBlock(_Block):
 
     draw = "standard_normal"
     discrete = False
-    # sigma must stay a finite, positive normal float
-    lower = (-sys.float_info.max, LOG_SIGMA_MIN)
-    upper = (sys.float_info.max, LOG_SIGMA_MAX)
+    # mu must stay a finite f32 (a decoded program writes it as an f32
+    # literal), sigma a finite, positive normal float
+    lower = (-F32_MAX, LOG_SIGMA_MIN)
+    upper = (F32_MAX, LOG_SIGMA_MAX)
 
     @cached_property
     def sigma(self):
@@ -336,7 +310,7 @@ class GaussianBlock(_Block):
 
     @staticmethod
     def project(values, mode):
-        """Gaussian parameters are unconstrained."""
+        """Gaussian parameters are not projected, only bounded."""
 
     def distribution(self, row):
         return _unchecked(GaussianParams, mu=float(self.values[row, 0]),
@@ -345,14 +319,46 @@ class GaussianBlock(_Block):
 
 # --- Per-hole distributions -------------------------------------------------
 
-class _Distribution:
-    """What the per-hole families share.  ``family`` names a family in
-    params snapshots (see :data:`FAMILIES`) and check names; its dataclass
-    fields are the snapshot's fields, which :meth:`snapshot` gives in
-    snapshot order as JSON values."""
+def _one_row(formula):
+    """The per-hole form of the block formula named ``formula``, of
+    ``(m, n)`` samples: it takes a single sample or a 1-D array of them."""
+    def method(self, x):
+        xs = np.asarray(x, dtype=np.float64)
+        rows = getattr(self._block(), formula)(np.atleast_1d(xs)[None, :])[0]
+        return rows[0] if xs.ndim == 0 else rows
+    method.__name__ = method.__qualname__ = formula
+    return method
 
-    def log_prob(self, x):
-        return _per_sample(self._block().log_prob, x)
+
+class _Distribution:
+    """What the per-hole families share, as one-row views of their blocks
+    (``_block``).  ``family`` names a family in params snapshots (see
+    :data:`FAMILIES`) and check names; its dataclass fields are the
+    snapshot's fields, which :meth:`snapshot` gives in snapshot order as
+    JSON values.  Each family binds the methods that ``bench/tracer.py``
+    wraps in its own class too, where the tracer looks them up."""
+
+    def sample(self, rng, size=None):
+        """``size`` draws, or with ``size=None`` one int (float: Gaussian)."""
+        block = self._block()
+        noise = getattr(rng, block.draw)((1, 1 if size is None else size))
+        x = block.sample(noise)[0]
+        if size is not None:
+            return x
+        return int(x[0]) if block.discrete else float(x[0])
+
+    log_prob = _one_row("log_prob")
+    score = _one_row("score")
+    natural_score = _one_row("natural_score")
+    prob_gradient = _one_row("prob_gradient")
+
+    def entropy(self):
+        return float(self._block().entropy()[0])
+
+    def stepped(self, gradient, eta):
+        """The step of a one-hole state (see :meth:`ParamState.stepped`):
+        a divergent step raises :class:`DivergenceError` naming hole 0."""
+        return ParamState.of([self]).stepped([gradient], eta)[0]
 
     def greedy(self):
         return self._block().greedy()[0]
@@ -371,6 +377,12 @@ class BernoulliParams(_Distribution):
 
     family = "bernoulli"
     theta: float
+    sample = _Distribution.sample
+    score = _Distribution.score
+    natural_score = _Distribution.natural_score
+    prob_gradient = _Distribution.prob_gradient
+    entropy = _Distribution.entropy
+    stepped = _Distribution.stepped
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -386,32 +398,12 @@ class BernoulliParams(_Distribution):
     def support(self):
         return np.array([0, 1])
 
-    def sample(self, rng, size=None):
-        """Draw 0/1 samples; ``size=None`` gives a single int."""
-        return _sample_one(self, rng, size, int)
-
-    def score(self, x):
-        return _per_sample(self._block().score, x)
-
-    def natural_score(self, x):
-        return _per_sample(self._block().natural_score, x)
-
-    def prob_gradient(self, x):
-        return _per_sample(self._block().prob_gradient, x)
-
     def fim(self):
         """Fisher information, as the single diagonal entry."""
         return np.array([1.0 / (self.theta * (1.0 - self.theta))])
 
     def inverse_fim(self):
         return np.array([self.theta * (1.0 - self.theta)])
-
-    def entropy(self):
-        return float(self._block().entropy()[0])
-
-    def stepped(self, gradient, eta):
-        """Ascent step followed by the clamping projection."""
-        return _stepped_one(self, gradient, eta)
 
 
 @dataclass
@@ -430,6 +422,12 @@ class CategoricalParams(_Distribution):
     family = "categorical"
     values: np.ndarray
     mode: str = LOGITS
+    sample = _Distribution.sample
+    score = _Distribution.score
+    natural_score = _Distribution.natural_score
+    prob_gradient = _Distribution.prob_gradient
+    entropy = _Distribution.entropy
+    stepped = _Distribution.stepped
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).copy()
@@ -462,19 +460,6 @@ class CategoricalParams(_Distribution):
     def probs(self):
         return self._block().p[0].copy()
 
-    def sample(self, rng, size=None):
-        """Inverse-CDF sampling; boundary ties break toward the lower index."""
-        return _sample_one(self, rng, size, int)
-
-    def score(self, x):
-        return _per_sample(self._block().score, x)
-
-    def natural_score(self, x):
-        return _per_sample(self._block().natural_score, x)
-
-    def prob_gradient(self, x):
-        return _per_sample(self._block().prob_gradient, x)
-
     def fim(self):
         """Diagonal Fisher entries 1/p_k; requires the PROBS parametrization."""
         if self.mode != PROBS:
@@ -485,12 +470,6 @@ class CategoricalParams(_Distribution):
         """Elementwise reciprocal of :meth:`fim`: the probability vector."""
         return self.probs()
 
-    def entropy(self):
-        return float(self._block().entropy()[0])
-
-    def stepped(self, gradient, eta):
-        return _stepped_one(self, gradient, eta)
-
 
 @dataclass
 class GaussianParams(_Distribution):
@@ -499,10 +478,19 @@ class GaussianParams(_Distribution):
     family = "gaussian"
     mu: float
     log_sigma: float
+    sample = _Distribution.sample
+    score = _Distribution.score
+    natural_score = _Distribution.natural_score
+    prob_gradient = _Distribution.prob_gradient
+    entropy = _Distribution.entropy
+    stepped = _Distribution.stepped
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.log_sigma)):
-            raise ValueError("mu and log_sigma must be finite")
+        for name, low, high in zip(("mu", "log_sigma"), GaussianBlock.lower,
+                                   GaussianBlock.upper):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in [{low:.7g}, {high:.7g}]"
+                                 f", got {getattr(self, name)}")
 
     def snapshot(self):
         return {"mu": float(self.mu), "log_sigma": float(self.log_sigma)}
@@ -513,24 +501,6 @@ class GaussianParams(_Distribution):
     @property
     def sigma(self):
         return math.exp(self.log_sigma)
-
-    def sample(self, rng, size=None):
-        return _sample_one(self, rng, size, float)
-
-    def score(self, x):
-        return _per_sample(self._block().score, x)
-
-    def natural_score(self, x):
-        return _per_sample(self._block().natural_score, x)
-
-    def prob_gradient(self, x):
-        return _per_sample(self._block().prob_gradient, x)
-
-    def entropy(self):
-        return float(self._block().entropy()[0])
-
-    def stepped(self, gradient, eta):
-        return _stepped_one(self, gradient, eta)
 
 
 # family name -> its per-hole class
@@ -591,14 +561,12 @@ class _Layout:
                                for h in g.holes for i in range(g.width)],
                               dtype=np.intp)
         self.cell_of = cells[self.hole_of]  # vector position -> its cell
-        # vector position -> its bounds (see _Block.lower and .upper)
-        self.lower = np.full(self.hole_of.size, -sys.float_info.max)
-        self.upper = np.full(self.hole_of.size, sys.float_info.max)
+        # vector position -> its bounds (see _Block)
+        self.lower, self.upper = np.empty((2, self.hole_of.size))
         for g in self.groups:
-            for bounds, column in ((self.lower, g.block_type.lower),
-                                   (self.upper, g.block_type.upper)):
-                if column is not None:
-                    bounds[g.start:g.stop] = np.tile(column, len(g.holes))
+            size = g.stop - g.start
+            self.lower[g.start:g.stop] = np.resize(g.block_type.lower, size)
+            self.upper[g.start:g.stop] = np.resize(g.block_type.upper, size)
         # hole -> its slice of the vector, and whether it draws categories
         self.spans = [None] * self.size
         for g in self.groups:
@@ -778,16 +746,18 @@ class ParamState:
         return self._per_group(
             lambda g, b: [b.distribution(j) for j in range(len(g.holes))])
 
-    def stepped(self, gradient, eta):
+    def stepped(self, gradient, eta, hole_ids=None):
         """The state after the ascent step ``theta + eta * gradient`` and
-        each family's projection; ``gradient`` is a vector in this state's
-        order and ``eta`` one learning rate or one per vector position (see
-        :meth:`_Layout.vector_of` and :meth:`_Layout.rates_of`)."""
+        each family's projection, checked by :func:`_check_finite`, which
+        names holes by ``hole_ids``.  See :meth:`_Layout.vector_of` and
+        :meth:`_Layout.rates_of` for the forms of ``gradient`` and ``eta``."""
+        layout = self.layout
+        eta, gradient = layout.rates_of(eta), layout.vector_of(gradient)
         vector = self.vector + eta * gradient
-        for g in self.layout.groups:
+        for g in layout.groups:
             g.block_type.project(
                 vector[g.start:g.stop].reshape(-1, g.width), g.mode)
-        return ParamState(self.layout, vector)
+        return _check_finite(ParamState(layout, vector), hole_ids)
 
     def entropies(self):
         """Entropy per hole in nats, in hole order."""
@@ -796,3 +766,32 @@ class ParamState:
     def greedy(self):
         """Modal value per hole (category index, 0/1 or Gaussian mean)."""
         return self._per_group(lambda g, b: b.greedy())
+
+
+class DivergenceError(FloatingPointError):
+    """A step left hole ``hole`` of ``state``, the stepped state, out of
+    bounds.  Raised by :func:`disnes.optimizer.train`, it holds the pairs
+    of the cells that finished before the diverging one as ``finished``."""
+
+    def __init__(self, message, hole, state):
+        super().__init__(message)
+        self.hole, self.state, self.finished = hole, state, []
+
+
+def _check_finite(state, hole_ids=None):
+    """``state``, or :class:`DivergenceError` naming the first hole, in
+    hole order, with a parameter out of its bounds (see :class:`_Block`).
+    The message calls them non-finite if one is NaN or infinite (out of
+    any bounds), else out-of-range."""
+    vector = state.vector
+    ok = vector >= state.layout.lower
+    ok &= vector <= state.layout.upper
+    if not ok.all():
+        hole = int(state.layout.hole_of[~ok].min())
+        name = hole_ids[hole] if hole_ids else hole
+        finite = np.isfinite(vector[state.layout.spans[hole]]).all()
+        fault = "out-of-range" if finite else "non-finite"
+        raise DivergenceError(
+            f"{fault} parameters for hole {name!r} after update: "
+            f"{state[hole]}", hole, state)
+    return state

@@ -26,7 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from .distributions import LOGITS, PROBS, DrawPlan, ParamState
+# _check_finite is re-exported for bench/tracer.py, which hooks it here
+from .distributions import (  # noqa: F401
+    LOGITS, PROBS, DivergenceError, DrawPlan, ParamState, _check_finite,
+)
 
 
 # estimator kind for Gaussian holes: standard continuous-ES variance
@@ -121,18 +124,15 @@ def sgd_step(params_set, gradients, eta, hole_ids=None):
     (else ``ValueError``), or is one vector in the state's order (as
     :attr:`GradientEstimate.vector <disnes.estimator.GradientEstimate>`).
     ``eta`` is one learning rate, one per cell of a state of several
-    cells, or one per vector position.  The step is one NumPy operation on
-    the flat vector plus one projection per group, and the result is a
-    :class:`ParamState`.  :func:`_check_finite` then checks the stepped
-    vector, so a divergent update raises :class:`DivergenceError` (a
-    ``FloatingPointError``) naming its first hole out of bounds: the id
-    from ``hole_ids``, else the position.
+    cells, or one per vector position.  The step is
+    :meth:`ParamState.stepped`: one NumPy operation on the flat vector plus
+    one projection per group, and the result is a :class:`ParamState`.
+    :func:`_check_finite` then checks the stepped vector, so a divergent
+    update raises :class:`DivergenceError` (a ``FloatingPointError``)
+    naming its first hole out of bounds: the id from ``hole_ids``, else
+    the position.
     """
-    state = ParamState.of(params_set)
-    layout = state.layout
-    stepped = state.stepped(layout.vector_of(gradients), layout.rates_of(eta))
-    _check_finite(stepped, hole_ids)
-    return stepped
+    return ParamState.of(params_set).stepped(gradients, eta, hole_ids)
 
 
 def greedy_decode(params_set):
@@ -249,37 +249,3 @@ def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
             decode_loss=decode_loss,
             params=state.cell(k),
         ))
-
-
-class DivergenceError(FloatingPointError):
-    """A step left a hole's parameters non-finite, or a Gaussian's log
-    sigma outside the range where sigma is a positive normal float.
-    ``hole`` is its position in
-    ``state``, the stepped state.  Raised by :func:`train`, it also holds
-    the ``(log, params)`` pairs of the cells that finished before the
-    diverging one, as ``finished``."""
-
-    def __init__(self, message, hole, state):
-        super().__init__(message)
-        self.hole, self.state, self.finished = hole, state, []
-
-
-def _check_finite(state, hole_ids=None):
-    """Raise :class:`DivergenceError` naming the first hole, in hole
-    order, whose parameters in ``state`` are not all finite or leave
-    their family's bounds (a log sigma whose sigma overflows, or underflows
-    below the smallest normal float).  The bounds of every other position
-    are the largest finite floats, so a NaN or an infinity fails them.
-    The message calls the parameters non-finite when one is NaN or
-    infinite, and out-of-range when all are finite."""
-    vector = state.vector
-    ok = vector >= state.layout.lower
-    ok &= vector <= state.layout.upper
-    if not ok.all():
-        hole = int(state.layout.hole_of[~ok].min())
-        name = hole_ids[hole] if hole_ids else hole
-        finite = np.isfinite(vector[state.layout.spans[hole]]).all()
-        fault = "out-of-range" if finite else "non-finite"
-        raise DivergenceError(
-            f"{fault} parameters for hole {name!r} after update: "
-            f"{state[hole]}", hole, state)

@@ -40,7 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import CategoricalParams, GaussianParams, LOGITS, PROBS
+from .distributions import (
+    F32_MAX, LOGITS, PROBS, CategoricalParams, GaussianParams,
+)
 
 COND = "COND"
 OP = "OP"
@@ -565,9 +567,13 @@ def _render_expr(node, assignment, parent_level=0):
     if isinstance(node, Neg):
         return "-" + _render_expr(node.operand, assignment, len(_LEVELS))
     if isinstance(node, Hole):
-        if assignment is not None:
-            return format_f32(assignment[node.id])
-        return node.token
+        if assignment is None:
+            return node.token
+        value = assignment[node.id]
+        if not abs(value) <= F32_MAX:
+            raise SketchError(f"hole {node.id!r}: {value} is beyond the f32 "
+                              "range")
+        return format_f32(value)
     op = node.op
     if not isinstance(op, Hole):
         op_text = op
@@ -586,7 +592,9 @@ def render(program, assignment=None):
     """Render a program back to sketch source.
 
     Without an assignment, hole tokens are emitted verbatim; with one,
-    concrete operators and shortest-round-trip f32 literals are emitted.
+    concrete operators and shortest-round-trip f32 literals are emitted,
+    and a REAL value beyond the f32 range (or NaN) raises
+    :class:`SketchError`.
     """
     if assignment is not None:
         missing = [h.id for h in program.holes if h.id not in assignment]

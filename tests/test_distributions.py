@@ -250,3 +250,13 @@ class TestValidation:
     def test_gaussian_finite(self):
         with pytest.raises(ValueError):
             GaussianParams(float("nan"), 0.0)
+
+    @pytest.mark.parametrize("mu,log_sigma", [
+        (0.0, 800.0), (0.0, -800.0), (1e39, 0.0), (-1e39, 0.0),
+    ])
+    def test_gaussian_within_the_step_bounds(self, mu, log_sigma):
+        # the bounds a step is checked against: sigma a positive normal
+        # float, mu a finite f32
+        with pytest.raises(ValueError, match="must lie in"):
+            GaussianParams(mu, log_sigma)
+        GaussianParams(np.finfo(np.float32).max, 709.0)

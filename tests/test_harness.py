@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ def _main_snapshot(hole, params):
     params_set = holes_to_distributions(program)
     params_set[hole] = params
     return harness.params_to_json(params_set, program.hole_ids())
+
+
+def _gaussian_snapshot(mu, log_sigma):
+    """A params snapshot of the main sketch with hole ``real1`` set to
+    ``(mu, log_sigma)``, which the constructor may reject."""
+    data = json.loads(_main_snapshot(1, GaussianParams(0.0, 0.0)))
+    data["holes"][1].update(mu=mu, log_sigma=log_sigma)
+    return json.dumps(data)
 
 
 def _sketch(expression):
@@ -276,6 +285,8 @@ class TestCli:
         ["run-ablation", "--seed", "1,,2"],
         ["run-ablation", "--lr", "0.05"],
         ["verify", "--samples", "0"],
+        ["verify", "--samples", "1"],
+        ["verify", "--estimates", "1"],
         ["run-main", "--sketch", "{sketch}", "--out", "{out}"],
         ["run-ablation", "--sketch", "{sketch}", "--out", "{out}"],
         ["decode", "--params", "{bad_json}", "--sketch", "{main}"],
@@ -284,6 +295,8 @@ class TestCli:
         ["decode", "--params", "{gaussian_on_cond}", "--sketch", "{main}"],
         ["decode", "--params", "{categorical_on_real}", "--sketch", "{main}"],
         ["decode", "--params", "{k4_on_cond}", "--sketch", "{main}"],
+        ["decode", "--params", "{sigma_overflow}", "--sketch", "{main}"],
+        ["decode", "--params", "{mu_beyond_f32}", "--sketch", "{main}"],
         ["run-main", "--sketch", "{not_utf8}", "--out", "{out}"],
         ["run-ablation", "--sketch", "{not_utf8}", "--out", "{out}"],
         ["decode", "--params", "{good}", "--sketch", "{not_utf8}"],
@@ -310,6 +323,8 @@ class TestCli:
                 1, CategoricalParams(np.zeros(4), mode=LOGITS)),
             "k4_on_cond": _main_snapshot(
                 0, CategoricalParams(np.zeros(4), mode=LOGITS)),
+            "sigma_overflow": _gaussian_snapshot(0.0, 800.0),
+            "mu_beyond_f32": _gaussian_snapshot(1e39, 0.0),
             "not_utf8": b"fn f(x: f32) -> f32 { return x; } // \xff",
             "nested_json": "[" * 100_000 + "]" * 100_000,
             "deep_sketch": _sketch("(" * 5000 + "x" + ")" * 5000),
@@ -343,6 +358,19 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(
             "error: out-of-range parameters for hole 'real")
+
+    def test_real_mean_beyond_f32_is_a_divergence(self, tmp_path, capsys):
+        # the mean of real5 leaves the f32 range while log sigma is still
+        # in bounds; rendered, it would be an inf literal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run-main", "--lr", "1000", "--iters", "300",
+                             "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: out-of-range parameters for hole 'real5'")
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

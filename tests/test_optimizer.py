@@ -86,13 +86,18 @@ class TestSgdStep:
         (CategoricalParams(np.full(3, 1 / 3), mode=PROBS), [np.nan, 0.0, 0.0]),
         (CategoricalParams(np.zeros(3), mode=LOGITS), [np.inf, 0.0, 0.0]),
         (GaussianParams(0.0, 0.0), [0.0, np.nan]),
+        # finite, but beyond the f32 range of a decoded program's literal
+        (GaussianParams(0.0, 0.0), [1e40, 0.0]),
     ], ids=["bernoulli", "categorical_probs", "categorical_logits",
-            "gaussian"])
+            "gaussian", "gaussian_mu_beyond_f32"])
     def test_divergent_step_raises_naming_the_hole(self, params, gradient):
         with pytest.raises(FloatingPointError, match="hole 'h7'"):
             sgd_step([params], [np.array(gradient)], 0.1, hole_ids=["h7"])
         with pytest.raises(FloatingPointError, match="hole 0 "):
             sgd_step([params], [np.array(gradient)], 0.1)
+        # a per-hole step is the step of a one-hole state
+        with pytest.raises(optimizer.DivergenceError, match="hole 0 "):
+            params.stepped(np.array(gradient), 0.1)
 
     def test_sigma_overflow_raises_naming_the_hole(self):
         # log sigma = 800 is finite, but sigma = exp(800) is not: sampling
@@ -103,6 +108,8 @@ class TestSgdStep:
         with pytest.raises(FloatingPointError, match="hole 0 "):
             sgd_step([GaussianParams(0.0, 0.0)], [np.array([0.0, 8000.0])],
                      0.1)
+        with pytest.raises(optimizer.DivergenceError, match="hole 0 "):
+            GaussianParams(0.0, 0.0).stepped(np.array([0.0, 8000.0]), 0.1)
         # just below the bound the state still samples
         state = sgd_step([GaussianParams(0.0, 0.0)],
                          [np.array([0.0, 7090.0])], 0.1)

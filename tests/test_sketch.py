@@ -408,6 +408,15 @@ class TestRender:
             v = np.float32(rng.normal() * 10.0 ** rng.integers(-3, 4))
             assert np.float32(float(format_f32(v))) == v
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, float("nan")])
+    def test_real_value_beyond_f32_range_rejected(self, value):
+        # np.float32 would warn and write inf or nan, which parse rejects
+        assignment = dict(LEARNED_ASSIGNMENT, real2=value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SketchError, match="hole 'real2'"):
+                render(parse(MAIN_SKETCH), assignment)
+
 
 class TestHolesToDistributions:
     def test_main_sketch_families(self):
