@@ -19,11 +19,11 @@ def main():
                          seed=1, log_every=100)
     [(log, params)] = train(problem, [config])
 
-    print("iter    population-MSE    entropies (cond0, op3, op4)")
+    print("iter    population-MSE    entropies "
+          f"({', '.join(log.discrete_ids)})")
     for rec in log.records:
-        ent = [rec.entropies[h] for h in ("cond0", "op3", "op4")]
         print(f"{rec.iteration:5d}    {rec.loss:14.6f}    "
-              + "  ".join(f"{e:.3f}" for e in ent))
+              + "  ".join(f"{e:.3f}" for e in rec.entropies))
 
     decoded = greedy_decode(params)
     assignment = dict(zip(problem.hole_ids(), decoded))

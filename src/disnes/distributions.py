@@ -39,15 +39,13 @@ checks its fields and gives its params-snapshot fields; :data:`FAMILIES`
 maps the names back to them.
 
 Random draws read the stream in hole order: each Bernoulli or categorical
-hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals.
+hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals,
+with one ``Generator`` call per hole (bound once by a :class:`DrawPlan`).
 A state's draws come as one ``(holes, n)`` float64 matrix in its group
 order (see :class:`ParamState`), so a group's samples are one slice of
-it.  A run of holes of one cell with the same draw type, each next to the
-last both in hole order and in group order, shares one ``Generator``
-call (bound once by a :class:`DrawPlan`), which reads the stream exactly
-as one call per hole would.  Each cell draws from its own generator, so
-a state, each of its cells and its per-hole distributions draw the same
-samples from the same seeds.
+it.  Each cell draws from its own generator, so a state, each of its
+cells and its per-hole distributions draw the same samples from the
+same seeds.
 
 All operations are pure given ``(params, rng)``; callers that run
 concurrently must each own a distinct ``numpy.random.Generator``.
@@ -574,18 +572,9 @@ class _Layout:
                 start = g.start + j * g.width
                 self.spans[hole] = slice(start, start + g.width)
         self.discrete = [block_type.discrete for block_type, _, _ in keys]
-        # runs of holes of one cell with the same draw type, each hole
-        # next to the last in hole order and in group order, in hole
-        # order: [draw, first row, stop row, cell]
-        self.runs = []
-        for (block_type, _, _), cell, row in zip(keys, cells.tolist(),
-                                                 row_of.tolist()):
-            run = self.runs[-1] if self.runs else None
-            if run and run[0] == block_type.draw and run[3] == cell \
-                    and run[2] == row:
-                run[2] = row + 1
-            else:
-                self.runs.append([block_type.draw, row, row + 1, cell])
+        # per hole, in hole order: its draw type, its row and its cell
+        self.draws = [(key[0].draw, row, cell) for key, row, cell
+                      in zip(keys, row_of.tolist(), cells.tolist())]
         # per cell: its one-cell layout, and the positions in this vector
         # of that layout's vector
         self.cells = [(self, np.arange(self.hole_of.size))]
@@ -635,11 +624,10 @@ class _Layout:
 class DrawPlan:
     """The ``lam`` draws per hole of one layout's states, set up once.
 
-    Each run of holes (see :class:`_Layout`) has its ``Generator`` method
-    bound to the run's rows of one noise buffer in group order, which
-    every draw overwrites; cell ``c`` draws from ``rngs[c]``.  The calls
-    read the stream in hole order, as one call per hole would, so the
-    draws do not depend on the plan.
+    Each hole has its ``Generator`` method bound to the hole's row of one
+    noise buffer in group order, which every draw overwrites; cell ``c``
+    draws from ``rngs[c]``.  The calls run in hole order, so each cell's
+    stream is read as one call per hole reads it.
     """
 
     def __init__(self, layout, rngs, lam):
@@ -647,8 +635,8 @@ class DrawPlan:
         self.noise = np.empty((layout.size, lam))
         # positional (size, dtype, out): cheaper to call than a keyword
         self.calls = [partial(getattr(rngs[cell], draw), None, np.float64,
-                              self.noise[start:stop])
-                      for draw, start, stop, cell in layout.runs]
+                              self.noise[row])
+                      for draw, row, cell in layout.draws]
 
     def sample(self, blocks):
         """The draws of the state whose blocks are ``blocks``: a fresh
@@ -781,14 +769,16 @@ class DivergenceError(FloatingPointError):
 def _check_finite(state, hole_ids=None):
     """``state``, or :class:`DivergenceError` naming the first hole, in
     hole order, with a parameter out of its bounds (see :class:`_Block`).
-    The message calls them non-finite if one is NaN or infinite (out of
-    any bounds), else out-of-range."""
+    ``hole_ids`` are the ids of one cell's holes, so hole ``h`` of a state
+    of several cells is ``hole_ids[h % len(hole_ids)]``.  The message
+    calls the parameters non-finite if one is NaN or infinite (out of any
+    bounds), else out-of-range."""
     vector = state.vector
     ok = vector >= state.layout.lower
     ok &= vector <= state.layout.upper
     if not ok.all():
         hole = int(state.layout.hole_of[~ok].min())
-        name = hole_ids[hole] if hole_ids else hole
+        name = hole_ids[hole % len(hole_ids)] if hole_ids else hole
         finite = np.isfinite(vector[state.layout.spans[hole]]).all()
         fault = "out-of-range" if finite else "non-finite"
         raise DivergenceError(

@@ -113,8 +113,12 @@ def params_from_json(text):
             family = FAMILIES.get(h["family"])
             if family is None:
                 raise ValueError(f"unknown family {h['family']!r}")
-            params.append(family(**{f.name: h[f.name]
-                                    for f in fields(family)}))
+            values = {f.name: h[f.name] for f in fields(family)}
+            if any(isinstance(v, bool) for value in values.values()
+                   for v in (value if isinstance(value, list) else [value])):
+                raise ValueError(f"hole {h['id']!r}: a JSON true or false "
+                                 "where a number belongs")
+            params.append(family(**values))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed params snapshot: {exc!r}") from exc
     return hole_ids, params
@@ -143,14 +147,13 @@ def run_single(experiment, arm, problem, config, log, params, out_dir):
                      final_loss, outputs, program_text, csv_path)
 
 
-def _run_cells(experiment, program, spec, cells, out_dir):
+def _run_cells(experiment, problem, cells, out_dir):
     """Train the (arm, config) ``cells`` in one batch and persist each.
 
     If a cell diverges, the cells before it are persisted, as a run of
     one cell after another would have left them, before its error is
     raised.
     """
-    problem = SketchProblem(program, spec)
     configs = [replace(config, estimator_kind=ARM_KINDS[arm])
                for arm, config in cells]
     failure = None
@@ -180,13 +183,14 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
     """Both arms of the single-input induction experiment for one seed,
     trained in one batch.
 
-    The sketch is parsed once, before anything is written, so a malformed
-    one raises :class:`SketchError` with ``out_dir`` untouched.
+    The sketch is parsed and checked against the specification once,
+    before anything is written, so a malformed one, or one of another
+    arity, raises :class:`SketchError` with ``out_dir`` untouched.
     """
     config = config or TrainConfig(seed=seed)
     config = replace(config, seed=seed)
-    program = parse(sketch_text or MAIN_SKETCH)
-    spec = spec or MAIN_SPEC
+    problem = SketchProblem(parse(sketch_text or MAIN_SKETCH),
+                            spec or MAIN_SPEC)
     _write_config_echo(out_dir, [
         ("experiment", "main"),
         ("arms", ",".join(arms)),
@@ -198,20 +202,21 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
         ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
-    return _run_cells("main", program, spec,
-                      [(arm, config) for arm in arms], out_dir)
+    return _run_cells("main", problem, [(arm, config) for arm in arms],
+                      out_dir)
 
 
 def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
                  learning_rates=ABLATION_LEARNING_RATES, arms=ABLATION_ARMS):
     """Learning-rate sweep comparing explicit-Fisher vs plain score arms.
 
-    The sketch is parsed once for the whole sweep, before anything is
-    written, and every (arm, lr, seed) cell trains in one batch.
+    The sketch is parsed and checked against the specification once for
+    the whole sweep, before anything is written, and every (arm, lr, seed)
+    cell trains in one batch.
     """
     config = config or TrainConfig()
-    program = parse(sketch_text or ABLATION_SKETCH)
-    spec = spec or ABLATION_SPEC
+    problem = SketchProblem(parse(sketch_text or ABLATION_SKETCH),
+                            spec or ABLATION_SPEC)
     _write_config_echo(out_dir, [
         ("experiment", "ablation"),
         ("arms", ",".join(arms)),
@@ -225,7 +230,7 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
     ])
     cells = [(arm, replace(config, learning_rate=lr, seed=seed))
              for arm in arms for lr in learning_rates for seed in seeds]
-    return _run_cells("ablation", program, spec, cells, out_dir)
+    return _run_cells("ablation", problem, cells, out_dir)
 
 
 def emit_summary(results, path):

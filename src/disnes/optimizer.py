@@ -88,7 +88,7 @@ def _transform_for(name):
 class LogRecord:
     iteration: int
     loss: float
-    entropies: dict  # discrete hole id -> entropy in nats
+    entropies: tuple  # nats, per discrete hole in its log's discrete_ids order
     decode_loss: float | None
     params: ParamState  # one-cell copy of the parameters after the update
 
@@ -106,7 +106,7 @@ class TrainingLog:
         buf.write(",".join(cols) + "\n")
         for rec in self.records:
             row = [str(rec.iteration), repr(rec.loss)]
-            row += [repr(rec.entropies[h]) for h in self.discrete_ids]
+            row += map(repr, rec.entropies)
             row.append("" if rec.decode_loss is None else repr(rec.decode_loss))
             buf.write(",".join(row) + "\n")
         return buf.getvalue()
@@ -192,14 +192,14 @@ def train(problem, configs):
     lam = shared.population
     cells = [_Cell(problem, c) for c in configs]
     state = ParamState.joined([c.state for c in cells])
-    draws, kinds, rates, ids = _batch(cells, state.layout, lam, hole_ids)
+    draws, kinds, rates = _batch(cells, state.layout, lam)
     transform = _transform_for(shared.fitness_transform)
     failure = None
     for i in range(1, shared.iterations + 1):
         estimate = est.estimate_gradient(
             state, fitness, lam, draws, kinds, fitness_transform=transform)
         try:
-            state = sgd_step(state, estimate.vector, rates, ids)
+            state = sgd_step(state, estimate.vector, rates, hole_ids)
         except DivergenceError as exc:
             failure = exc
             cells = cells[:exc.hole // len(hole_ids)]
@@ -207,8 +207,7 @@ def train(problem, configs):
                 break
             state = ParamState.joined(
                 [exc.state.cell(k) for k in range(len(cells))])
-            draws, kinds, rates, ids = _batch(cells, state.layout, lam,
-                                              hole_ids)
+            draws, kinds, rates = _batch(cells, state.layout, lam)
         if (i - 1) % shared.log_every == 0:
             decode = (i - 1) % (shared.log_every * 10) == 0
             fits = estimate.fitnesses.reshape(-1, shared.population)
@@ -220,14 +219,13 @@ def train(problem, configs):
     return finished
 
 
-def _batch(cells, layout, lam, hole_ids):
+def _batch(cells, layout, lam):
     """What every iteration of ``cells``, joined in ``layout``, reuses: the
-    plan of their draws, the split of their holes' estimator kinds, the
-    learning rate of each vector position and the id of each hole."""
+    plan of their draws, the split of their holes' estimator kinds and the
+    learning rate of each vector position."""
     return (DrawPlan(layout, [c.rng for c in cells], lam),
             est.KindPlan(layout, [k for c in cells for k in c.kinds]),
-            layout.rates_of([c.learning_rate for c in cells]),
-            hole_ids * len(cells))
+            layout.rates_of([c.learning_rate for c in cells]))
 
 
 def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
@@ -245,7 +243,7 @@ def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
         cell.log.records.append(LogRecord(
             iteration=iteration,
             loss=-float(means[k]),
-            entropies={hole_ids[h]: cell_entropies[h] for h in cell.discrete},
+            entropies=tuple([cell_entropies[h] for h in cell.discrete]),
             decode_loss=decode_loss,
             params=state.cell(k),
         ))

@@ -28,7 +28,9 @@ of the file format.
 Evaluation is IEEE 32-bit arithmetic with round-to-nearest-even, applied
 elementwise, and is total and silent: division by zero and overflow follow
 IEEE semantics without a warning, and any assignment yields an f32 result.
-A program is compiled once into an evaluation plan (see ``eval_batch``).
+A program is compiled once into an evaluation plan (see ``eval_batch``)
+that reads a population as one ``(holes, lam)`` matrix, a row per hole in
+inventory order; hole ids serve only text and dict assignments.
 """
 
 from __future__ import annotations
@@ -365,10 +367,11 @@ _UFUNCS = {
 }
 
 
-def _compile(node):
-    """Compile an expression into ``fn(hole_values, inputs, members)``,
-    which returns the node's f32 value, broadcastable to ``(lam, n)``;
-    ``members`` is ``arange(lam)``."""
+def _compile(node, rows):
+    """Compile an expression into ``fn(draws, inputs, members)``, which
+    returns the node's f32 value, broadcastable to ``(lam, n)``; ``rows``
+    maps each hole id to its row of ``draws`` and ``members`` is
+    ``arange(lam)``."""
     if isinstance(node, Num):
         value = np.float32(node.value)
         return lambda hv, xs, members: value
@@ -376,15 +379,14 @@ def _compile(node):
         col = node.index
         return lambda hv, xs, members: xs[:, col]
     if isinstance(node, Hole):  # a REAL hole: one constant per member
-        hid = node.id
-        return lambda hv, xs, members: (
-            np.asarray(hv[hid], dtype=np.float32)[:, None])
+        row = rows[node.id]
+        return lambda hv, xs, members: hv[row].astype(np.float32)[:, None]
     if isinstance(node, Neg):
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, rows)
         return lambda hv, xs, members: np.negative(operand(hv, xs, members))
-    left, right = _compile(node.left), _compile(node.right)
+    left, right = _compile(node.left, rows), _compile(node.right, rows)
     if isinstance(node.op, Hole):
-        return _operator_hole(node.op, left, right)
+        return _operator_hole(node.op, rows[node.op.id], left, right)
     ufunc = _UFUNCS[node.op]
     if node.op in COND_OPS:
         # comparison results feed back into arithmetic as 0.0 / 1.0
@@ -394,10 +396,10 @@ def _compile(node):
                                          right(hv, xs, members))
 
 
-def _operator_hole(hole, left, right):
-    """A COND/OP hole: each candidate operator writes its result into one
-    ``(K, lam, n)`` f32 buffer, and one gather picks each member's."""
-    hid = hole.id
+def _operator_hole(hole, row, left, right):
+    """A COND/OP hole whose draws are row ``row``: each candidate operator
+    writes its result into one ``(K, lam, n)`` f32 buffer, and one gather
+    picks each member's."""
     ufuncs = tuple(_UFUNCS[sym] for sym in hole.categories)
 
     def pick(hv, xs, members):
@@ -406,24 +408,26 @@ def _operator_hole(hole, left, right):
                        dtype=np.float32)
         for ufunc, out in zip(ufuncs, buf):
             ufunc(a, b, out=out)
-        return buf[np.asarray(hv[hid], dtype=np.intp), members]
+        return buf[hv[row].astype(np.intp), members]
     return pick
 
 
 def _compile_program(program):
-    """The program as one function of ``(hole_values, inputs, members)``.
+    """The program as one function of ``(draws, inputs, members)``.
 
     Guards are tested in order, so the first true one wins: the branches
     are folded from the last to the first over the final expression.  A
     guard is true where its value is not 0.0, which makes NaN true.
     """
+    rows = {hole.id: row for row, hole in enumerate(program.holes)}
+
     def guard(node):
-        value = _compile(node)
+        value = _compile(node, rows)
         return lambda hv, xs, members: value(hv, xs, members) != 0.0
 
-    branches = [(guard(cond), _compile(expr))
+    branches = [(guard(cond), _compile(expr, rows))
                 for cond, expr in reversed(program.branches)]
-    final = _compile(program.else_expr)
+    final = _compile(program.else_expr, rows)
 
     def run(hv, xs, members):
         out = final(hv, xs, members)
@@ -433,21 +437,26 @@ def _compile_program(program):
     return run
 
 
-def eval_batch(program, hole_values, inputs):
+def eval_batch(program, draws, inputs):
     """Evaluate a population of assignments over all specification inputs.
 
-    ``hole_values`` maps hole id to a length-``lam`` array (category index
-    arrays for COND/OP holes, float arrays for REAL holes); ``inputs`` is
-    an ``(n, arity)`` float32 array.  Returns a ``(lam, n)`` float32 array.
+    ``draws`` is a ``(holes, lam)`` array, or anything that
+    ``np.asarray(draws, dtype=np.float64)`` makes one of: row ``h`` holds
+    the values of ``program.holes[h]`` for the ``lam`` members, category
+    indices for COND/OP holes and reals for REAL holes.  ``inputs`` is an
+    ``(n, arity)`` float32 array.  Returns a ``(lam, n)`` float32 array.
     The program is compiled on its first evaluation and the plan is kept
     on it.  Every IEEE exception is silent, so evaluation is total:
     overflow, division by zero, invalid operations, and REAL values or
     inputs beyond the f32 range, which become ±inf.
     """
-    lam = next((np.asarray(v).shape[0] for v in hole_values.values()), 1)
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 2 or len(draws) != len(program.holes):
+        raise ValueError(f"draws {draws.shape} for {len(program.holes)} holes")
+    lam = draws.shape[1]
     with np.errstate(all="ignore"):
         inputs = np.asarray(inputs, dtype=np.float32)
-        out = program._plan(hole_values, inputs, np.arange(lam))
+        out = program._plan(draws, inputs, np.arange(lam))
     shape = (lam, inputs.shape[0])
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
@@ -458,29 +467,38 @@ def eval_program(program, assignment, input_vector):
     ``assignment`` maps hole id to a category index (COND/OP) or real
     value (REAL).  Returns a ``numpy.float32``.
     """
-    missing = [h.id for h in program.holes if h.id not in assignment]
-    if missing:
-        raise SketchError(f"assignment missing holes: {missing}")
-    draws = _one_member(program, [assignment[h.id] for h in program.holes])
+    draws = _one_member(program, assignment)
     inputs = np.asarray(input_vector).reshape(1, -1)
     if inputs.shape[1] != program.arity:
         raise SketchError(
             f"input arity {inputs.shape[1]} != program arity {program.arity}")
-    return eval_batch(program, dict(zip(program.hole_ids(), draws)),
-                      inputs)[0, 0]
+    return eval_batch(program, draws, inputs)[0, 0]
 
 
-def _one_member(program, values):
-    """One assignment's values (in hole order) as length-1 draw arrays.
+def _check_assigned(program, assignment):
+    missing = [h.id for h in program.holes if h.id not in assignment]
+    if missing:
+        raise SketchError(f"assignment missing holes: {missing}")
 
-    A COND/OP value must be one of its hole's category indices; the
-    evaluator's gather would wrap a negative one around.
-    """
-    for hole, value in zip(program.holes, values):
-        if hole.kind != REAL and not 0 <= value < len(hole.categories):
-            raise SketchError(
-                f"hole {hole.id!r}: category index {value!r} out of range")
-    return [np.asarray([v]) for v in values]
+
+def _category(hole, value):
+    """``value`` as a category index of the COND/OP ``hole``: a whole
+    number in ``0..K-1``, else :class:`SketchError` naming the hole."""
+    if value not in range(len(hole.categories)):
+        raise SketchError(f"hole {hole.id!r}: category index {value!r} out "
+                          f"of range 0..{len(hole.categories) - 1}")
+    return int(value)
+
+
+def _one_member(program, assignment):
+    """One assignment, a dict keyed by hole id or the values in hole
+    order, as the ``(holes, 1)`` draws of :func:`eval_batch`."""
+    if isinstance(assignment, dict):
+        _check_assigned(program, assignment)
+        assignment = [assignment[h.id] for h in program.holes]
+    values = [v if h.kind == REAL else _category(h, v)
+              for h, v in zip(program.holes, assignment)]
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
 
 
 # --- Specification and fitness ---------------------------------------------
@@ -517,11 +535,6 @@ class SpecFitness:
                 f"program arity {program.arity}")
         self.program = program
         self.spec = spec
-        self.hole_ids = program.hole_ids()
-
-    def _outputs(self, draws):
-        hole_values = dict(zip(self.hole_ids, map(np.asarray, draws)))
-        return eval_batch(self.program, hole_values, self.spec.inputs)
 
     def mean_squared_error(self, outputs):
         """MSE of ``outputs`` against the specification (last axis): the
@@ -531,14 +544,15 @@ class SpecFitness:
         return np.add.reduce(err * err, axis=-1) / err.shape[-1]
 
     def population(self, draws):
-        """Fitness of ``lam`` members given per-hole draw arrays."""
-        return -self.mean_squared_error(self._outputs(draws))
+        """Fitness of ``lam`` members given their ``(holes, lam)`` draws
+        (see :func:`eval_batch`)."""
+        return -self.mean_squared_error(
+            eval_batch(self.program, draws, self.spec.inputs))
 
     def predicted_outputs(self, assignment):
         """f32 outputs of the assigned program on the specification inputs."""
-        if isinstance(assignment, dict):
-            assignment = [assignment[hid] for hid in self.hole_ids]
-        return self._outputs(_one_member(self.program, assignment))[0]
+        return eval_batch(self.program, _one_member(self.program, assignment),
+                          self.spec.inputs)[0]
 
     def __call__(self, assignment):
         outputs = self.predicted_outputs(assignment)
@@ -578,7 +592,7 @@ def _render_expr(node, assignment, parent_level=0):
     if not isinstance(op, Hole):
         op_text = op
     elif assignment is not None:
-        op_text = op.categories[int(assignment[op.id])]
+        op_text = op.categories[_category(op, assignment[op.id])]
     else:
         op_text = op.token
     level = _level(op)
@@ -597,9 +611,7 @@ def render(program, assignment=None):
     :class:`SketchError`.
     """
     if assignment is not None:
-        missing = [h.id for h in program.holes if h.id not in assignment]
-        if missing:
-            raise SketchError(f"assignment missing holes: {missing}")
+        _check_assigned(program, assignment)
     args = ", ".join(f"{a}: f32" for a in program.args)
     lines = [f"fn {program.name}({args}) -> f32", "{"]
     for cond, expr in program.branches:

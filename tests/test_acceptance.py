@@ -104,11 +104,12 @@ def test_criterion_3_algebraic_identities(capsys):
 
 @pytest.fixture(scope="module")
 def main_results(tmp_path_factory):
+    # the ten (arm, seed) cells of run-main --seed 1..5, in one batch
     out = str(tmp_path_factory.mktemp("main"))
-    results = []
-    for seed in harness.DEFAULT_SEEDS:
-        results += harness.run_main(seed, out)
-    return results
+    return harness.run_ablation(
+        harness.DEFAULT_SEEDS, out, sketch_text=harness.MAIN_SKETCH,
+        spec=harness.MAIN_SPEC, learning_rates=(0.1,),
+        arms=harness.MAIN_ARMS)
 
 
 def test_criterion_4_main_experiment(capsys, main_results):

@@ -52,14 +52,14 @@ def reference(program, assignment, row):
         return ev(program.else_expr)
 
 
-def assert_matches_reference(program, hole_values, inputs):
-    got = eval_batch(program, hole_values, inputs)
-    lam = next((len(v) for v in hole_values.values()), 1)
+def assert_matches_reference(program, draws, inputs):
+    """``draws`` is the ``(holes, lam)`` member matrix, in hole order."""
+    got = eval_batch(program, draws, inputs)
     with np.errstate(over="ignore"):
         rows = np.asarray(inputs, dtype=np.float32)
     want = np.array([[reference(program,
-                                {h: v[m] for h, v in hole_values.items()}, r)
-                      for r in rows] for m in range(lam)], dtype=np.float32)
+                                dict(zip(program.hole_ids(), member)), r)
+                      for r in rows] for member in draws.T], dtype=np.float32)
     assert got.dtype == np.float32 and got.shape == want.shape
     # IEEE 754 leaves a NaN result's sign and payload open, and NumPy's
     # scalar and vector loops keep different operands of NaN + NaN and
@@ -96,14 +96,14 @@ FIXED = {
 def special_population(program, lam):
     """Every REAL hole runs through SPECIALS and every operator hole
     through its categories, each hole shifted so members mix them."""
-    values = {}
+    rows = []
     for shift, hole in enumerate(program.holes):
         picks = np.arange(lam) + 3 * shift
         if hole.kind == REAL:
-            values[hole.id] = np.array(SPECIALS)[picks % len(SPECIALS)]
+            rows.append(np.array(SPECIALS)[picks % len(SPECIALS)])
         else:
-            values[hole.id] = picks % len(hole.categories)
-    return values
+            rows.append(picks % len(hole.categories))
+    return np.array(rows, dtype=np.float64).reshape(-1, lam)
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
@@ -115,9 +115,8 @@ def test_special_values_match_reference(name):
     population = special_population(program, 3 * len(SPECIALS))
     assert_matches_reference(program, population, inputs)
     for member in range(4):  # lam = 1
-        assert_matches_reference(
-            program, {h: v[member:member + 1] for h, v in population.items()},
-            inputs)
+        assert_matches_reference(program, population[:, member:member + 1],
+                                 inputs)
 
 
 values_f32 = st.one_of(st.sampled_from(SPECIALS), st.floats(width=32),
@@ -158,14 +157,14 @@ sketches = st.one_of(
 def test_eval_batch_matches_reference(data):
     program = parse(data.draw(sketches))
     lam = data.draw(st.integers(1, 4))
-    hole_values = {}
+    rows = []
     for hole in program.holes:
         values = (values_f32 if hole.kind == REAL
                   else st.integers(0, len(hole.categories) - 1))
-        hole_values[hole.id] = np.array(
-            data.draw(st.lists(values, min_size=lam, max_size=lam)))
+        rows.append(data.draw(st.lists(values, min_size=lam, max_size=lam)))
     n = data.draw(st.integers(1, 3))
     inputs = np.array(data.draw(st.lists(
         st.lists(values_f32, min_size=program.arity,
                  max_size=program.arity), min_size=n, max_size=n)))
-    assert_matches_reference(program, hole_values, inputs)
+    assert_matches_reference(
+        program, np.array(rows, dtype=np.float64).reshape(-1, lam), inputs)

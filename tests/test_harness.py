@@ -10,7 +10,7 @@ from disnes.distributions import (
     LOGITS, BernoulliParams, CategoricalParams, GaussianParams,
 )
 from disnes.optimizer import TrainConfig
-from disnes.sketch import holes_to_distributions, parse
+from disnes.sketch import holes_to_distributions, parse, render
 
 
 def _main_snapshot(hole, params):
@@ -22,11 +22,13 @@ def _main_snapshot(hole, params):
     return harness.params_to_json(params_set, program.hole_ids())
 
 
-def _gaussian_snapshot(mu, log_sigma):
-    """A params snapshot of the main sketch with hole ``real1`` set to
-    ``(mu, log_sigma)``, which the constructor may reject."""
-    data = json.loads(_main_snapshot(1, GaussianParams(0.0, 0.0)))
-    data["holes"][1].update(mu=mu, log_sigma=log_sigma)
+def _edited_snapshot(hole, **fields):
+    """A params snapshot of the main sketch with ``fields`` of hole number
+    ``hole`` set as given, which the constructor may reject."""
+    program = parse(harness.MAIN_SKETCH)
+    data = json.loads(harness.params_to_json(
+        holes_to_distributions(program), program.hole_ids()))
+    data["holes"][hole].update(fields)
     return json.dumps(data)
 
 
@@ -297,6 +299,10 @@ class TestCli:
         ["decode", "--params", "{k4_on_cond}", "--sketch", "{main}"],
         ["decode", "--params", "{sigma_overflow}", "--sketch", "{main}"],
         ["decode", "--params", "{mu_beyond_f32}", "--sketch", "{main}"],
+        ["decode", "--params", "{bool_gaussian}", "--sketch", "{main}"],
+        ["decode", "--params", "{bool_values}", "--sketch", "{main}"],
+        ["run-main", "--sketch", "{two_inputs}", "--out", "{out}"],
+        ["run-ablation", "--sketch", "{main}", "--out", "{out}"],
         ["run-main", "--sketch", "{not_utf8}", "--out", "{out}"],
         ["run-ablation", "--sketch", "{not_utf8}", "--out", "{out}"],
         ["decode", "--params", "{good}", "--sketch", "{not_utf8}"],
@@ -323,8 +329,12 @@ class TestCli:
                 1, CategoricalParams(np.zeros(4), mode=LOGITS)),
             "k4_on_cond": _main_snapshot(
                 0, CategoricalParams(np.zeros(4), mode=LOGITS)),
-            "sigma_overflow": _gaussian_snapshot(0.0, 800.0),
-            "mu_beyond_f32": _gaussian_snapshot(1e39, 0.0),
+            "sigma_overflow": _edited_snapshot(1, mu=0.0, log_sigma=800.0),
+            "mu_beyond_f32": _edited_snapshot(1, mu=1e39, log_sigma=0.0),
+            "bool_gaussian": _edited_snapshot(1, mu=True, log_sigma=False),
+            "bool_values": _edited_snapshot(
+                0, values=[True, False, 0, 0, 0, 0]),
+            "two_inputs": harness.ABLATION_SKETCH,
             "not_utf8": b"fn f(x: f32) -> f32 { return x; } // \xff",
             "nested_json": "[" * 100_000 + "]" * 100_000,
             "deep_sketch": _sketch("(" * 5000 + "x" + ")" * 5000),
@@ -376,6 +386,26 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run-main", "--estimator", "bogus"])
         assert exc.value.code == 2
+
+    def test_sketch_without_holes_trains(self, tmp_path, capsys):
+        sketch_path = tmp_path / "true.txt"
+        sketch_path.write_text(harness.TRUE_PROGRAM)
+        out = tmp_path / "m"
+        code = cli.main(["run-main", "--iters", "30", "--sketch",
+                         str(sketch_path), "--out", str(out)])
+        assert code == 0
+        for arm in harness.MAIN_ARMS:
+            stem = out / f"{arm}_lr0.1_seed1"
+            csv = stem.with_name(stem.name + ".csv").read_text()
+            assert csv.splitlines()[0] == "iter,loss,decode_loss"
+            params_path = stem.with_name(stem.name + "_params.json")
+            assert json.loads(params_path.read_text()) == {"holes": []}
+            program = stem.with_name(stem.name + "_program.txt").read_text()
+            assert program == render(parse(harness.TRUE_PROGRAM))
+            capsys.readouterr()
+            assert cli.main(["decode", "--params", str(params_path),
+                             "--sketch", str(sketch_path)]) == 0
+            assert capsys.readouterr().out == program
 
     def test_custom_sketch_flag(self, tmp_path):
         sketch_path = tmp_path / "s.txt"

@@ -183,7 +183,7 @@ class TestDivergenceWithoutWarnings:
         assert 0.0 in params[0].probs()  # the regime is reached
         assert "nan" not in log.to_csv()
         assert all(math.isfinite(v) for r in log.records
-                   for v in r.entropies.values())
+                   for v in r.entropies)
 
 
 class TestGreedyDecode:

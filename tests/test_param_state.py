@@ -304,18 +304,6 @@ def test_joined_cells_match_per_hole_reference(batch):
                             etas=etas)
 
 
-def test_runs_end_where_group_rows_do_not_follow_on():
-    codes = BATCHES["cond-op"][0][0]
-    one = ParamState.of(make_params(codes, np.random.default_rng(0)))
-    assert one.layout.runs == [["random", 0, 2, 0],
-                               ["standard_normal", 2, 3, 0]]
-    # rows: L6 holes 0 and 3, then L4 holes 1 and 4, then G holes 2 and 5
-    joint = ParamState.joined([one, one])
-    assert joint.layout.runs == [
-        ["random", 0, 1, 0], ["random", 2, 3, 0], ["standard_normal", 4, 5, 0],
-        ["random", 1, 2, 1], ["random", 3, 4, 1], ["standard_normal", 5, 6, 1]]
-
-
 class CountingRng:
     """A ``Generator`` that counts the calls made to it."""
 
@@ -335,7 +323,7 @@ class CountingRng:
 # calls one draw of that batch makes
 COMMAND_BATCHES = {
     "run-main": (harness.MAIN_SKETCH, harness.MAIN_SPEC, harness.MAIN_ARMS,
-                 8),
+                 12),
     "run-ablation": (harness.ABLATION_SKETCH, harness.ABLATION_SPEC,
                      [arm for arm in harness.ABLATION_ARMS
                       for _ in harness.ABLATION_LEARNING_RATES], 60),

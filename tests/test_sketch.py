@@ -315,11 +315,19 @@ class TestEval:
         with pytest.raises(SketchError, match="missing"):
             eval_program(parse(MAIN_SKETCH), {}, [1.0])
 
-    @pytest.mark.parametrize("index", [-1, 6])
+    @pytest.mark.parametrize("index", [-1, 6, 1.5])
     def test_category_index_out_of_range_rejected(self, index):
-        with pytest.raises(SketchError, match="out of range"):
-            eval_program(parse(MAIN_SKETCH),
-                         {**LEARNED_ASSIGNMENT, "cond0": index}, [1.0])
+        """Evaluation and rendering take a COND/OP value only as a whole
+        number in 0..K-1 and name the hole otherwise: a gather would wrap
+        -1 around and truncate 1.5."""
+        program = parse(MAIN_SKETCH)
+        assignment = {**LEARNED_ASSIGNMENT, "cond0": index}
+        for use in (lambda a: eval_program(program, a, [1.0]),
+                    lambda a: render(program, a),
+                    SpecFitness(program, MAIN_SPEC).predicted_outputs):
+            with pytest.raises(SketchError, match="hole 'cond0': category "
+                                                  "index .* out of range"):
+                use(assignment)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(SketchError, match="arity"):
