@@ -356,7 +356,8 @@ class _Distribution:
     def stepped(self, gradient, eta):
         """The step of a one-hole state (see :meth:`ParamState.stepped`):
         a divergent step raises :class:`DivergenceError` naming hole 0."""
-        return ParamState.of([self]).stepped([gradient], eta)[0]
+        state = ParamState.of([self])
+        return state.stepped(state.layout.vector_of([gradient]), eta)[0]
 
     def greedy(self):
         return self._block().greedy()[0]
@@ -526,6 +527,9 @@ class _Layout:
 
     ``keys`` gives each hole's (block type, width, mode) in hole order and
     ``cell_of_hole`` its cell, out of ``cell_count`` (default: one cell).
+    The loop takes per-cell values, such as learning rates, to vector
+    positions once through ``cell_of``; only the public steps convert
+    per-hole gradients, through :meth:`vector_of`.
     """
 
     def __init__(self, keys, cell_of_hole=None, cell_count=1):
@@ -610,15 +614,6 @@ class _Layout:
         """The per-hole parts of a vector in this layout's order, in hole
         order, as views of it."""
         return [vector[span] for span in self.spans]
-
-    def rates_of(self, eta):
-        """One learning rate, one per cell or one per vector position, as
-        what a step multiplies each position by."""
-        if not np.ndim(eta):
-            return eta
-        eta = np.asarray(eta, dtype=np.float64)
-        # a layout with as many cells as positions has one position a cell
-        return eta if eta.size == self.cell_of.size else eta[self.cell_of]
 
 
 class DrawPlan:
@@ -737,10 +732,9 @@ class ParamState:
     def stepped(self, gradient, eta, hole_ids=None):
         """The state after the ascent step ``theta + eta * gradient`` and
         each family's projection, checked by :func:`_check_finite`, which
-        names holes by ``hole_ids``.  See :meth:`_Layout.vector_of` and
-        :meth:`_Layout.rates_of` for the forms of ``gradient`` and ``eta``."""
+        names holes by ``hole_ids``.  ``gradient`` is one vector in this
+        state's order and ``eta`` one learning rate or one per position."""
         layout = self.layout
-        eta, gradient = layout.rates_of(eta), layout.vector_of(gradient)
         vector = self.vector + eta * gradient
         for g in layout.groups:
             g.block_type.project(

@@ -94,25 +94,13 @@ class KindPlan:
                 for kind in split])
 
 
-def sample_population(params_set, lam, rng):
-    """Draw ``lam`` joint samples: one ``(holes, lam)`` float64 matrix,
-    one row per distribution, in the state's group order (see
-    :class:`ParamState`), so each group's rows are one slice of it.
-
-    Consumption order over the rng is the params-set order, so identical
-    rng states give identical populations regardless of which estimator
-    kind is computed afterwards.  ``rng`` is a ``Generator``, one per
-    cell of a :class:`ParamState` of several cells, or a :class:`DrawPlan`
-    made for the state's layout and ``lam``.
-    """
-    if lam < 1:
-        raise ValueError("population size must be >= 1")
-    state = ParamState.of(params_set)
-    plan = rng if isinstance(rng, DrawPlan) else DrawPlan(
-        state.layout, (rng,) if isinstance(rng, np.random.Generator) else rng,
-        lam)
-    if plan.layout is not state.layout or plan.lam != lam:
-        raise ValueError("the draw plan is for another layout or lam")
+def sample_population(state, plan):
+    """Draw ``plan.lam`` joint samples of ``state`` through ``plan``, a
+    :class:`DrawPlan` made for its layout: one ``(holes, lam)`` float64
+    matrix in the state's group order (see :class:`ParamState`), so each
+    group's rows are one slice of it.  The plan reads each cell's
+    ``Generator`` in hole order, so identical rng states give identical
+    populations whichever estimator kind is computed afterwards."""
     return plan.sample(state.blocks)
 
 
@@ -152,25 +140,28 @@ def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
     return fits
 
 
+# estimator kind -> the formula of its per-sample weights
+_FORMULAS = {SEARCH: "score", NATURAL: "natural_score", VO: "prob_gradient"}
+
+
 def _weights(params, xs, kind):
     """Per-sample weights of one kind: ``(n, width)`` for a distribution
     and its ``n`` samples, ``(m, n, width)`` for a block of ``m`` holes
     and their ``(m, n)`` samples."""
-    if kind == SEARCH:
-        return np.atleast_2d(params.score(xs))
-    if kind == NATURAL:
-        return np.atleast_2d(params.natural_score(xs))
-    return np.atleast_2d(params.prob_gradient(xs))
+    return getattr(params, _FORMULAS[kind])(xs)
 
 
 def estimate_gradient(params_set, fitness, lam, rng, kinds,
                       fitness_transform=None):
     """Core estimator: (1/lam) * sum_k f(x_k) * w(x_k) per distribution.
 
-    ``params_set`` is a :class:`ParamState` or a list of distributions.
-    ``kinds`` is a single kind applied to every distribution, a per-
-    distribution sequence (the training loop mixes kinds across hole
-    families) or a :class:`KindPlan` made for the state's layout.
+    The public edge of the estimate: each argument's convenience form is
+    converted here, once.  ``params_set`` is a :class:`ParamState` or a
+    list of distributions, ``rng`` a ``Generator`` (a list of one per
+    cell) or a :class:`DrawPlan`, and ``kinds`` one kind for every
+    distribution, one per distribution (the training loop mixes kinds
+    across hole families) or a :class:`KindPlan`; ``lam < 1``, or a plan
+    made for another layout or ``lam``, raises ``ValueError``.
     ``fitness_transform``, when given, maps the fitnesses to the weights
     actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
     array; the reported fitnesses stay untransformed.  The weights and
@@ -179,20 +170,24 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     written straight into the gradient vector.
 
     A state of several cells (see :meth:`ParamState.joined`) holds the
-    holes of one problem once per cell, and ``rng`` is then one
-    ``Generator`` per cell (or a draw plan, see :func:`sample_population`).
-    Every cell draws its own population, all of them are evaluated in one
-    ``fitness`` call, and each cell's fitness replacement, transform and
-    weights use only its own row, so each cell's gradients are those it
-    would get alone.
+    holes of one problem once per cell.  Every cell draws its own
+    population, all of them are evaluated in one ``fitness`` call, and
+    each cell's fitness replacement, transform and weights use only its
+    own row, so each cell's gradients are those it would get alone.
     """
+    if lam < 1:
+        raise ValueError("population size must be >= 1")
     state = ParamState.of(params_set)
     layout = state.layout
-    plan = kinds if isinstance(kinds, KindPlan) else KindPlan(layout, kinds)
-    if plan.layout is not layout:
-        raise ValueError("the kind plan is for another layout")
+    draw_plan = rng if isinstance(rng, DrawPlan) else DrawPlan(
+        layout, (rng,) if isinstance(rng, np.random.Generator) else rng, lam)
+    kind_plan = (kinds if isinstance(kinds, KindPlan)
+                 else KindPlan(layout, kinds))
+    if (draw_plan.layout is not layout or kind_plan.layout is not layout
+            or draw_plan.lam != lam):
+        raise ValueError("a draw or kind plan is for another layout or lam")
     cells = layout.cell_count
-    samples = sample_population(state, lam, rng)
+    samples = sample_population(state, draw_plan)
     # the program's holes, each with the members of every cell in turn
     holes = len(layout.member_rows)
     members = samples[layout.member_rows].reshape(holes, cells * lam)
@@ -204,7 +199,8 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     # per sample row: its own cell's weights
     hole_weights = weights[layout.grouped_cells][:, None, :]
     vector = np.empty(state.vector.size)
-    for group, block, split in zip(layout.groups, state.blocks, plan.groups):
+    for group, block, split in zip(layout.groups, state.blocks,
+                                   kind_plan.groups):
         xs, cell_weights = samples[group.rows], hole_weights[group.rows]
         out = vector[group.start:group.stop].reshape(-1, group.width)
         for kind, picked in split:

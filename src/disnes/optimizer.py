@@ -119,20 +119,19 @@ class TrainingLog:
 def sgd_step(params_set, gradients, eta, hole_ids=None):
     """Ascent step on every hole, followed by each family's projection.
 
-    ``params_set`` is a :class:`ParamState` or a list of distributions and
-    ``gradients`` has one array per hole, of that hole's parameter count
-    (else ``ValueError``), or is one vector in the state's order (as
-    :attr:`GradientEstimate.vector <disnes.estimator.GradientEstimate>`).
-    ``eta`` is one learning rate, one per cell of a state of several
-    cells, or one per vector position.  The step is
-    :meth:`ParamState.stepped`: one NumPy operation on the flat vector plus
-    one projection per group, and the result is a :class:`ParamState`.
-    :func:`_check_finite` then checks the stepped vector, so a divergent
-    update raises :class:`DivergenceError` (a ``FloatingPointError``)
-    naming its first hole out of bounds: the id from ``hole_ids``, else
-    the position.
+    The public edge of the step, which converts the convenience forms
+    once: ``params_set`` is a :class:`ParamState` or a list of
+    distributions and ``gradients`` has one array per hole, of that
+    hole's parameter count (else ``ValueError``), or is one vector in the
+    state's order (as :attr:`GradientEstimate.vector
+    <disnes.estimator.GradientEstimate>`).  ``eta`` is one learning rate
+    or one per vector position.  The step is :meth:`ParamState.stepped`,
+    and :func:`_check_finite` checks it, so a divergent update raises
+    :class:`DivergenceError` (a ``FloatingPointError``) naming its first
+    hole out of bounds: the id from ``hole_ids``, else the position.
     """
-    return ParamState.of(params_set).stepped(gradients, eta, hole_ids)
+    state = ParamState.of(params_set)
+    return state.stepped(state.layout.vector_of(gradients), eta, hole_ids)
 
 
 def greedy_decode(params_set):
@@ -225,7 +224,7 @@ def _batch(cells, layout, lam):
     learning rate of each vector position."""
     return (DrawPlan(layout, [c.rng for c in cells], lam),
             est.KindPlan(layout, [k for c in cells for k in c.kinds]),
-            layout.rates_of([c.learning_rate for c in cells]))
+            np.array([c.learning_rate for c in cells])[layout.cell_of])
 
 
 def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
@@ -234,7 +233,7 @@ def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
     holes = len(hole_ids)
     means = est.mean(fits)
     entropies = state.entropies()
-    greedy = greedy_decode(state) if decode else None
+    greedy = state.greedy() if decode else None
     for k, cell in enumerate(cells):
         own = slice(k * holes, (k + 1) * holes)
         decode_loss = (-float(fitness(tuple(greedy[own]))) if decode

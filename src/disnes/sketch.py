@@ -483,8 +483,9 @@ def _check_assigned(program, assignment):
 
 def _category(hole, value):
     """``value`` as a category index of the COND/OP ``hole``: a whole
-    number in ``0..K-1``, else :class:`SketchError` naming the hole."""
-    if value not in range(len(hole.categories)):
+    number in ``0..K-1``, no bool, else :class:`SketchError` naming it."""
+    if (isinstance(value, (bool, np.bool_))
+            or value not in range(len(hole.categories))):
         raise SketchError(f"hole {hole.id!r}: category index {value!r} out "
                           f"of range 0..{len(hole.categories) - 1}")
     return int(value)
@@ -496,6 +497,9 @@ def _one_member(program, assignment):
     if isinstance(assignment, dict):
         _check_assigned(program, assignment)
         assignment = [assignment[h.id] for h in program.holes]
+    if len(assignment) != len(program.holes):
+        raise SketchError(f"assignment has {len(assignment)} values for "
+                          f"{len(program.holes)} holes")
     values = [v if h.kind == REAL else _category(h, v)
               for h, v in zip(program.holes, assignment)]
     return np.array(values, dtype=np.float64).reshape(-1, 1)

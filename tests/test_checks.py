@@ -7,6 +7,7 @@ import pytest
 from disnes import checks, estimator as est
 from disnes.distributions import (
     BernoulliParams, CategoricalBlock, CategoricalParams, GaussianParams,
+    ParamState,
 )
 
 CHECKS = checks.check_list()
@@ -31,17 +32,15 @@ def _negated(method):
     return lambda self, *args: -method(self, *args)
 
 
-def _biased_sampler(params_set, lam, rng):
-    """Draws the population, one row per hole, from distributions shifted
-    toward the last category: an estimator fed these is biased.  The rows
-    come in hole order, which is ``sample_population``'s group order for
-    the oracle's Bernoulli-then-categorical set."""
+def _biased_sampler(state, plan):
+    """Draws the population from distributions shifted toward the last
+    category, through the same plan and noise: an estimator fed these is
+    biased."""
     def shifted(p):
         if isinstance(p, BernoulliParams):
             return BernoulliParams(min(p.theta + 0.1, 0.99))
         return CategoricalParams(p.values + np.eye(p.k)[-1], mode=p.mode)
-    return np.array([shifted(p).sample(rng, size=lam) for p in params_set],
-                    dtype=np.float64)
+    return plan.sample(ParamState.of([shifted(p) for p in state]).blocks)
 
 
 # A fault in a per-hole method reaches the enumeration oracle, which works

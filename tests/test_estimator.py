@@ -4,12 +4,17 @@ import pytest
 from disnes import estimator as est
 from disnes.distributions import (
     LOGITS, PROBS, BernoulliParams, CategoricalParams, GaussianParams,
-    ParamState,
+    DrawPlan, ParamState,
 )
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def draw(state, lam, rngs):
+    """One population of ``state``, drawn from ``rngs``, one per cell."""
+    return est.sample_population(state, DrawPlan(state.layout, rngs, lam))
 
 
 def bern_cat_set():
@@ -93,8 +98,7 @@ class TestVoGradient:
         fitness = lambda xs: 2.0 + float(xs[1])
         vo = est.estimate_gradient(params, fitness, 200, rng(7), est.VO)
         # recompute by hand from the identical draws
-        r = rng(7)
-        draws = est.sample_population(params, 200, r)
+        draws = draw(ParamState.of(params), 200, [rng(7)])
         fits = est.evaluate_fitnesses(fitness, draws, 200)
         for p, xs, gv in zip(params, draws, vo.gradients):
             probs = np.exp(p.log_prob(xs))
@@ -145,8 +149,8 @@ class TestPopulationMechanics:
         recorded = []
         orig = est.sample_population
 
-        def recording(params_set, lam, r):
-            draws = orig(params_set, lam, r)
+        def recording(state, plan):
+            draws = orig(state, plan)
             recorded.append(draws.copy())
             return draws
 
@@ -185,8 +189,7 @@ class TestPopulationMechanics:
             assert isinstance(xs[0], np.integer)
             assert isinstance(xs[1], np.integer)
             assert isinstance(xs[2], np.floating)
-        draws = est.sample_population(state, 6,
-                                      [rng(c) for c in range(cells)])
+        draws = draw(state, 6, [rng(c) for c in range(cells)])
         # each hole is a group of its own, and the draws come in group
         # order: hole h of cell c is row h * cells + c
         members = [[draws[h * cells + c][i] for h in range(3)]
@@ -233,3 +236,21 @@ class TestPopulationMechanics:
         with pytest.raises(ValueError):
             est.estimate_gradient(
                 bern_cat_set(), lambda xs: 0.0, 0, rng(0), est.SEARCH)
+
+    def test_plans_must_be_made_for_the_state_and_lam(self):
+        """The plan forms of ``rng`` and ``kinds`` give what the plain
+        forms give, and a plan made for another layout (even one with the
+        same holes) or a draw plan made for another lam is refused."""
+        params = bern_cat_set()
+        state, other = ParamState.of(params), ParamState.of(params)
+        fitness = lambda xs: float(xs[0]) - float(xs[1])
+        want = est.estimate_gradient(state, fitness, 8, rng(3), est.SEARCH)
+        got = est.estimate_gradient(
+            state, fitness, 8, DrawPlan(state.layout, [rng(3)], 8),
+            est.KindPlan(state.layout, est.SEARCH))
+        assert np.array_equal(got.vector, want.vector)
+        for plans in ((DrawPlan(other.layout, [rng(3)], 8), est.SEARCH),
+                      (rng(3), est.KindPlan(other.layout, est.SEARCH)),
+                      (DrawPlan(state.layout, [rng(3)], 9), est.SEARCH)):
+            with pytest.raises(ValueError, match="another layout or lam"):
+                est.estimate_gradient(state, fitness, 8, *plans)

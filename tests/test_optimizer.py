@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from disnes import estimator as est
 from disnes import harness, optimizer
 from disnes.distributions import (
-    EPS, LOGITS, PROBS, BernoulliParams, CategoricalParams, GaussianParams,
-    ParamState,
+    EPS, LOGITS, PROBS, BernoulliParams, CategoricalParams, DrawPlan,
+    GaussianParams, ParamState,
 )
 from disnes.optimizer import (
     TrainConfig, TrainingLog, _transform_for, greedy_decode, initial_params,
@@ -113,7 +113,8 @@ class TestSgdStep:
         # just below the bound the state still samples
         state = sgd_step([GaussianParams(0.0, 0.0)],
                          [np.array([0.0, 7090.0])], 0.1)
-        draws = est.sample_population(state, 8, np.random.default_rng(0))
+        draws = est.sample_population(
+            state, DrawPlan(state.layout, [np.random.default_rng(0)], 8))
         assert np.isfinite(draws[0]).all()
 
     def test_sigma_underflow_raises_naming_the_hole(self):
@@ -127,7 +128,8 @@ class TestSgdStep:
         state = sgd_step([GaussianParams(0.0, 0.0)],
                          [np.array([0.0, -7083.0])], 0.1)
         assert state[0].sigma >= np.finfo(np.float64).tiny
-        draws = est.sample_population(state, 8, np.random.default_rng(0))
+        draws = est.sample_population(
+            state, DrawPlan(state.layout, [np.random.default_rng(0)], 8))
         [block] = state.blocks
         assert np.isfinite(block.natural_score(draws)).all()
 
@@ -498,17 +500,16 @@ def diverging_steps(schedule):
     """``sgd_step`` that poisons, on the ``schedule[lr]``-th step of the
     cells with learning rate ``lr``, the gradient of their hole 1 with NaN.
     Steps are counted once per call for each learning rate present, so a
-    batch and one-cell runs count alike."""
+    batch and one-cell runs count alike.  The loop steps with the gradient
+    vector and one learning rate per vector position."""
     step = optimizer.sgd_step
     counts = dict.fromkeys(schedule, 0)
 
     def faulty(state, gradients, eta, hole_ids=None):
         layout = state.layout
-        vector = layout.vector_of(gradients).copy()
-        per_position = np.broadcast_to(layout.rates_of(eta), vector.shape)
+        vector = gradients.copy()
         # a cell's learning rate is that of its first vector position
-        rates = [float(per_position[positions[0]])
-                 for _, positions in layout.cells]
+        rates = [float(eta[positions[0]]) for _, positions in layout.cells]
         holes = len(state) // len(rates)
         for lr in set(rates) & set(schedule):
             counts[lr] += 1

@@ -252,14 +252,19 @@ def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,)):
     for got, want in zip(estimate.gradients, grads):
         assert_same_bits(got, want)
 
-    stepped = sgd_step(state, estimate.gradients, etas)
+    # each cell's learning rate, at each of its vector positions
+    rates = np.array(etas)[state.layout.cell_of]
+    stepped = sgd_step(state, estimate.gradients, rates)
     cell_eta = [eta for cell, eta in zip(cell_params, etas) for _ in cell]
     want = [ref_step(p, g, eta) for p, g, eta in zip(params, grads, cell_eta)]
     assert_same_bits(stepped.vector, ref_vector(params, want))
     for q, w in zip(stepped, want):
         assert_same_bits(vector_of(q), w)
-    assert_same_bits(sgd_step(state, estimate.vector, etas).vector,
+    assert_same_bits(sgd_step(state, estimate.vector, rates).vector,
                      stepped.vector)
+    if len(etas) == 1:  # one rate for every position steps alike
+        assert_same_bits(sgd_step(state, estimate.vector, etas[0]).vector,
+                         stepped.vector)
     assert stepped.entropies() == [ref_entropy(q) for q in stepped]
     assert greedy_decode(stepped) == [ref_greedy(q) for q in stepped]
     assert state.entropies() == [ref_entropy(p) for p in params]
@@ -340,11 +345,12 @@ def test_generator_calls_per_draw(command):
     rngs = [CountingRng(c) for c in range(len(arms))]
     plan = DrawPlan(state.layout, rngs, 50)
     for draw in range(1, 3):
-        samples = est.sample_population(state, 50, plan)
+        samples = est.sample_population(state, plan)
         assert sum(r.calls for r in rngs) == draw * calls
-    plain = [np.random.default_rng(c) for c in range(len(arms))]
+    plain = DrawPlan(state.layout,
+                     [np.random.default_rng(c) for c in range(len(arms))], 50)
     for _ in range(2):
-        want = est.sample_population(state, 50, plain)
+        want = est.sample_population(state, plain)
     assert_same_bits(samples, want)
 
 

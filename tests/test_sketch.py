@@ -315,11 +315,12 @@ class TestEval:
         with pytest.raises(SketchError, match="missing"):
             eval_program(parse(MAIN_SKETCH), {}, [1.0])
 
-    @pytest.mark.parametrize("index", [-1, 6, 1.5])
+    @pytest.mark.parametrize("index", [-1, 6, 1.5, True, np.False_], ids=str)
     def test_category_index_out_of_range_rejected(self, index):
         """Evaluation and rendering take a COND/OP value only as a whole
         number in 0..K-1 and name the hole otherwise: a gather would wrap
-        -1 around and truncate 1.5."""
+        -1 around and truncate 1.5, and a boolean would pass for 1 or 0,
+        as params snapshots may not."""
         program = parse(MAIN_SKETCH)
         assignment = {**LEARNED_ASSIGNMENT, "cond0": index}
         for use in (lambda a: eval_program(program, a, [1.0]),
@@ -332,6 +333,20 @@ class TestEval:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(SketchError, match="arity"):
             eval_program(parse(TRUE_PROGRAM), {}, [1.0, 2.0])
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_assignment_of_the_wrong_length_rejected(self, count):
+        """Values in hole order for fewer or more holes than the program
+        has name both counts, where zipping them with the holes would drop
+        a seventh value without a word."""
+        program = parse(MAIN_SKETCH)
+        values = (2, 3.5, 4.2, 2, 2, 2.1, 99.0)[:count]
+        fitness = SpecFitness(program, MAIN_SPEC)
+        for use in (fitness, fitness.predicted_outputs,
+                    lambda a: eval_program(program, a, [1.0])):
+            with pytest.raises(SketchError,
+                               match=f"{count} values for 6 holes"):
+                use(values)
 
 
 class TestFitness:
