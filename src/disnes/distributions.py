@@ -193,7 +193,7 @@ class CategoricalBlock(_Block):
         return x[:, None, :] == _categories(self.values.shape[1])
 
     def log_prob(self, x):
-        return np.take_along_axis(np.log(self.p), x.astype(np.int64), axis=1)
+        return np.log(self.p)[_holes(self.values.shape[0]), x.astype(np.intp)]
 
     def _score(self, x):
         if self.mode == LOGITS:
@@ -210,7 +210,7 @@ class CategoricalBlock(_Block):
         return _by_sample(p * (self._onehot(x) - p))
 
     def prob_gradient(self, x):
-        p_x = np.take_along_axis(self.p, x.astype(np.int64), axis=1)
+        p_x = self.p[_holes(self.values.shape[0]), x.astype(np.intp)]
         return _by_sample(p_x[:, None, :] * self._score(x))
 
     def entropy(self):
@@ -242,6 +242,16 @@ class CategoricalBlock(_Block):
 def _categories(k):
     """The category indices as a ``(K, 1)`` float column."""
     column = np.arange(k, dtype=np.float64)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+@lru_cache(maxsize=None)
+def _holes(m):
+    """The hole indices as an ``(m, 1)`` column: ``table[_holes(m), x]``
+    is ``table[h, x[h, j]]`` at ``(h, j)`` of an ``(m, n)`` index array
+    ``x``."""
+    column = np.arange(m)[:, None]
     column.flags.writeable = False
     return column
 
@@ -622,10 +632,14 @@ class DrawPlan:
     Each hole has its ``Generator`` method bound to the hole's row of one
     noise buffer in group order, which every draw overwrites; cell ``c``
     draws from ``rngs[c]``.  The calls run in hole order, so each cell's
-    stream is read as one call per hole reads it.
+    stream is read as one call per hole reads it.  ``rngs`` must hold one
+    ``Generator`` per cell of the layout, else ``ValueError``.
     """
 
     def __init__(self, layout, rngs, lam):
+        if len(rngs) != layout.cell_count:
+            raise ValueError(f"{len(rngs)} Generators for "
+                             f"{layout.cell_count} cells")
         self.layout, self.lam = layout, lam
         self.noise = np.empty((layout.size, lam))
         # positional (size, dtype, out): cheaper to call than a keyword

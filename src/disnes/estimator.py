@@ -160,8 +160,9 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     list of distributions, ``rng`` a ``Generator`` (a list of one per
     cell) or a :class:`DrawPlan`, and ``kinds`` one kind for every
     distribution, one per distribution (the training loop mixes kinds
-    across hole families) or a :class:`KindPlan`; ``lam < 1``, or a plan
-    made for another layout or ``lam``, raises ``ValueError``.
+    across hole families) or a :class:`KindPlan`; ``lam < 1``, a list
+    of ``Generator``s that is not one per cell, or a plan made for
+    another layout or ``lam``, raises ``ValueError``.
     ``fitness_transform``, when given, maps the fitnesses to the weights
     actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
     array; the reported fitnesses stay untransformed.  The weights and

@@ -368,71 +368,100 @@ _UFUNCS = {
 
 
 def _compile(node, rows):
-    """Compile an expression into ``fn(draws, inputs, members)``, which
-    returns the node's f32 value, broadcastable to ``(lam, n)``; ``rows``
-    maps each hole id to its row of ``draws`` and ``members`` is
-    ``arange(lam)``."""
+    """Compile an expression into ``fn(inputs, reals, offsets)``, the
+    node's value as a C-contiguous ``(lam, n)`` f32 array, or as an f32
+    scalar for a subtree of literals only, so that no operator broadcasts
+    one operand over another.  The arguments are the leaves of one
+    evaluation, each tiled once to the full shape: ``inputs[i]`` is input
+    column ``i`` and ``reals[i]`` the ``i``-th REAL hole's member values,
+    both ``(lam, n)``, and ``offsets[i]`` the rows the ``i``-th operator
+    hole picks from its candidates; ``rows`` maps each hole id to its
+    ``i``."""
     if isinstance(node, Num):
         value = np.float32(node.value)
-        return lambda hv, xs, members: value
+        return lambda inputs, reals, offsets: value
     if isinstance(node, Var):
         col = node.index
-        return lambda hv, xs, members: xs[:, col]
+        return lambda inputs, reals, offsets: inputs[col]
     if isinstance(node, Hole):  # a REAL hole: one constant per member
         row = rows[node.id]
-        return lambda hv, xs, members: hv[row].astype(np.float32)[:, None]
+        return lambda inputs, reals, offsets: reals[row]
     if isinstance(node, Neg):
         operand = _compile(node.operand, rows)
-        return lambda hv, xs, members: np.negative(operand(hv, xs, members))
+        return lambda inputs, reals, offsets: np.negative(
+            operand(inputs, reals, offsets))
     left, right = _compile(node.left, rows), _compile(node.right, rows)
     if isinstance(node.op, Hole):
         return _operator_hole(node.op, rows[node.op.id], left, right)
     ufunc = _UFUNCS[node.op]
     if node.op in COND_OPS:
         # comparison results feed back into arithmetic as 0.0 / 1.0
-        return lambda hv, xs, members: ufunc(
-            left(hv, xs, members), right(hv, xs, members)).astype(np.float32)
-    return lambda hv, xs, members: ufunc(left(hv, xs, members),
-                                         right(hv, xs, members))
+        return lambda inputs, reals, offsets: ufunc(
+            left(inputs, reals, offsets),
+            right(inputs, reals, offsets)).astype(np.float32)
+    return lambda inputs, reals, offsets: ufunc(
+        left(inputs, reals, offsets), right(inputs, reals, offsets))
 
 
 def _operator_hole(hole, row, left, right):
-    """A COND/OP hole whose draws are row ``row``: each candidate operator
-    writes its result into one ``(K, lam, n)`` f32 buffer, and one gather
-    picks each member's."""
+    """A COND/OP hole whose pick rows are ``offsets[row]``: candidate
+    ``k`` writes its result into rows ``k * lam`` to ``(k + 1) * lam - 1``
+    of one ``(K * lam, n)`` buffer, and one ``take`` picks each member's
+    row.  A COND hole's buffer is bool, which its comparisons fill faster
+    than an f32 one, and only the picked rows become 0.0 / 1.0."""
     ufuncs = tuple(_UFUNCS[sym] for sym in hole.categories)
+    k = len(ufuncs)
+    cond = hole.kind == COND
 
-    def pick(hv, xs, members):
-        a, b = left(hv, xs, members), right(hv, xs, members)
-        buf = np.empty((len(ufuncs), members.size, xs.shape[0]),
-                       dtype=np.float32)
+    def pick(inputs, reals, offsets):
+        a, b = left(inputs, reals, offsets), right(inputs, reals, offsets)
+        _, lam, n = inputs.shape
+        buf = np.empty((k, lam, n), dtype=bool if cond else np.float32)
         for ufunc, out in zip(ufuncs, buf):
-            ufunc(a, b, out=out)
-        return buf[hv[row].astype(np.intp), members]
+            ufunc(a, b, out)
+        picked = buf.reshape(k * lam, n).take(offsets[row], axis=0)
+        return picked.astype(np.float32) if cond else picked
     return pick
 
 
 def _compile_program(program):
-    """The program as one function of ``(draws, inputs, members)``.
+    """The program as one function of ``(draws, inputs)``.
 
-    Guards are tested in order, so the first true one wins: the branches
-    are folded from the last to the first over the final expression.  A
-    guard is true where its value is not 0.0, which makes NaN true.
+    Each evaluation first makes the leaves of :func:`_compile`, all of a
+    kind at once: every input column and every REAL row tiled to a full
+    ``(lam, n)`` array, and the pick rows of every operator hole,
+    ``category * lam + member``.  Guards are tested in order, so the
+    first true one wins: the branches are folded from the last to the
+    first over the final expression.  A guard is true where its value is
+    not 0.0, which makes NaN true.
     """
-    rows = {hole.id: row for row, hole in enumerate(program.holes)}
+    real_rows, cat_rows, rows = [], [], {}
+    for row, hole in enumerate(program.holes):
+        kind_rows = real_rows if hole.kind == REAL else cat_rows
+        rows[hole.id] = len(kind_rows)
+        kind_rows.append(row)
+    real_rows = np.array(real_rows, dtype=np.intp)
+    cat_rows = np.array(cat_rows, dtype=np.intp)
 
     def guard(node):
         value = _compile(node, rows)
-        return lambda hv, xs, members: value(hv, xs, members) != 0.0
+        return lambda inputs, reals, offsets: \
+            value(inputs, reals, offsets) != 0.0
 
     branches = [(guard(cond), _compile(expr, rows))
                 for cond, expr in reversed(program.branches)]
     final = _compile(program.else_expr, rows)
 
-    def run(hv, xs, members):
-        out = final(hv, xs, members)
+    def run(hv, xs):
+        lam, n = hv.shape[1], xs.shape[0]
+        inputs = xs.T[:, None, :].repeat(lam, axis=1)
+        reals = hv[real_rows].astype(np.float32).repeat(n, axis=1).reshape(
+            real_rows.size, lam, n)
+        offsets = hv[cat_rows].astype(np.intp) * lam + np.arange(lam)
+        out = final(inputs, reals, offsets)
         for cond, value in branches:
-            out = np.where(cond(hv, xs, members), value(hv, xs, members), out)
+            out = np.where(cond(inputs, reals, offsets),
+                           value(inputs, reals, offsets), out)
         return out
     return run
 
@@ -446,18 +475,21 @@ def eval_batch(program, draws, inputs):
     indices for COND/OP holes and reals for REAL holes.  ``inputs`` is an
     ``(n, arity)`` float32 array.  Returns a ``(lam, n)`` float32 array.
     The program is compiled on its first evaluation and the plan is kept
-    on it.  Every IEEE exception is silent, so evaluation is total:
-    overflow, division by zero, invalid operations, and REAL values or
-    inputs beyond the f32 range, which become ±inf.
+    on it.  An evaluation tiles every input column and REAL row to a full
+    ``(lam, n)`` array once, so each operator runs on whole arrays, and
+    each operator hole computes all its candidates into one buffer and
+    picks every member's with one ``take``.  Every IEEE exception is
+    silent, so evaluation is total: overflow, division by zero, invalid
+    operations, and REAL values or inputs beyond the f32 range, which
+    become ±inf.
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or len(draws) != len(program.holes):
         raise ValueError(f"draws {draws.shape} for {len(program.holes)} holes")
-    lam = draws.shape[1]
     with np.errstate(all="ignore"):
         inputs = np.asarray(inputs, dtype=np.float32)
-        out = program._plan(draws, inputs, np.arange(lam))
-    shape = (lam, inputs.shape[0])
+        out = program._plan(draws, inputs)
+    shape = (draws.shape[1], inputs.shape[0])
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 

@@ -254,3 +254,17 @@ class TestPopulationMechanics:
                       (DrawPlan(state.layout, [rng(3)], 9), est.SEARCH)):
             with pytest.raises(ValueError, match="another layout or lam"):
                 est.estimate_gradient(state, fitness, 8, *plans)
+
+    @pytest.mark.parametrize("count, bare", [(1, True), (1, False),
+                                             (3, False)])
+    def test_one_generator_per_cell(self, count, bare):
+        """A two-cell state refuses a bare Generator, or a list of one too
+        few or too many, naming both counts."""
+        cell = ParamState.of([BernoulliParams(0.5)])
+        state = ParamState.joined([cell, cell])
+        fitness = lambda xs: float(xs[0])
+        rngs = rng(0) if bare else [rng(c) for c in range(count)]
+        with pytest.raises(ValueError,
+                           match=f"^{count} Generators for 2 cells$"):
+            est.estimate_gradient(state, fitness, 4, rngs, est.SEARCH)
+        est.estimate_gradient(state, fitness, 4, [rng(0), rng(1)], est.SEARCH)

@@ -90,6 +90,18 @@ FIXED = {
     "comparison_operand": (
         "fn f(x: f32) -> f32 { if (x [COND] 1.0) - 1.0 { return "
         "(x < [REAL]) * 2.0 + (x [COND] [REAL]); } return -(x > 0.0); }"),
+    # shapes whose operands are f32 scalars, not (lam, n) arrays
+    "literal_operator_hole": "fn f(x: f32) -> f32 { return 1.5 [OP] 2.0; }",
+    "literal_guard": (
+        "fn f(x: f32) -> f32 { if 1.0 [COND] 2.0 { return x * [REAL]; } "
+        "return x; }"),
+    "literal_returns": (
+        "fn f(x: f32) -> f32 { if x [COND] [REAL] { return 2.5; } "
+        "if 1.0 < 2.0 { return -1.0; } return 0.5; }"),
+    "negated_operator_hole": "fn f(x: f32) -> f32 { return -(x [OP] [REAL]); }",
+    "guard_only_variable": (
+        "fn f(x: f32, y: f32) -> f32 { if y [COND] [REAL] { "
+        "return x [OP] [REAL]; } return x; }"),
 }
 
 
