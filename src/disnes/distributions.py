@@ -18,6 +18,8 @@ gradient of the probability itself, entropy, greedy decode and the
 projection after a step.  A block holds ``m`` holes of one family (and,
 for categoricals, one K and mode) as an ``(m, width)`` array, one row per
 hole; samples are ``(m, n)`` and gradients come back ``(m, n, width)``.
+A categorical formula is first made per category, as an ``(m, K, K)``
+table, and each sample gathers its category's row of it.
 
 :class:`ParamState` keeps every hole's parameters in one float64 vector.
 Holes are grouped by (family, K, mode); the vector holds one group after
@@ -41,7 +43,9 @@ maps the names back to them.
 Random draws read the stream in hole order: each Bernoulli or categorical
 hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals,
 with one ``Generator`` call per hole (bound once by a :class:`DrawPlan`).
-A state's draws come as one ``(holes, n)`` float64 matrix in its group
+A :class:`DrawPlan` turns the uniforms of every categorical hole into
+categories at once, through one table of cumulative probabilities.  A
+state's draws come as one ``(holes, n)`` float64 matrix in its group
 order (see :class:`ParamState`), so a group's samples are one slice of
 it.  Each cell draws from its own generator, so a state, each of its
 cells and its per-hole distributions draw the same samples from the
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -86,12 +90,31 @@ def _unchecked(cls, **fields):
 
 def _softmax(logits):
     """Row-wise softmax of an ``(m, K)`` array."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 # --- Block formulas ---------------------------------------------------------
+
+class _once:
+    """``functools.cached_property`` without the lock that it takes on
+    each first read before Python 3.12: every training iteration makes
+    new blocks, so each of their derived arrays is read for the first
+    time once per iteration."""
+
+    def __init__(self, method):
+        self.method, self.__doc__ = method, method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, block, owner=None):
+        if block is None:
+            return self
+        value = block.__dict__[self.name] = self.method(block)
+        return value
+
 
 class _Block:
     """``m`` holes of one family as an ``(m, width)`` array ``values``.
@@ -166,52 +189,44 @@ def _clip(values):
 
 class CategoricalBlock(_Block):
     """Categorical holes of one K and mode: K columns of logits or
-    probabilities.  The per-sample formulas work on ``(m, K, n)`` arrays,
-    so the inner axis is the population, and return the ``(m, n, K)``
-    layout."""
+    probabilities.  Each per-sample formula is an ``(m, K, K)`` category
+    table, whose row ``c`` of hole ``h`` is the formula's value at
+    category ``c``; the samples gather their rows of it (see
+    :func:`_rows`), which gives the ``(m, n, K)`` layout."""
 
     draw = "random"
 
-    @cached_property
+    @_once
     def p(self):
         """The probabilities, one row per hole."""
         return self.values if self.mode == PROBS else _softmax(self.values)
 
     def sample(self, u):
-        """Inverse-CDF sampling; boundary ties break toward the lower index.
-
-        The category is the count of cumulative probabilities below the
-        uniform, which is ``searchsorted(cum, u, side="left")`` capped at
-        K - 1.  The cumulative sums never decrease, so counting over the
-        first K - 1 of them is that cap.
-        """
-        cum = np.add.accumulate(self.p, axis=1)[:, :-1]
-        return np.add.reduce(cum[:, :, None] < u[:, None, :], axis=1,
-                             dtype=np.int64)
-
-    def _onehot(self, x):
-        return x[:, None, :] == _categories(self.values.shape[1])
+        """Inverse-CDF sampling; boundary ties break toward the lower index
+        (see :func:`_count_below`)."""
+        return _count_below(np.add.accumulate(self.p[:, :-1], axis=1).T, u)
 
     def log_prob(self, x):
-        return np.log(self.p)[_holes(self.values.shape[0]), x.astype(np.intp)]
+        return _rows(np.log(self.p), x)
 
-    def _score(self, x):
+    def _score_table(self):
+        eye = _identity(self.values.shape[1])
         if self.mode == LOGITS:
-            return self._onehot(x) - self.p[:, :, None]
-        return self._onehot(x) / self.values[:, :, None]
+            return eye - self.p[:, None, :]
+        return eye / self.values[:, None, :]
 
     def score(self, x):
         """LOGITS: ``onehot(x) - p``; PROBS: ``onehot(x) / p``."""
-        return _by_sample(self._score(x))
+        return _rows(self._score_table(), x)
 
     def natural_score(self, x):
         """Probability-space natural score: ``p_i * (onehot(x)_i - p_i)``."""
-        p = self.p[:, :, None]
-        return _by_sample(p * (self._onehot(x) - p))
+        p = self.p[:, None, :]
+        return _rows(p * (_identity(p.shape[2]) - p), x)
 
     def prob_gradient(self, x):
-        p_x = self.p[_holes(self.values.shape[0]), x.astype(np.intp)]
-        return _by_sample(p_x[:, None, :] * self._score(x))
+        """``p_x`` times the score."""
+        return _rows(self.p[:, :, None] * self._score_table(), x)
 
     def entropy(self):
         """Entropy per hole, taking 0 * log 0 as 0: a softmax can underflow
@@ -220,7 +235,7 @@ class CategoricalBlock(_Block):
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = p * np.log(p)
         terms[p == 0.0] = 0.0
-        return -terms.sum(axis=1)
+        return -np.add.reduce(terms, axis=1)
 
     def greedy(self):
         """Modal categories; ties break toward the lower index."""
@@ -231,34 +246,51 @@ class CategoricalBlock(_Block):
         """PROBS: clamp to ``[EPS, 1 - EPS]`` and renormalize, in place."""
         if mode == PROBS:
             _clip(values)
-            values /= values.sum(axis=1, keepdims=True)
+            values /= np.add.reduce(values, axis=1, keepdims=True)
 
     def distribution(self, row):
         return _unchecked(CategoricalParams, values=self.values[row].copy(),
                           mode=self.mode)
 
 
+def _count_below(cum, u, dtype=np.int64):
+    """The category of each uniform ``u[h, j]``: how many of the
+    cumulative probabilities ``cum[:, h]`` of hole ``h`` lie below it.
+
+    Column ``h`` of ``cum`` holds the first K - 1 cumulative sums of hole
+    ``h``'s probabilities, so the count is ``searchsorted(cumsum(p), u,
+    side="left")`` capped at K - 1, even where the K sums round below 1.
+    Rows past a hole's K - 1 may be ``+inf``, which no uniform exceeds.
+    """
+    return np.add.reduce(cum[:, :, None] < u, axis=0, dtype=dtype)
+
+
 @lru_cache(maxsize=None)
-def _categories(k):
-    """The category indices as a ``(K, 1)`` float column."""
-    column = np.arange(k, dtype=np.float64)[:, None]
+def _identity(k):
+    """The ``(K, K)`` identity: row ``c`` is the one-hot of category
+    ``c``."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=None)
+def _first_rows(m, k):
+    """Where each of ``m`` holes' ``k`` rows start in a table flattened
+    over its holes, as an ``(m, 1)`` column."""
+    column = (np.arange(m) * k)[:, None]
     column.flags.writeable = False
     return column
 
 
-@lru_cache(maxsize=None)
-def _holes(m):
-    """The hole indices as an ``(m, 1)`` column: ``table[_holes(m), x]``
-    is ``table[h, x[h, j]]`` at ``(h, j)`` of an ``(m, n)`` index array
-    ``x``."""
-    column = np.arange(m)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-def _by_sample(rows):
-    """An ``(m, K, n)`` array laid out as a C-ordered ``(m, n, K)`` one."""
-    return rows.transpose(0, 2, 1).copy()
+def _rows(table, x):
+    """``table[h, x[h, j]]`` at ``(h, j)`` of an ``(m, n)`` array ``x`` of
+    category indices: an ``(m, K)`` table gives ``(m, n)``, an
+    ``(m, K, K)`` one ``(m, n, K)``.  One ``take`` from the table
+    flattened over its holes gathers them."""
+    m, k = table.shape[:2]
+    return table.reshape((m * k,) + table.shape[2:]).take(
+        x.astype(np.intp) + _first_rows(m, k), axis=0)
 
 
 class GaussianBlock(_Block):
@@ -271,7 +303,7 @@ class GaussianBlock(_Block):
     lower = (-F32_MAX, LOG_SIGMA_MIN)
     upper = (F32_MAX, LOG_SIGMA_MAX)
 
-    @cached_property
+    @_once
     def sigma(self):
         # scalar libm exp: np.exp may differ from math.exp in the last bit
         return np.array([math.exp(s)
@@ -634,6 +666,15 @@ class DrawPlan:
     draws from ``rngs[c]``.  The calls run in hole order, so each cell's
     stream is read as one call per hole reads it.  ``rngs`` must hold one
     ``Generator`` per cell of the layout, else ``ValueError``.
+
+    Every categorical hole is drawn at once.  The plan keeps one table of
+    cumulative probabilities, a column per hole in group order and one
+    row fewer than the largest K: each categorical group writes the first
+    K - 1 cumulative sums of each of its holes into the hole's column,
+    and every other entry stays ``+inf``, which no uniform exceeds.  One
+    compare and one count over the table then give every hole's category
+    (see :func:`_count_below`), and the other groups overwrite their rows
+    of the draws with their blocks' draws.
     """
 
     def __init__(self, layout, rngs, lam):
@@ -646,15 +687,28 @@ class DrawPlan:
         self.calls = [partial(getattr(rngs[cell], draw), None, np.float64,
                               self.noise[row])
                       for draw, row, cell in layout.draws]
+        groups = list(enumerate(layout.groups))
+        categorical = [(i, g) for i, g in groups
+                       if g.block_type is CategoricalBlock]
+        sums_per_hole = max([g.width for _, g in categorical], default=1) - 1
+        self.cum = np.full((sums_per_hole, layout.size), np.inf)
+        # per categorical group, by index: its part of the table, as an
+        # (m, K - 1) view; per other group: its rows
+        self.fills = [(i, self.cum[:g.width - 1, g.rows].T)
+                      for i, g in categorical]
+        self.others = [(i, g.rows) for i, g in groups
+                       if g.block_type is not CategoricalBlock]
 
     def sample(self, blocks):
         """The draws of the state whose blocks are ``blocks``: a fresh
         ``(holes, lam)`` float64 matrix in group order."""
         for call in self.calls:
             call()
-        samples = np.empty_like(self.noise)
-        for group, block in zip(self.layout.groups, blocks):
-            samples[group.rows] = block.sample(self.noise[group.rows])
+        for i, cum in self.fills:
+            np.add.accumulate(blocks[i].p[:, :-1], axis=1, out=cum)
+        samples = _count_below(self.cum, self.noise, np.float64)
+        for i, rows in self.others:
+            samples[rows] = blocks[i].sample(self.noise[rows])
         return samples
 
 
@@ -784,7 +838,7 @@ def _check_finite(state, hole_ids=None):
     vector = state.vector
     ok = vector >= state.layout.lower
     ok &= vector <= state.layout.upper
-    if not ok.all():
+    if not np.logical_and.reduce(ok):
         hole = int(state.layout.hole_of[~ok].min())
         name = hole_ids[hole % len(hole_ids)] if hole_ids else hole
         finite = np.isfinite(vector[state.layout.spans[hole]]).all()

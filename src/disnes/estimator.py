@@ -58,11 +58,12 @@ class GradientEstimate:
         return self.layout.per_hole(self.vector)
 
 
-def mean(values):
-    """``values.mean(axis=-1)``, bit for bit, without the Python layer of
-    ``ndarray.mean``: a number for a 1-D array, one per row for a 2-D
-    one."""
-    return np.add.reduce(values, axis=-1) / values.shape[-1]
+def mean(values, keepdims=False):
+    """``values.mean(axis=-1, keepdims=keepdims)``, bit for bit, without
+    the Python layer of ``ndarray.mean``: a number for a 1-D array, one
+    per row for a 2-D one."""
+    return (np.add.reduce(values, axis=-1, keepdims=keepdims)
+            / values.shape[-1])
 
 
 def _resolve_kinds(kinds, n):
@@ -78,20 +79,26 @@ def _resolve_kinds(kinds, n):
 
 
 class KindPlan:
-    """The estimator kinds of one layout's holes, split by group once:
-    per group, ``(kind, rows)`` pairs, where ``rows`` picks the group's
-    rows of that kind, or is None when the whole group has it."""
+    """The estimator kinds of one layout's holes, split by group once, and
+    the buffer the weighted sums go into.  Per group: its ``(kind, rows)``
+    pairs, where ``rows`` picks the group's rows of that kind, or is None
+    when the whole group has it, and its ``(m, 1, width)`` view of
+    ``sums``, the weighted sums in the layout's vector order, which every
+    estimate overwrites."""
 
     def __init__(self, layout, kinds):
         kinds = _resolve_kinds(kinds, layout.size)
         self.layout, self.groups = layout, []
+        self.sums = np.empty(layout.hole_of.size)
         for group in layout.groups:
             group_kinds = np.array([kinds[h] for h in group.holes])
             split = dict.fromkeys(group_kinds.tolist())
-            self.groups.append([
-                (kind, None if len(split) == 1
-                 else np.flatnonzero(group_kinds == kind))
-                for kind in split])
+            self.groups.append((
+                [(kind, None if len(split) == 1
+                  else np.flatnonzero(group_kinds == kind))
+                 for kind in split],
+                self.sums[group.start:group.stop].reshape(-1, 1,
+                                                          group.width)))
 
 
 def sample_population(state, plan):
@@ -132,7 +139,7 @@ def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
         raise ValueError(
             f"fitness returned shape {fits.shape}, expected ({members},)")
     finite = np.isfinite(fits)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         fits = fits.copy()
         for row, ok in zip(fits.reshape(cells, lam),
                            finite.reshape(cells, lam)):
@@ -168,7 +175,8 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     array; the reported fitnesses stay untransformed.  The weights and
     the weighted sum are one NumPy operation per group of holes with the
     same family, K and mode (and per kind, where a group mixes kinds),
-    written straight into the gradient vector.
+    written into the kind plan's buffer of sums in vector order; one
+    division by ``lam`` then makes the gradient vector.
 
     A state of several cells (see :meth:`ParamState.joined`) holds the
     holes of one problem once per cell.  Every cell draws its own
@@ -195,22 +203,21 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     fits = evaluate_fitnesses(fitness, members, lam, cells,
                               layout.discrete[:holes])
     rows = fits.reshape(cells, lam)
-    degenerate = int(np.count_nonzero((rows == rows[:, :1]).all(axis=1)))
+    degenerate = int(np.add.reduce(
+        np.logical_and.reduce(rows == rows[:, :1], axis=1)))
     weights = rows if fitness_transform is None else fitness_transform(rows)
     # per sample row: its own cell's weights
     hole_weights = weights[layout.grouped_cells][:, None, :]
-    vector = np.empty(state.vector.size)
-    for group, block, split in zip(layout.groups, state.blocks,
-                                   kind_plan.groups):
+    for group, block, (split, sums) in zip(layout.groups, state.blocks,
+                                           kind_plan.groups):
         xs, cell_weights = samples[group.rows], hole_weights[group.rows]
-        out = vector[group.start:group.stop].reshape(-1, group.width)
         for kind, picked in split:
-            grads = np.matmul(cell_weights, _weights(block, xs, kind))[:, 0]
             if picked is None:
-                np.divide(grads, lam, out=out)
+                np.matmul(cell_weights, _weights(block, xs, kind), out=sums)
             else:
-                out[picked] = grads[picked] / lam
-    return GradientEstimate(vector, fits, degenerate, layout)
+                sums[picked] = np.matmul(cell_weights,
+                                         _weights(block, xs, kind))[picked]
+    return GradientEstimate(kind_plan.sums / lam, fits, degenerate, layout)
 
 
 def joint_support_size(params_set):

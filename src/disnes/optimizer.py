@@ -70,16 +70,17 @@ def _transform_for(name):
     if name == "raw":
         return None
     if name == "baseline":
-        return lambda f: f - est.mean(f)[..., None]
+        return lambda f: f - est.mean(f, True)
 
     def standardize(f):
         # the steps of ``centered.std()``: the mean is taken again of the
         # centered values before squaring
-        centered = f - est.mean(f)[..., None]
-        deviation = centered - est.mean(centered)[..., None]
-        scale = np.sqrt(est.mean(deviation * deviation))
+        centered = f - est.mean(f, True)
+        deviation = centered - est.mean(centered, True)
+        scale = np.sqrt(est.mean(deviation * deviation, True))
         # a zero (or NaN) scale leaves the row centered: x / 1.0 == x
-        return centered / np.where(scale > 0.0, scale, 1.0)[..., None]
+        scale[~(scale > 0.0)] = 1.0
+        return centered / scale
 
     return standardize
 

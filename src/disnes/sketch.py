@@ -430,10 +430,13 @@ def _compile_program(program):
     Each evaluation first makes the leaves of :func:`_compile`, all of a
     kind at once: every input column and every REAL row tiled to a full
     ``(lam, n)`` array, and the pick rows of every operator hole,
-    ``category * lam + member``.  Guards are tested in order, so the
-    first true one wins: the branches are folded from the last to the
-    first over the final expression.  A guard is true where its value is
-    not 0.0, which makes NaN true.
+    ``category * lam + member``.  The tiles of read-only inputs, such as
+    a :class:`Specification`'s, and ``arange(lam)`` are kept for the next
+    evaluation with the same inputs array and ``lam``; writable inputs
+    may change in place between calls, so they are tiled anew each time.
+    Guards are tested in order, so the first true one wins: the branches
+    are folded from the last to the first over the final expression.  A
+    guard is true where its value is not 0.0, which makes NaN true.
     """
     real_rows, cat_rows, rows = [], [], {}
     for row, hole in enumerate(program.holes):
@@ -452,12 +455,21 @@ def _compile_program(program):
                 for cond, expr in reversed(program.branches)]
     final = _compile(program.else_expr, rows)
 
+    # the last evaluation's inputs and lam, with the inputs' tiles and
+    # arange(lam)
+    last = (None, 0, None, None)
+
     def run(hv, xs):
+        nonlocal last
         lam, n = hv.shape[1], xs.shape[0]
-        inputs = xs.T[:, None, :].repeat(lam, axis=1)
-        reals = hv[real_rows].astype(np.float32).repeat(n, axis=1).reshape(
-            real_rows.size, lam, n)
-        offsets = hv[cat_rows].astype(np.intp) * lam + np.arange(lam)
+        seen = last
+        if seen[0] is not xs or seen[1] != lam or xs.flags.writeable:
+            tiles = xs.T[:, None, :].repeat(lam, axis=1)
+            tiles.flags.writeable = False
+            seen = last = (xs, lam, tiles, np.arange(lam))
+        _, _, inputs, members = seen
+        reals = hv[real_rows, :, None].astype(np.float32).repeat(n, axis=2)
+        offsets = hv[cat_rows].astype(np.intp) * lam + members
         out = final(inputs, reals, offsets)
         for cond, value in branches:
             out = np.where(cond(inputs, reals, offsets),
@@ -473,7 +485,8 @@ def eval_batch(program, draws, inputs):
     ``np.asarray(draws, dtype=np.float64)`` makes one of: row ``h`` holds
     the values of ``program.holes[h]`` for the ``lam`` members, category
     indices for COND/OP holes and reals for REAL holes.  ``inputs`` is an
-    ``(n, arity)`` float32 array.  Returns a ``(lam, n)`` float32 array.
+    ``(n, arity)`` float32 array.  Returns a fresh, writable, C-contiguous
+    ``(lam, n)`` float32 array, which the caller owns.
     The program is compiled on its first evaluation and the plan is kept
     on it.  An evaluation tiles every input column and REAL row to a full
     ``(lam, n)`` array once, so each operator runs on whole arrays, and
@@ -490,7 +503,11 @@ def eval_batch(program, draws, inputs):
         inputs = np.asarray(inputs, dtype=np.float32)
         out = program._plan(draws, inputs)
     shape = (draws.shape[1], inputs.shape[0])
-    return out if out.shape == shape else np.broadcast_to(out, shape)
+    # a literal, or a leaf of the plan (an input's tile, a REAL hole's
+    # row), is not the caller's to own: fill a fresh array with it
+    if out.shape == shape and out.base is None:
+        return out
+    return np.full(shape, out, dtype=np.float32)
 
 
 def eval_program(program, assignment, input_vector):
@@ -539,16 +556,25 @@ def _one_member(program, assignment):
 
 # --- Specification and fitness ---------------------------------------------
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class Specification:
-    """Input/output pairs in 32-bit float semantics."""
+    """Input/output pairs in 32-bit float semantics, kept as read-only
+    copies: the evaluator and the fitness keep what they tile from them
+    for the next evaluation."""
 
     inputs: np.ndarray   # (n, arity) float32
     outputs: np.ndarray  # (n,) float32
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float32))
-        self.outputs = np.asarray(self.outputs, dtype=np.float32).reshape(-1)
+        self.inputs = _read_only(
+            np.atleast_2d(np.array(self.inputs, dtype=np.float32)))
+        self.outputs = _read_only(
+            np.array(self.outputs, dtype=np.float32).reshape(-1))
         if self.inputs.shape[0] == 0:
             raise ValueError("specification must be non-empty")
         if self.inputs.shape[0] != self.outputs.shape[0]:
@@ -571,12 +597,20 @@ class SpecFitness:
                 f"program arity {program.arity}")
         self.program = program
         self.spec = spec
+        # the specification's outputs as float64, tiled to the shape of
+        # the last outputs scored, and the array they were tiled from
+        self._target = (None, np.empty(0))
 
     def mean_squared_error(self, outputs):
         """MSE of ``outputs`` against the specification (last axis): the
         bits of ``mean(axis=-1)`` without the Python layer of
         ``ndarray.mean``."""
-        err = outputs.astype(np.float64) - self.spec.outputs.astype(np.float64)
+        source, target = self._target
+        if source is not self.spec.outputs or target.shape != outputs.shape:
+            target = np.empty(outputs.shape)
+            target[...] = self.spec.outputs
+            self._target = (self.spec.outputs, target)
+        err = outputs.astype(np.float64) - target
         return np.add.reduce(err * err, axis=-1) / err.shape[-1]
 
     def population(self, draws):

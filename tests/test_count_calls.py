@@ -1,7 +1,7 @@
 """``tools/count_calls.py`` runs, and the training loop makes no more Python
-calls per iteration than it did when the categorical block first gathered
-by direct indexing and the evaluator first tiled its leaves to full
-arrays."""
+calls per iteration than it did when every categorical hole was first drawn
+at once and the categorical weights were first gathered from category
+tables."""
 
 import os
 import subprocess
@@ -12,8 +12,10 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # calls per iteration of the 300-iteration run-main batch, measured with
 # Python 3.11.7 and NumPy 2.4.6 (296.9 while every loop function still
 # told its arguments' forms apart on every iteration, 271.0 while the
-# categorical block gathered through np.take_along_axis)
-MAX_CALLS_PER_ITERATION = 244.0
+# categorical block gathered through np.take_along_axis, 244.0 while each
+# categorical group drew on its own and its weights were built from
+# one-hot samples)
+MAX_CALLS_PER_ITERATION = 188.3
 
 
 def test_calls_per_iteration_within_the_measured_count():

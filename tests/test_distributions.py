@@ -149,6 +149,56 @@ class TestProbGradient:
         assert p.prob_gradient(2) == pytest.approx(expected)
 
 
+def onehot_weights(block, x, formula):
+    """A categorical block's ``(m, n, K)`` weights built from one-hot
+    samples, element by element as the category tables must give them."""
+    k = block.values.shape[1]
+    onehot = x[:, :, None] == np.arange(k)
+    p = block.p[:, None, :]
+    if formula == "natural_score":
+        return p * (onehot - p)
+    if block.mode == LOGITS:
+        score = onehot - p
+    else:
+        score = onehot / block.values[:, None, :]
+    if formula == "score":
+        return score
+    p_x = np.take_along_axis(block.p, x.astype(np.intp), axis=1)
+    return p_x[:, :, None] * score
+
+
+def categorical_blocks(k, m, r):
+    """A PROBS block with EPS-clamped probabilities and a LOGITS block
+    whose softmax underflows to 0 in its first row."""
+    probs = r.dirichlet(np.ones(k), size=m)
+    probs[:, 0] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    CategoricalBlock.project(probs, PROBS)  # 0.0 becomes about EPS
+    logits = r.normal(size=(m, k))
+    logits[0, -1] = -800.0  # exp(-800 - max) is 0.0
+    return [CategoricalBlock(probs, PROBS), CategoricalBlock(logits, LOGITS)]
+
+
+class TestCategoryTables:
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("formula",
+                             ["score", "natural_score", "prob_gradient"])
+    def test_weights_match_onehot_bit_for_bit(self, k, m, formula):
+        r = rng(k * 10 + m)
+        x = r.integers(0, k, size=(m, 40)).astype(np.float64)
+        x[:, :k] = np.arange(k)  # every category is drawn
+        blocks = categorical_blocks(k, m, r)
+        assert blocks[0].p[:, 0].max() < 2 * EPS
+        assert blocks[1].p[0, -1] == 0.0
+        for block in blocks:
+            got = getattr(block, formula)(x)
+            want = onehot_weights(block, x, formula)
+            assert got.dtype == want.dtype and got.shape == (m, 40, k)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
 class TestEntropy:
     def test_bernoulli_max(self):
         assert BernoulliParams(0.5).entropy() == pytest.approx(math.log(2))

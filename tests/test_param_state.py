@@ -430,6 +430,63 @@ def test_categorical_sample_ties_break_low():
     assert got.tolist() == [[0, 0, 1, 1, 2, 2]]
 
 
+class ScriptedRng:
+    """Hands out the given rows, one per ``Generator`` call, in order."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, size, dtype, out):
+        out[...] = next(self.rows)
+
+    standard_normal = random
+
+
+def test_one_draw_of_every_categorical_hole_matches_per_hole():
+    # K = 4 and K = 6 groups of both modes with a Gaussian group between
+    # them; the first hole's cumulative sums end below the largest uniform
+    cells = [[CategoricalParams([0.3, 0.4, 0.2, 1.0 - 0.3 - 0.4 - 0.2],
+                                PROBS),
+              GaussianParams(0.5, -1.0),
+              CategoricalParams([0.1, 0.2, 0.3, 0.1, 0.2, 0.1], PROBS)],
+             [CategoricalParams([0.5, -1.0, 2.0, 0.0, 1.0, -3.0], LOGITS),
+              GaussianParams(-2.0, 0.5),
+              CategoricalParams([1.0, 0.0, -1.0, 2.0], LOGITS)]]
+    assert np.cumsum(cells[0][0].values)[-1] < np.nextafter(1.0, 0.0)
+    noise = []  # per cell, per hole: the rows its draws read
+    for params in cells:
+        noise.append([])
+        for p in params:
+            if isinstance(p, GaussianParams):
+                noise[-1].append(np.linspace(-3.0, 3.0, 17))
+                continue
+            cum = np.cumsum(ref_probs(p))
+            # every cumulative boundary and its neighbours, 0 and the
+            # largest uniform
+            u = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0.0),
+                                np.nextafter(cum[:-1], 1.0),
+                                [0.0, np.nextafter(1.0, 0.0)]])
+            noise[-1].append(np.resize(u, 17))
+    state = ParamState.joined([ParamState.of(params) for params in cells])
+    # the groups: PROBS K = 4, Gaussian, PROBS K = 6, LOGITS 6, LOGITS 4
+    assert [g.width for g in state.layout.groups] == [4, 2, 6, 6, 4]
+    plan = DrawPlan(state.layout, [ScriptedRng(rows) for rows in noise], 17)
+    samples = est.sample_population(state, plan)
+    holes = [p for params in cells for p in params]
+    rows = [u for cell in noise for u in cell]
+    for group in state.layout.groups:
+        for row, hole in zip(range(group.rows.start, group.rows.stop),
+                             group.holes):
+            p, u = holes[hole], rows[hole]
+            if isinstance(p, GaussianParams):
+                want = p.mu + math.exp(p.log_sigma) * u
+            else:
+                want = np.minimum(np.searchsorted(np.cumsum(ref_probs(p)), u,
+                                                  side="left"),
+                                  p.k - 1).astype(np.float64)
+            assert_same_bits(samples[row], want)
+
+
 @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (2, 4, 1), (2,)],
                          ids=str)
 def test_gradient_layout_must_match(sizes):

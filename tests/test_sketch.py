@@ -9,7 +9,7 @@ from disnes.harness import ABLATION_SKETCH, MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
     COND_OPS, MAX_DEPTH, OP_OPS,
     SketchError, SketchSyntaxError, Specification, SpecFitness,
-    eval_program, format_f32, holes_to_distributions,
+    eval_batch, eval_program, format_f32, holes_to_distributions,
     parse, render,
 )
 
@@ -311,6 +311,35 @@ class TestEval:
         assert program._plan is program._plan
         assert program == again and hash(program) == hash(again)
 
+    @pytest.mark.parametrize("body", [
+        "return 2.5;", "return x;", "return [REAL];", "return x [OP] 1.5;",
+        "if 1.0 [COND] 2.0 { return 1.5; } return 2.5;",
+    ])
+    def test_eval_batch_result_is_the_callers(self, body):
+        """A fresh, writable, C-contiguous (lam, n) array on every call,
+        also where the program returns a literal, an input or a REAL hole
+        as it is: writing it leaves the next evaluation alone."""
+        program = parse(f"fn f(x: f32) -> f32 {{ {body} }}")
+        draws = np.ones((len(program.holes), 3))
+        first = eval_batch(program, draws, MAIN_SPEC.inputs)
+        want = first.copy()
+        first[...] = np.nan
+        second = eval_batch(program, draws, MAIN_SPEC.inputs)
+        for out in (first, second):
+            assert out.shape == (3, 4) and out.dtype == np.float32
+            assert out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        assert second.tobytes() == want.tobytes()
+
+    def test_inputs_changed_in_place_are_read_again(self):
+        program = parse("fn f(x: f32) -> f32 { return x * 2.0; }")
+        inputs = np.array([[1.0], [2.0]], dtype=np.float32)
+        draws = np.empty((0, 2))
+        assert eval_batch(program, draws, inputs).tolist() == [[2.0, 4.0]] * 2
+        inputs[0, 0] = 5.0
+        assert eval_batch(program, draws, inputs).tolist() == \
+            [[10.0, 4.0]] * 2
+
     def test_missing_hole_rejected(self):
         with pytest.raises(SketchError, match="missing"):
             eval_program(parse(MAIN_SKETCH), {}, [1.0])
@@ -412,6 +441,14 @@ class TestFitness:
             assert fitness.mean_squared_error(outputs).tobytes() == \
                 want.tobytes()
             assert fitness.mean_squared_error(outputs[0]) == want[0]
+
+    def test_specification_keeps_read_only_copies(self):
+        inputs, outputs = np.ones((2, 1), np.float32), np.ones(2, np.float32)
+        spec = Specification(inputs, outputs)
+        inputs[0, 0] = outputs[0] = 7.0
+        assert spec.inputs[0, 0] == spec.outputs[0] == 1.0
+        assert not spec.inputs.flags.writeable
+        assert not spec.outputs.flags.writeable
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
