@@ -14,15 +14,16 @@ Each family's formulas are written once, in its block class
 (:class:`BernoulliBlock`, :class:`CategoricalBlock`,
 :class:`GaussianBlock`): sampling, log-probability, the score (gradient of
 the log-probability), a Fisher-preconditioned "natural" score, the
-gradient of the probability itself, entropy, greedy decode and the
-projection after a step.  A block holds ``m`` holes of one family (and,
-for categoricals, one K and mode) as an ``(m, width)`` array, one row per
+gradient of the probability itself, entropy, greedy decode and, for
+:class:`BernoulliBlock` and the probability-parametrized categorical
+:class:`ProbsBlock`, the projection after a step.  A block holds ``m``
+holes of one block type and width as an ``(m, width)`` array, one row per
 hole; samples are ``(m, n)`` and gradients come back ``(m, n, width)``.
 A categorical formula is first made per category, as an ``(m, K, K)``
 table, and each sample gathers its category's row of it.
 
 :class:`ParamState` keeps every hole's parameters in one float64 vector.
-Holes are grouped by (family, K, mode); the vector holds one group after
+Holes are grouped by (block type, width); the vector holds one group after
 the other, so each group's block is a reshaped slice of it and a training
 step is one NumPy operation per group, not per hole.  A state may hold
 several cells (independent training runs, each with its own learning rate
@@ -73,6 +74,9 @@ EPS = 1e-6
 LOG_SIGMA_MAX = math.log(sys.float_info.max)
 LOG_SIGMA_MIN = math.log(sys.float_info.min)
 F32_MAX = float(np.finfo(np.float32).max)
+# Largest logit magnitude at which ``l - max(l)`` of a softmax cannot
+# overflow.
+LOGIT_MAX = sys.float_info.max / 2
 
 LOGITS = "logits"
 PROBS = "probs"
@@ -120,18 +124,18 @@ class _Block:
     """``m`` holes of one family as an ``(m, width)`` array ``values``.
 
     A block is read-only: quantities derived from ``values`` are computed
-    once, on first use.  :meth:`project` acts on a values array before a
-    block is made of it.  ``lower`` and ``upper`` bound every column or
-    each column (default: any finite value); a step out of them diverges.
-    ``discrete`` tells whether samples are category indices.
+    once, on first use.  A type that projects has a static ``project``,
+    which acts on a values array before a block is made of it.  ``lower``
+    and ``upper`` bound every column or each column (default: any finite
+    value); a step out of them diverges.  ``discrete`` tells whether
+    samples are category indices.
     """
 
     lower, upper = -sys.float_info.max, sys.float_info.max
     discrete = True
 
-    def __init__(self, values, mode=None):
+    def __init__(self, values):
         self.values = values
-        self.mode = mode
 
 
 class BernoulliBlock(_Block):
@@ -172,7 +176,7 @@ class BernoulliBlock(_Block):
         return [1 if t >= 0.5 else 0 for t in self.values[:, 0].tolist()]
 
     @staticmethod
-    def project(values, mode):
+    def project(values):
         """Clamp theta to ``[EPS, 1 - EPS]``, in place."""
         _clip(values)
 
@@ -188,18 +192,20 @@ def _clip(values):
 
 
 class CategoricalBlock(_Block):
-    """Categorical holes of one K and mode: K columns of logits or
-    probabilities.  Each per-sample formula is an ``(m, K, K)`` category
-    table, whose row ``c`` of hole ``h`` is the formula's value at
-    category ``c``; the samples gather their rows of it (see
+    """Categorical holes of one K: K columns of logits, each within
+    ``LOGIT_MAX`` of 0.  Each per-sample formula is an ``(m, K, K)``
+    category table, whose row ``c`` of hole ``h`` is the formula's value
+    at category ``c``; the samples gather their rows of it (see
     :func:`_rows`), which gives the ``(m, n, K)`` layout."""
 
     draw = "random"
+    mode = LOGITS
+    lower, upper = -LOGIT_MAX, LOGIT_MAX
 
     @_once
     def p(self):
         """The probabilities, one row per hole."""
-        return self.values if self.mode == PROBS else _softmax(self.values)
+        return _softmax(self.values)
 
     def sample(self, u):
         """Inverse-CDF sampling; boundary ties break toward the lower index
@@ -210,13 +216,10 @@ class CategoricalBlock(_Block):
         return _rows(np.log(self.p), x)
 
     def _score_table(self):
-        eye = _identity(self.values.shape[1])
-        if self.mode == LOGITS:
-            return eye - self.p[:, None, :]
-        return eye / self.values[:, None, :]
+        return _identity(self.values.shape[1]) - self.p[:, None, :]
 
     def score(self, x):
-        """LOGITS: ``onehot(x) - p``; PROBS: ``onehot(x) / p``."""
+        """The softmax score ``onehot(x) - p``."""
         return _rows(self._score_table(), x)
 
     def natural_score(self, x):
@@ -232,25 +235,33 @@ class CategoricalBlock(_Block):
         """Entropy per hole, taking 0 * log 0 as 0: a softmax can underflow
         to a zero probability."""
         p = self.p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = p * np.log(p)
-        terms[p == 0.0] = 0.0
-        return -np.add.reduce(terms, axis=1)
+        return -np.add.reduce(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
 
     def greedy(self):
         """Modal categories; ties break toward the lower index."""
         return np.argmax(self.p, axis=1).tolist()
 
-    @staticmethod
-    def project(values, mode):
-        """PROBS: clamp to ``[EPS, 1 - EPS]`` and renormalize, in place."""
-        if mode == PROBS:
-            _clip(values)
-            values /= np.add.reduce(values, axis=1, keepdims=True)
-
     def distribution(self, row):
         return _unchecked(CategoricalParams, values=self.values[row].copy(),
                           mode=self.mode)
+
+
+class ProbsBlock(CategoricalBlock):
+    """Categorical holes of one K as K columns of probabilities, the
+    parametrization of the explicit Fisher step; its score is the log-pmf
+    partials ``onehot(x) / p``."""
+
+    mode = PROBS
+    p = _once(lambda self: self.values)
+
+    def _score_table(self):
+        return _identity(self.values.shape[1]) / self.values[:, None, :]
+
+    @staticmethod
+    def project(values):
+        """Clamp to ``[EPS, 1 - EPS]`` and renormalize, in place."""
+        _clip(values)
+        values /= np.add.reduce(values, axis=1, keepdims=True)
 
 
 def _count_below(cum, u, dtype=np.int64):
@@ -347,10 +358,6 @@ class GaussianBlock(_Block):
 
     def greedy(self):
         return self.values[:, 0].tolist()
-
-    @staticmethod
-    def project(values, mode):
-        """Gaussian parameters are not projected, only bounded."""
 
     def distribution(self, row):
         return _unchecked(GaussianParams, mu=float(self.values[row, 0]),
@@ -451,9 +458,10 @@ class BernoulliParams(_Distribution):
 class CategoricalParams(_Distribution):
     """Categorical search distribution over ``K >= 2`` categories.
 
-    ``mode=LOGITS`` stores unconstrained logits (probabilities via softmax);
-    ``mode=PROBS`` stores the probability vector directly.  The score
-    depends on the mode:
+    ``mode=LOGITS`` stores logits within ``LOGIT_MAX`` of 0
+    (probabilities via softmax, a :class:`CategoricalBlock`);
+    ``mode=PROBS`` stores the probability vector directly (a
+    :class:`ProbsBlock`).  The score depends on the mode:
 
     * LOGITS: ``onehot(x) - p`` (softmax score).
     * PROBS: ``onehot(x) / p`` (per-coordinate log-pmf partials, used only
@@ -483,12 +491,18 @@ class CategoricalParams(_Distribution):
                 raise ValueError("probabilities must lie in (0, 1)")
             if abs(self.values.sum() - 1.0) > 1e-6:
                 raise ValueError("probabilities must sum to 1")
+        elif not (CategoricalBlock.lower <= self.values.min()
+                  and self.values.max() <= CategoricalBlock.upper):
+            raise ValueError(
+                f"logits must lie in [{CategoricalBlock.lower:.7g}, "
+                f"{CategoricalBlock.upper:.7g}], got {self.values.tolist()}")
 
     def snapshot(self):
         return {"mode": self.mode, "values": self.values.tolist()}
 
     def _block(self):
-        return CategoricalBlock(self.values[None, :], self.mode)
+        block_type = ProbsBlock if self.mode == PROBS else CategoricalBlock
+        return block_type(self.values[None, :])
 
     @property
     def k(self):
@@ -552,12 +566,12 @@ FAMILIES = {cls.family: cls
 # --- The flat parameter state -----------------------------------------------
 
 class _Group:
-    """The holes of one (family, K, mode): positions ``start:stop`` of the
-    vector, and ``rows`` of a per-hole array in group order (the holes of
-    one group after the other)."""
+    """The holes of one (block type, width): positions ``start:stop`` of
+    the vector, and ``rows`` of a per-hole array in group order (the holes
+    of one group after the other)."""
 
-    def __init__(self, block_type, width, mode, holes, start, first):
-        self.block_type, self.width, self.mode = block_type, width, mode
+    def __init__(self, block_type, width, holes, start, first):
+        self.block_type, self.width = block_type, width
         self.holes = tuple(holes)
         self.start, self.stop = start, start + width * len(holes)
         self.rows = slice(first, first + len(holes))
@@ -567,11 +581,12 @@ class _Layout:
     """Where each hole's parameters sit in the vector; shared by every
     state stepped from the same params-set.
 
-    ``keys`` gives each hole's (block type, width, mode) in hole order and
+    ``keys`` gives each hole's (block type, width) in hole order and
     ``cell_of_hole`` its cell, out of ``cell_count`` (default: one cell).
     The loop takes per-cell values, such as learning rates, to vector
     positions once through ``cell_of``; only the public steps convert
-    per-hole gradients, through :meth:`vector_of`.
+    per-hole gradients, through :meth:`vector_of`.  ``projected`` lists
+    the groups whose block type projects after a step.
     """
 
     def __init__(self, keys, cell_of_hole=None, cell_count=1):
@@ -582,10 +597,11 @@ class _Layout:
         for hole, key in enumerate(keys):
             by_key.setdefault(key, []).append(hole)
         self.groups, start, first = [], 0, 0
-        for (block_type, width, mode), holes in by_key.items():
-            self.groups.append(
-                _Group(block_type, width, mode, holes, start, first))
+        for (block_type, width), holes in by_key.items():
+            self.groups.append(_Group(block_type, width, holes, start, first))
             start, first = self.groups[-1].stop, first + len(holes)
+        self.projected = [g for g in self.groups
+                          if hasattr(g.block_type, "project")]
         # group order: the holes of one group after the other; the cell
         # of each row, and the row of each hole
         grouped = [h for g in self.groups for h in g.holes]
@@ -595,15 +611,9 @@ class _Layout:
         # (program hole, cell) -> its row; each cell holds one program's
         # holes
         self.member_rows = row_of.reshape(cell_count, -1).T
-        self.widths = [width for _, width, _ in keys]  # hole order
-        # vector position -> its hole, and -> its position in the
-        # hole-order concatenation of per-hole arrays
-        offset = np.cumsum([0] + self.widths)
+        # vector position -> its hole
         self.hole_of = np.array([h for g in self.groups for h in g.holes
                                  for _ in range(g.width)], dtype=np.intp)
-        self.order = np.array([offset[h] + i for g in self.groups
-                               for h in g.holes for i in range(g.width)],
-                              dtype=np.intp)
         self.cell_of = cells[self.hole_of]  # vector position -> its cell
         # vector position -> its bounds (see _Block)
         self.lower, self.upper = np.empty((2, self.hole_of.size))
@@ -617,7 +627,7 @@ class _Layout:
             for j, hole in enumerate(g.holes):
                 start = g.start + j * g.width
                 self.spans[hole] = slice(start, start + g.width)
-        self.discrete = [block_type.discrete for block_type, _, _ in keys]
+        self.discrete = [block_type.discrete for block_type, _ in keys]
         # per hole, in hole order: its draw type, its row and its cell
         self.draws = [(key[0].draw, row, cell) for key, row, cell
                       in zip(keys, row_of.tolist(), cells.tolist())]
@@ -631,11 +641,14 @@ class _Layout:
         joint = cls([key for lay in layouts for key in lay.keys],
                     [c for c, lay in enumerate(layouts) for _ in lay.keys],
                     len(layouts))
-        position = np.empty_like(joint.order)  # hole-order index -> position
-        position[joint.order] = np.arange(joint.order.size)
-        offsets = np.cumsum([0] + [lay.order.size for lay in layouts])
-        joint.cells = [(lay, position[offset + lay.order])
-                       for lay, offset in zip(layouts, offsets)]
+        # each cell's positions: its holes' joint spans, in its vector order
+        firsts = np.cumsum([0] + [lay.size for lay in layouts]).tolist()
+        joint.cells = [
+            (lay, np.array([i for g in lay.groups for h in g.holes
+                            for i in range(joint.spans[first + h].start,
+                                           joint.spans[first + h].stop)],
+                           dtype=np.intp))
+            for lay, first in zip(layouts, firsts)]
         return joint
 
     def vector_of(self, gradients):
@@ -648,9 +661,11 @@ class _Layout:
         if (isinstance(gradients, np.ndarray)
                 and gradients.shape == self.hole_of.shape):
             return gradients
-        if [np.asarray(g).size for g in gradients] != self.widths:
+        if ([np.size(g) for g in gradients]
+                != [span.stop - span.start for span in self.spans]):
             raise ValueError("gradient layout does not match params layout")
-        return np.concatenate(gradients, axis=None)[self.order]
+        return np.concatenate([gradients[h] for g in self.groups
+                               for h in g.holes], axis=None)
 
     def per_hole(self, vector):
         """The per-hole parts of a vector in this layout's order, in hole
@@ -689,7 +704,7 @@ class DrawPlan:
                       for draw, row, cell in layout.draws]
         groups = list(enumerate(layout.groups))
         categorical = [(i, g) for i, g in groups
-                       if g.block_type is CategoricalBlock]
+                       if issubclass(g.block_type, CategoricalBlock)]
         sums_per_hole = max([g.width for _, g in categorical], default=1) - 1
         self.cum = np.full((sums_per_hole, layout.size), np.inf)
         # per categorical group, by index: its part of the table, as an
@@ -697,7 +712,7 @@ class DrawPlan:
         self.fills = [(i, self.cum[:g.width - 1, g.rows].T)
                       for i, g in categorical]
         self.others = [(i, g.rows) for i, g in groups
-                       if g.block_type is not CategoricalBlock]
+                       if not issubclass(g.block_type, CategoricalBlock)]
 
     def sample(self, blocks):
         """The draws of the state whose blocks are ``blocks``: a fresh
@@ -714,7 +729,7 @@ class DrawPlan:
 
 class ParamState:
     """Every hole's parameters in one float64 vector, grouped by
-    (family, K, mode).  In this group order the groups come in the order
+    (block type, width).  In this group order the groups come in the order
     of their first holes, and the holes of a group in hole order; the
     state's draws come in it too.
 
@@ -740,8 +755,7 @@ class ParamState:
         use."""
         if self._blocks is None:
             self._blocks = [
-                g.block_type(self.vector[g.start:g.stop].reshape(-1, g.width),
-                             g.mode)
+                g.block_type(self.vector[g.start:g.stop].reshape(-1, g.width))
                 for g in self.layout.groups]
         return self._blocks
 
@@ -752,13 +766,9 @@ class ParamState:
         if isinstance(params_set, ParamState):
             return params_set
         blocks = [p._block() for p in params_set]
-        layout = _Layout([(type(b), b.values.shape[1], b.mode)
-                          for b in blocks])
-        vector = np.empty(layout.hole_of.size)
-        for group in layout.groups:
-            vector[group.start:group.stop] = np.concatenate(
-                [blocks[h].values[0] for h in group.holes])
-        return cls(layout, vector)
+        layout = _Layout([(type(b), b.values.shape[1]) for b in blocks])
+        return cls(layout, np.array([v for g in layout.groups for h in g.holes
+                                     for v in blocks[h].values[0].tolist()]))
 
     @classmethod
     def joined(cls, states):
@@ -799,14 +809,13 @@ class ParamState:
 
     def stepped(self, gradient, eta, hole_ids=None):
         """The state after the ascent step ``theta + eta * gradient`` and
-        each family's projection, checked by :func:`_check_finite`, which
-        names holes by ``hole_ids``.  ``gradient`` is one vector in this
-        state's order and ``eta`` one learning rate or one per position."""
+        the projections, checked by :func:`_check_finite`, which names
+        holes by ``hole_ids``.  ``gradient`` is one vector in this state's
+        order and ``eta`` one learning rate or one per position."""
         layout = self.layout
         vector = self.vector + eta * gradient
-        for g in layout.groups:
-            g.block_type.project(
-                vector[g.start:g.stop].reshape(-1, g.width), g.mode)
+        for g in layout.projected:
+            g.block_type.project(vector[g.start:g.stop].reshape(-1, g.width))
         return _check_finite(ParamState(layout, vector), hole_ids)
 
     def entropies(self):

@@ -267,10 +267,12 @@ class _Parser:
         name = self.expect_ident().text
         self.expect("(")
         while True:
-            arg = self.expect_ident().text
+            arg = self.expect_ident()
+            if arg.text in self.args:
+                self.error(f"duplicate argument name {arg.text!r}", arg)
             self.expect(":")
             self.expect("f32")
-            self.args.append(arg)
+            self.args.append(arg.text)
             if self.peek().text == ",":
                 self.advance()
                 continue

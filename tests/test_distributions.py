@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from disnes.distributions import (
-    EPS, LOGITS, PROBS,
-    BernoulliParams, CategoricalBlock, CategoricalParams, GaussianParams,
+    EPS, LOGIT_MAX, LOGITS, PROBS,
+    BernoulliParams, CategoricalBlock, CategoricalParams, DivergenceError,
+    GaussianParams, ParamState, ProbsBlock,
 )
 
 
@@ -173,10 +175,10 @@ def categorical_blocks(k, m, r):
     probs = r.dirichlet(np.ones(k), size=m)
     probs[:, 0] = 0.0
     probs /= probs.sum(axis=1, keepdims=True)
-    CategoricalBlock.project(probs, PROBS)  # 0.0 becomes about EPS
+    ProbsBlock.project(probs)  # 0.0 becomes about EPS
     logits = r.normal(size=(m, k))
     logits[0, -1] = -800.0  # exp(-800 - max) is 0.0
-    return [CategoricalBlock(probs, PROBS), CategoricalBlock(logits, LOGITS)]
+    return [ProbsBlock(probs), CategoricalBlock(logits)]
 
 
 class TestCategoryTables:
@@ -226,9 +228,8 @@ class TestEntropy:
 
     def test_categorical_bits_kept_without_underflow(self):
         r = rng(21)
-        for values, mode in [(r.normal(size=(7, 6)) * 5, LOGITS),
-                             (r.dirichlet(np.ones(4), size=5), PROBS)]:
-            block = CategoricalBlock(values, mode)
+        for block in [CategoricalBlock(r.normal(size=(7, 6)) * 5),
+                      ProbsBlock(r.dirichlet(np.ones(4), size=5))]:
             want = -(block.p * np.log(block.p)).sum(axis=1)
             assert block.entropy().tobytes() == want.tobytes()
 
@@ -310,3 +311,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="must lie in"):
             GaussianParams(mu, log_sigma)
         GaussianParams(np.finfo(np.float32).max, 709.0)
+
+    @pytest.mark.parametrize("logit", [1e308, -1e308])
+    def test_logits_within_the_step_bounds(self, logit):
+        # the bounds a step is checked against: l - max(l) cannot overflow
+        # within them
+        with pytest.raises(ValueError, match="logits must lie in"):
+            CategoricalParams(np.array([logit, 0.0, 0.0]), mode=LOGITS)
+        edge = CategoricalParams(np.array([LOGIT_MAX, -LOGIT_MAX, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert edge.probs().tolist() == [1.0, 0.0, 0.0]
+
+
+class TestLogitBounds:
+    def test_step_past_the_bound_is_out_of_range(self):
+        p = CategoricalParams(np.array([LOGIT_MAX, 0.0, 0.0]), mode=LOGITS)
+        with pytest.raises(DivergenceError,
+                           match="out-of-range parameters for hole 0 "):
+            p.stepped(np.array([1e300, 0.0, 0.0]), 1.0)
+        with pytest.raises(DivergenceError,
+                           match="out-of-range parameters for hole 1 "):
+            ParamState.of([GaussianParams(0.0, 0.0), p]).stepped(
+                np.array([0.0, 0.0, 0.0, -2 * LOGIT_MAX, 0.0]), 1.0)
+
+    def test_a_step_to_the_bound_is_kept(self):
+        p = CategoricalParams(np.zeros(3), mode=LOGITS)
+        stepped = p.stepped(np.array([LOGIT_MAX, -LOGIT_MAX, 0.0]), 1.0)
+        assert stepped.values.tolist() == [LOGIT_MAX, -LOGIT_MAX, 0.0]

@@ -312,6 +312,8 @@ class TestCli:
         ["run-main", "--sketch", "{long_chain}", "--out", "{out}"],
         ["run-main", "--sketch", "{big_literal}", "--out", "{out}"],
         ["run-main", "--sketch", "{unicode_digit}", "--out", "{out}"],
+        ["run-main", "--sketch", "{duplicate_arg}", "--out", "{out}"],
+        ["decode", "--params", "{huge_logits}", "--sketch", "{main}"],
         ["run-ablation", "--seed", "1,1", "--iters", "3", "--out", "{out}"],
         ["run-main", "--estimator", "nes", "--estimator", "nes",
          "--out", "{out}"],
@@ -341,6 +343,10 @@ class TestCli:
             "long_chain": _sketch(" + ".join(["x"] * 3000)),
             "big_literal": _sketch("x * 1" + "0" * 40 + ".0"),
             "unicode_digit": _sketch("x * \u0663").encode("utf-8"),
+            "duplicate_arg":
+                "fn f(x: f32, x: f32) -> f32 { return x [OP] [REAL]; }",
+            "huge_logits": _edited_snapshot(
+                0, values=[1e308, -1e308, 0, 0, 0, 0]),
         }
         paths = {"out": tmp_path / "out"}
         for name, text in files.items():

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from disnes import estimator as est, harness
 from disnes.distributions import (
-    EPS, LOGITS, PROBS, BernoulliParams, CategoricalBlock, CategoricalParams,
-    DrawPlan, GaussianParams, ParamState,
+    EPS, LOGITS, PROBS, BernoulliBlock, BernoulliParams, CategoricalBlock,
+    CategoricalParams, DrawPlan, GaussianBlock, GaussianParams, ParamState,
+    ProbsBlock,
 )
 from disnes.optimizer import (
     TrainConfig, _transform_for, greedy_decode, initial_params, sgd_step,
@@ -392,6 +393,48 @@ def test_projection_at_the_bounds():
     assert stepped[0].theta == 1.0 - EPS and stepped[2].theta == EPS
 
 
+def test_step_projects_only_bernoulli_and_probs_groups(monkeypatch):
+    # groups B, L4, P4, G, L6; a LOGITS or Gaussian group is only bounded
+    assert not hasattr(CategoricalBlock, "project")
+    assert not hasattr(GaussianBlock, "project")
+    calls = []
+
+    def recorded(block_type):
+        project = block_type.project
+
+        def spy(values):
+            calls.append((block_type, values.shape))
+            project(values)
+        return staticmethod(spy)
+
+    for block_type in (BernoulliBlock, ProbsBlock):
+        monkeypatch.setattr(block_type, "project", recorded(block_type))
+    rng = np.random.default_rng(8)
+    params = make_params(["B", "L4", "P4", "G", "P4", "B", "L6"], rng)
+    grads = [rng.normal(scale=10.0, size=vector_of(p).size) for p in params]
+    stepped = sgd_step(params, grads, 0.3)
+    assert calls == [(BernoulliBlock, (2, 1)), (ProbsBlock, (2, 4))]
+    for p, g, q in zip(params, grads, stepped):
+        assert_same_bits(vector_of(q), ref_step(p, g, 0.3))
+    # the steps reach the projections' bounds
+    assert {stepped[0].theta, stepped[5].theta} & {EPS, 1.0 - EPS}
+    assert min(stepped[2].values.min(), stepped[4].values.min()) < 2 * EPS
+
+
+def test_hole_free_cells_join_and_come_back():
+    # a sketch without holes trains as a batch of such cells
+    cells = [ParamState.of([]) for _ in range(3)]
+    joint = ParamState.joined(cells)
+    assert len(joint) == 0 and joint.layout.cell_count == 3
+    assert joint.vector.shape == (0,)
+    for c, (layout, positions) in enumerate(joint.layout.cells):
+        assert layout is cells[c].layout
+        assert positions.dtype == np.intp and positions.shape == (0,)
+        back = joint.stepped(joint.vector, 0.1).cell(c)
+        assert back.layout is layout and back.params() == []
+        assert_same_bits(back.vector, cells[c].vector)
+
+
 def test_state_reads_as_a_params_set():
     params = make_params(ORDERS["G,C,C,G,B,C"], np.random.default_rng(4))
     state = ParamState.of(params)
@@ -423,7 +466,7 @@ def test_categorical_sample_ties_break_low():
     # as ``searchsorted(side="left")`` does
     probs = np.array([[0.25, 0.25, 0.5]])
     u = np.array([[0.0, 0.25, 0.3, 0.5, 0.75, 1.0]])
-    got = CategoricalBlock(probs, PROBS).sample(u)
+    got = ProbsBlock(probs).sample(u)
     want = np.minimum(np.searchsorted(np.cumsum(probs[0]), u[0],
                                       side="left"), 2)
     assert_same_bits(got[0], want)

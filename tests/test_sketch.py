@@ -64,6 +64,14 @@ class TestParse:
         with pytest.raises(SketchSyntaxError):
             parse("fn f(x: f32) -> f32 { return [REAL:a] [OP:a] x; }")
 
+    def test_duplicate_argument_name_rejected(self):
+        # a second ``x`` would read input column 0 and ignore input 1
+        text = "fn f(x: f32, x: f32) -> f32 { return x [OP] [REAL]; }"
+        with pytest.raises(SketchSyntaxError,
+                           match="duplicate argument name 'x'") as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, text.index("x:", 6) + 1)
+
     def test_unknown_variable(self):
         with pytest.raises(SketchSyntaxError, match="unknown variable"):
             parse("fn f(x: f32) -> f32 { return y; }")
