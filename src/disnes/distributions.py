@@ -27,7 +27,7 @@ Holes are grouped by (block type, width); the vector holds one group after
 the other, so each group's block is a reshaped slice of it and a training
 step is one NumPy operation per group, not per hole.  A state may hold
 several cells (independent training runs, each with its own learning rate
-and ``Generator``), one after the other in hole order; every formula works
+and random stream), one after the other in hole order; every formula works
 row by row, so a cell's numbers do not depend on the cells beside it.
 
 The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
@@ -43,14 +43,16 @@ maps the names back to them.
 
 Random draws read the stream in hole order: each Bernoulli or categorical
 hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals,
-with one ``Generator`` call per hole (bound once by a :class:`DrawPlan`).
-A :class:`DrawPlan` turns the uniforms of every categorical hole into
-categories at once, through one table of cumulative probabilities.  A
-state's draws come as one ``(holes, n)`` float64 matrix in its group
-order (see :class:`ParamState`), so a group's samples are one slice of
-it.  Each cell draws from its own generator, so a state, each of its
-cells and its per-hole distributions draw the same samples from the
-same seeds.
+with one ``Generator`` call per hole of one cell (bound once by a
+:class:`DrawPlan`).  Cells that share a ``Generator`` share its draws:
+the plan calls it for the first such cell only and copies those rows to
+the others.  A :class:`DrawPlan` turns the uniforms of every categorical
+hole into categories at once, through one table of cumulative
+probabilities.  A state's draws come as one ``(holes, n)`` float64
+matrix in its group order (see :class:`ParamState`), so a group's
+samples are one slice of it.  Each cell reads its own generator's stream
+as a one-cell state would, so a state, each of its cells and its
+per-hole distributions draw the same samples from the same seeds.
 
 All operations are pure given ``(params, rng)``; callers that run
 concurrently must each own a distinct ``numpy.random.Generator``.
@@ -656,7 +658,7 @@ class _Layout:
 
         ``gradients`` is one array per hole, in hole order, each of its
         hole's parameter count (else ``ValueError``), or already such a
-        vector.
+        vector.  A hole-free layout's vector is an empty float64 one.
         """
         if (isinstance(gradients, np.ndarray)
                 and gradients.shape == self.hole_of.shape):
@@ -664,6 +666,8 @@ class _Layout:
         if ([np.size(g) for g in gradients]
                 != [span.stop - span.start for span in self.spans]):
             raise ValueError("gradient layout does not match params layout")
+        if not self.size:
+            return np.empty(0)
         return np.concatenate([gradients[h] for g in self.groups
                                for h in g.holes], axis=None)
 
@@ -676,11 +680,20 @@ class _Layout:
 class DrawPlan:
     """The ``lam`` draws per hole of one layout's states, set up once.
 
-    Each hole has its ``Generator`` method bound to the hole's row of one
-    noise buffer in group order, which every draw overwrites; cell ``c``
-    draws from ``rngs[c]``.  The calls run in hole order, so each cell's
-    stream is read as one call per hole reads it.  ``rngs`` must hold one
-    ``Generator`` per cell of the layout, else ``ValueError``.
+    ``rngs`` holds one ``Generator`` per cell of the layout, else
+    ``ValueError``; cell ``c`` reads ``rngs[c]``.  Each distinct
+    ``Generator`` object is drawn from once per draw, by the first cell
+    that reads it: each of that cell's holes has its ``Generator`` method
+    bound to one row, and the calls run in hole order, so the stream is
+    read as one call per hole of a one-cell state reads it.  Every cell
+    that shares the ``Generator`` gets the same rows, hole by hole, so its
+    draws are those it would get alone from a ``Generator`` in the same
+    state; such cells must draw the same sequence of uniforms and
+    normals, else ``ValueError``.  Where no ``Generator`` is shared, the
+    calls write straight into the noise buffer, one row per hole in group
+    order, which every draw overwrites; else they write into a buffer of
+    drawn rows, and one ``take`` copies each to its holes' rows of the
+    noise buffer.
 
     Every categorical hole is drawn at once.  The plan keeps one table of
     cumulative probabilities, a column per hole in group order and one
@@ -698,10 +711,34 @@ class DrawPlan:
                              f"{layout.cell_count} cells")
         self.layout, self.lam = layout, lam
         self.noise = np.empty((layout.size, lam))
+        holes = [[] for _ in rngs]  # per cell: its (draw, row) in hole order
+        for draw, row, cell in layout.draws:
+            holes[cell].append((draw, row))
+        # per Generator, by identity: its first cell and first drawn row;
+        # per drawn row: its Generator, draw and first cell's noise row;
+        # per noise row: its drawn row
+        firsts, drawn = {}, []
+        source = np.empty(layout.size, dtype=np.intp)
+        for cell, rng in enumerate(rngs):
+            if id(rng) not in firsts:
+                firsts[id(rng)] = (cell, len(drawn))
+                drawn += [(rng, draw, row) for draw, row in holes[cell]]
+            first, start = firsts[id(rng)]
+            if [d for d, _ in holes[cell]] != [d for d, _ in holes[first]]:
+                raise ValueError(f"cells {first} and {cell} share a Generator"
+                                 " but draw different sequences")
+            for j, (_, row) in enumerate(holes[cell]):
+                source[row] = start + j
+        if len(drawn) == layout.size:  # no Generator is shared
+            self.drawn, self.source = self.noise, None
+            targets = [row for _, _, row in drawn]
+        else:
+            self.drawn = np.empty((len(drawn), lam))
+            self.source, targets = source, range(len(drawn))
         # positional (size, dtype, out): cheaper to call than a keyword
-        self.calls = [partial(getattr(rngs[cell], draw), None, np.float64,
-                              self.noise[row])
-                      for draw, row, cell in layout.draws]
+        self.calls = [partial(getattr(rng, draw), None, np.float64,
+                              self.drawn[target])
+                      for (rng, draw, _), target in zip(drawn, targets)]
         groups = list(enumerate(layout.groups))
         categorical = [(i, g) for i, g in groups
                        if issubclass(g.block_type, CategoricalBlock)]
@@ -719,6 +756,10 @@ class DrawPlan:
         ``(holes, lam)`` float64 matrix in group order."""
         for call in self.calls:
             call()
+        if self.source is not None:
+            # every source row is in range; "clip" skips the buffered copy
+            # that the default mode makes of ``out``
+            self.drawn.take(self.source, axis=0, out=self.noise, mode="clip")
         for i, cum in self.fills:
             np.add.accumulate(blocks[i].p[:, :-1], axis=1, out=cum)
         samples = _count_below(self.cum, self.noise, np.float64)

@@ -45,17 +45,22 @@ class GradientEstimate:
     fitness, cell after cell for a state of several cells.
     ``degenerate`` counts the cells whose fitnesses were all equal after
     non-finite replacement (advisory only; their gradients are still
-    returned).
+    returned), computed on first use.
     """
 
     vector: np.ndarray
     fitnesses: np.ndarray
-    degenerate: int
     layout: object = field(repr=False)
 
     @cached_property
     def gradients(self):
         return self.layout.per_hole(self.vector)
+
+    @cached_property
+    def degenerate(self):
+        rows = self.fitnesses.reshape(self.layout.cell_count, -1)
+        return int(np.add.reduce(
+            np.logical_and.reduce(rows == rows[:, :1], axis=1)))
 
 
 def mean(values, keepdims=False):
@@ -182,7 +187,10 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     holes of one problem once per cell.  Every cell draws its own
     population, all of them are evaluated in one ``fitness`` call, and
     each cell's fitness replacement, transform and weights use only its
-    own row, so each cell's gradients are those it would get alone.
+    own row, so each cell's gradients are those it would get alone.  A
+    ``Generator`` given for several cells is drawn from once per
+    estimate, and those cells see the same draws, each as it would draw
+    them alone (see :class:`DrawPlan`).
     """
     if lam < 1:
         raise ValueError("population size must be >= 1")
@@ -203,8 +211,6 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     fits = evaluate_fitnesses(fitness, members, lam, cells,
                               layout.discrete[:holes])
     rows = fits.reshape(cells, lam)
-    degenerate = int(np.add.reduce(
-        np.logical_and.reduce(rows == rows[:, :1], axis=1)))
     weights = rows if fitness_transform is None else fitness_transform(rows)
     # per sample row: its own cell's weights
     hole_weights = weights[layout.grouped_cells][:, None, :]
@@ -217,7 +223,7 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
             else:
                 sums[picked] = np.matmul(cell_weights,
                                          _weights(block, xs, kind))[picked]
-    return GradientEstimate(kind_plan.sums / lam, fits, degenerate, layout)
+    return GradientEstimate(kind_plan.sums / lam, fits, layout)
 
 
 def joint_support_size(params_set):

@@ -12,9 +12,11 @@ while preconditioning scales the step by sigma^2 and stays stable.
 :func:`train` runs a list of cells -- configs that differ only in
 estimator kind, learning rate and seed -- in one loop over one joint
 :class:`ParamState`: one estimate, one fitness evaluation and one step
-per iteration for all of them.  Each cell keeps its own ``Generator``
-and every operation works row by row, so each cell's log and parameters
-are those it would get trained alone.
+per iteration for all of them.  The cells of one seed share its
+``Generator``, whose draws are made once per iteration and read by each
+of them as a cell trained alone reads its own, and every operation works
+row by row, so each cell's log and parameters are those it would get
+trained alone.
 """
 
 from __future__ import annotations
@@ -150,16 +152,17 @@ _SHARED = ("iterations", "population", "log_every", "fitness_transform")
 
 
 class _Cell:
-    """One config's training run inside a batch."""
+    """One config's training run inside a batch, drawing from ``rng``, the
+    ``Generator`` of its seed."""
 
-    def __init__(self, problem, config):
+    def __init__(self, problem, config, rng):
         self.state = ParamState.of(initial_params(problem, config))
         self.learning_rate = config.learning_rate
         discrete = self.state.layout.discrete
         self.kinds = [config.estimator_kind if d else CONTINUOUS_KIND
                       for d in discrete]
         self.discrete = [h for h, d in enumerate(discrete) if d]
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = rng
         hole_ids = problem.hole_ids()
         self.log = TrainingLog([hole_ids[h] for h in self.discrete])
 
@@ -190,7 +193,10 @@ def train(problem, configs):
     fitness = problem.fitness
     hole_ids = problem.hole_ids()
     lam = shared.population
-    cells = [_Cell(problem, c) for c in configs]
+    # one Generator per seed: the cells of a seed read its stream once
+    rngs = {seed: np.random.default_rng(seed)
+            for seed in {c.seed for c in configs}}
+    cells = [_Cell(problem, c, rngs[c.seed]) for c in configs]
     state = ParamState.joined([c.state for c in cells])
     draws, kinds, rates = _batch(cells, state.layout, lam)
     transform = _transform_for(shared.fitness_transform)

@@ -369,7 +369,7 @@ _UFUNCS = {
 }
 
 
-def _compile(node, rows):
+def _compile(node, rows, bools=False):
     """Compile an expression into ``fn(inputs, reals, offsets)``, the
     node's value as a C-contiguous ``(lam, n)`` f32 array, or as an f32
     scalar for a subtree of literals only, so that no operator broadcasts
@@ -378,7 +378,8 @@ def _compile(node, rows):
     column ``i`` and ``reals[i]`` the ``i``-th REAL hole's member values,
     both ``(lam, n)``, and ``offsets[i]`` the rows the ``i``-th operator
     hole picks from its candidates; ``rows`` maps each hole id to its
-    ``i``."""
+    ``i``.  With ``bools``, a comparison at the root (see
+    :func:`_compares`) gives its bools instead of 0.0 / 1.0."""
     if isinstance(node, Num):
         value = np.float32(node.value)
         return lambda inputs, reals, offsets: value
@@ -394,9 +395,9 @@ def _compile(node, rows):
             operand(inputs, reals, offsets))
     left, right = _compile(node.left, rows), _compile(node.right, rows)
     if isinstance(node.op, Hole):
-        return _operator_hole(node.op, rows[node.op.id], left, right)
+        return _operator_hole(node.op, rows[node.op.id], left, right, bools)
     ufunc = _UFUNCS[node.op]
-    if node.op in COND_OPS:
+    if node.op in COND_OPS and not bools:
         # comparison results feed back into arithmetic as 0.0 / 1.0
         return lambda inputs, reals, offsets: ufunc(
             left(inputs, reals, offsets),
@@ -405,15 +406,17 @@ def _compile(node, rows):
         left(inputs, reals, offsets), right(inputs, reals, offsets))
 
 
-def _operator_hole(hole, row, left, right):
+def _operator_hole(hole, row, left, right, bools):
     """A COND/OP hole whose pick rows are ``offsets[row]``: candidate
     ``k`` writes its result into rows ``k * lam`` to ``(k + 1) * lam - 1``
     of one ``(K * lam, n)`` buffer, and one ``take`` picks each member's
     row.  A COND hole's buffer is bool, which its comparisons fill faster
-    than an f32 one, and only the picked rows become 0.0 / 1.0."""
+    than an f32 one, and only the picked rows become 0.0 / 1.0, unless
+    ``bools`` keeps them as they are."""
     ufuncs = tuple(_UFUNCS[sym] for sym in hole.categories)
     k = len(ufuncs)
     cond = hole.kind == COND
+    as_f32 = cond and not bools
 
     def pick(inputs, reals, offsets):
         a, b = left(inputs, reals, offsets), right(inputs, reals, offsets)
@@ -422,8 +425,16 @@ def _operator_hole(hole, row, left, right):
         for ufunc, out in zip(ufuncs, buf):
             ufunc(a, b, out)
         picked = buf.reshape(k * lam, n).take(offsets[row], axis=0)
-        return picked.astype(np.float32) if cond else picked
+        return picked.astype(np.float32) if as_f32 else picked
     return pick
+
+
+def _compares(node):
+    """Whether ``node`` is a comparison, by a fixed operator or a COND
+    hole, whose value is already a bool for each element."""
+    op = getattr(node, "op", None)
+    return (op in COND_OPS if isinstance(op, str)
+            else isinstance(op, Hole) and op.kind == COND)
 
 
 def _compile_program(program):
@@ -438,7 +449,8 @@ def _compile_program(program):
     may change in place between calls, so they are tiled anew each time.
     Guards are tested in order, so the first true one wins: the branches
     are folded from the last to the first over the final expression.  A
-    guard is true where its value is not 0.0, which makes NaN true.
+    guard is true where its value is not 0.0, which makes NaN true; a
+    comparison guard gives its bools to the fold as they are.
     """
     real_rows, cat_rows, rows = [], [], {}
     for row, hole in enumerate(program.holes):
@@ -449,6 +461,8 @@ def _compile_program(program):
     cat_rows = np.array(cat_rows, dtype=np.intp)
 
     def guard(node):
+        if _compares(node):
+            return _compile(node, rows, bools=True)
         value = _compile(node, rows)
         return lambda inputs, reals, offsets: \
             value(inputs, reals, offsets) != 0.0

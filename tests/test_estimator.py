@@ -232,6 +232,22 @@ class TestPopulationMechanics:
             params, lambda xs: float(xs[0]), 50, rng(41), est.SEARCH)
         assert not out.degenerate
 
+    def test_degenerate_cells_counted_per_cell(self):
+        """Cells 1 and 2 draw only Gaussian values far below -100, where
+        the fitness is constant; cell 0 draws varied fitnesses."""
+        cells = [ParamState.of([BernoulliParams(0.5), GaussianParams(mu, 0.0)])
+                 for mu in (0.0, -1000.0, -1000.0)]
+        state = ParamState.joined(cells)
+        fitness = lambda xs: 7.0 if xs[1] < -100.0 else float(xs[1])
+        out = est.estimate_gradient(
+            state, fitness, 16, [rng(c) for c in range(3)], est.SEARCH)
+        assert out.degenerate == 2
+        assert out.degenerate is out.__dict__["degenerate"]  # kept
+        out = est.estimate_gradient(
+            state, lambda xs: 0.0, 16, [rng(c) for c in range(3)],
+            est.SEARCH)
+        assert out.degenerate == 3
+
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             est.estimate_gradient(
@@ -268,3 +284,23 @@ class TestPopulationMechanics:
                            match=f"^{count} Generators for 2 cells$"):
             est.estimate_gradient(state, fitness, 4, rngs, est.SEARCH)
         est.estimate_gradient(state, fitness, 4, [rng(0), rng(1)], est.SEARCH)
+
+    def test_one_generator_for_two_cells_draws_once(self):
+        """A Generator given for two cells is drawn from once per
+        estimate: both cells see the draws a one-cell estimate sees, and
+        the Generator moves on as that one-cell estimate's does."""
+        params = bern_cat_set() + [GaussianParams(0.2, -0.1)]
+        state = ParamState.joined([ParamState.of(params)] * 2)
+        fitness = lambda xs: float(xs[0]) + float(xs[1]) - float(xs[2]) ** 2
+        shared, alone = rng(5), rng(5)
+        for _ in range(3):
+            both = est.estimate_gradient(state, fitness, 8, [shared, shared],
+                                         est.VO)
+            one = est.estimate_gradient(params, fitness, 8, alone, est.VO)
+            assert np.array_equal(both.fitnesses, np.tile(one.fitnesses, 2))
+            assert np.array_equal(both.vector[state.layout.cells[1][1]],
+                                  one.vector)
+            assert np.array_equal(both.vector[state.layout.cells[0][1]],
+                                  one.vector)
+            assert (shared.bit_generator.state
+                    == alone.bit_generator.state)

@@ -137,6 +137,12 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step([BernoulliParams(0.5)], [], 0.1)
 
+    def test_hole_free_gradient_list_steps(self):
+        state = sgd_step([], [], 0.1)
+        assert len(state) == 0
+        assert state.vector.dtype == np.float64 and state.vector.size == 0
+        assert ParamState.of([]).layout.vector_of([]).dtype == np.float64
+
     def test_inputs_not_mutated(self):
         p = BernoulliParams(0.4)
         sgd_step([p], [np.array([1.0])], 0.5)
@@ -438,7 +444,8 @@ def train_until_divergence(problem, configs):
 
 def assert_batch_equals_serial(problem, configs):
     """One batch gives what the cells give trained one after another,
-    stopping at the first that diverges."""
+    stopping at the first that diverges; returns the batch's finished
+    pairs and divergence message."""
     batch, failure = train_until_divergence(problem, configs)
     serial, serial_failure = [], None
     for config in configs:
@@ -450,6 +457,7 @@ def assert_batch_equals_serial(problem, configs):
     assert len(batch) == len(serial)
     for got, want in zip(batch, serial):
         assert_same_run(got, want)
+    return batch, failure
 
 
 MIXED_CELLS = [(est.NATURAL, 0.1, 1), (est.SEARCH, 0.05, 2),
@@ -470,6 +478,38 @@ class TestBatch:
             mixed_problem(), cell_configs(MIXED_CELLS, iterations=40,
                                           population=16, log_every=3,
                                           fitness_transform=transform))
+
+    def test_cells_of_one_seed_share_its_draws(self, monkeypatch):
+        # three cells on seed 4 read one Generator, one cell on seed 9
+        # its own
+        plans = []
+
+        def recording(*args):
+            plans.append(DrawPlan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(optimizer, "DrawPlan", recording)
+        assert_batch_equals_serial(
+            main_problem(), cell_configs(
+                [(est.NATURAL, 0.1, 4), (est.SEARCH, 0.05, 4),
+                 (est.VO, 0.3, 9), (est.VO, 0.01, 4)],
+                iterations=60, population=16, log_every=3))
+        # the batch's plan: one call per hole of each seed's Generator
+        assert len(plans[0].calls) == 2 * 6
+
+    def test_cell_sharing_its_seed_diverges_mid_run(self):
+        # the third cell of seed 1 diverges at its 24th step; it and the
+        # seed-2 cell after it leave, and the two cells before it go on
+        # reading the seed's Generator
+        batch, failure = assert_batch_equals_serial(
+            main_problem(), cell_configs(
+                [(est.SEARCH, 0.05, 1), (est.VO, 0.05, 1),
+                 (est.NATURAL, 0.1, 1), (est.SEARCH, 0.01, 2)],
+                iterations=30, population=8, log_every=3,
+                fitness_transform="baseline"))
+        assert failure.startswith("out-of-range parameters for hole")
+        assert len(batch) == 2
+        assert all(log.records[-1].iteration == 28 for log, _ in batch)
 
     @settings(max_examples=20, deadline=None)
     @given(cells=st.lists(st.tuples(st.sampled_from(est.KINDS),

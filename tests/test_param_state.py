@@ -3,9 +3,9 @@
 The reference below is the per-hole arithmetic of a training step written
 out one hole at a time: one ``Generator`` call, one weight matrix, one
 weighted sum and one projected step per hole.  It lives only here.  The
-state groups holes by (family, K, mode) and shares a ``Generator`` call
-between holes with the same draw type that neighbour each other in hole
-order and in group order; the sample matrix (in group order), the
+state groups holes by (block type, width) and makes one ``Generator`` call
+per hole of each distinct generator, whose rows every cell that shares
+it reads; the sample matrix (in group order), the
 gradient vector, every per-hole gradient, stepped parameter, entropy and
 greedy value must still equal the reference's bit for bit, and the rng
 must end in the same state.
@@ -200,10 +200,13 @@ ORDERS = {
 }
 
 
-def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,)):
+def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,),
+                            streams=None):
     """One estimate and step of the state joining one cell per entry of
-    ``cell_codes`` (each cell drawing from its own generator) against the
-    per-hole reference run for each cell alone."""
+    ``cell_codes`` against the per-hole reference run for each cell alone.
+    Cell ``c`` draws from the generator of seed ``seed + streams[c]``
+    (default: ``seed + c``), one generator object per seed, which cells
+    of one seed share."""
     cell_params = [make_params(codes, np.random.default_rng(seed + c))
                    for c, codes in enumerate(cell_codes)]
     params = [p for cell in cell_params for p in cell]
@@ -212,9 +215,10 @@ def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,)):
     fitness = Fitness(len(cell_codes[0]))
     transform = _transform_for("standardize")
 
-    rngs = [np.random.default_rng(seed + c) for c in range(len(cell_codes))]
-    ref_rngs = [np.random.default_rng(seed + c)
-                for c in range(len(cell_codes))]
+    seeds = [seed + c for c in streams or range(len(cell_codes))]
+    by_seed = {s: np.random.default_rng(s) for s in seeds}
+    rngs = [by_seed[s] for s in seeds]
+    ref_rngs = [np.random.default_rng(s) for s in seeds]
     recorded = []
     sample_population = est.sample_population
 
@@ -301,6 +305,15 @@ BATCHES = {
     "cond-op": ([["L6", "L4", "G"]] * 2, [est.NATURAL, est.VO]),
 }
 
+# batches whose cells share generators: per cell, the stream it reads
+SHARED_STREAMS = {
+    "main-nes+vo": [0, 0],
+    "ablation-like": [0, 0, 1, 0],  # three cells of one seed, one apart
+    "mixed-kinds": [2, 0, 2],
+    "one-hole": [0, 0, 0],
+    "cond-op": [1, 1],
+}
+
 
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_joined_cells_match_per_hole_reference(batch):
@@ -308,6 +321,17 @@ def test_joined_cells_match_per_hole_reference(batch):
     etas = [0.37, 0.05, 0.2, 1.3][:len(codes)]
     check_against_reference(codes, seed=13, lam=9, cell_kinds=kinds,
                             etas=etas)
+
+
+@pytest.mark.parametrize("batch", sorted(SHARED_STREAMS))
+def test_cells_sharing_a_generator_match_per_hole_reference(batch):
+    """Cells that share a generator each get the draws, gradients and
+    steps of a cell alone on a generator of that seed, and the shared
+    generator ends where each of those would."""
+    codes, kinds = BATCHES[batch]
+    etas = [0.37, 0.05, 0.2, 1.3][:len(codes)]
+    check_against_reference(codes, seed=13, lam=9, cell_kinds=kinds,
+                            etas=etas, streams=SHARED_STREAMS[batch])
 
 
 class CountingRng:
@@ -325,34 +349,87 @@ class CountingRng:
         return counted
 
 
-# the cells of each command's default batch, by arm, and the Generator
-# calls one draw of that batch makes
+# the cells of each command's batch, by arm, in the order the harness
+# gives them, with their seeds, and the Generator calls one draw of that
+# batch makes: one per hole of each seed's Generator
+ABLATION_ARMS = [arm for arm in harness.ABLATION_ARMS
+                 for _ in harness.ABLATION_LEARNING_RATES]
 COMMAND_BATCHES = {
     "run-main": (harness.MAIN_SKETCH, harness.MAIN_SPEC, harness.MAIN_ARMS,
-                 12),
+                 (1,), 6),
     "run-ablation": (harness.ABLATION_SKETCH, harness.ABLATION_SPEC,
-                     [arm for arm in harness.ABLATION_ARMS
-                      for _ in harness.ABLATION_LEARNING_RATES], 60),
+                     ABLATION_ARMS, (1,), 6),
+    "run-ablation-5-seeds": (harness.ABLATION_SKETCH, harness.ABLATION_SPEC,
+                             ABLATION_ARMS, (1, 2, 3, 4, 5), 30),
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_BATCHES))
 def test_generator_calls_per_draw(command):
-    sketch, spec, arms, calls = COMMAND_BATCHES[command]
+    """A batch whose cells share one Generator per seed calls each once
+    per hole of one cell, and draws what one Generator per cell draws."""
+    sketch, spec, arms, seeds, calls = COMMAND_BATCHES[command]
     problem = SketchProblem(parse(sketch), spec)
+    cells = [(arm, seed) for arm in arms for seed in seeds]
     state = ParamState.joined([ParamState.of(initial_params(
         problem, TrainConfig(estimator_kind=harness.ARM_KINDS[arm])))
-        for arm in arms])
-    rngs = [CountingRng(c) for c in range(len(arms))]
-    plan = DrawPlan(state.layout, rngs, 50)
+        for arm, _ in cells])
+    rngs = {seed: CountingRng(seed) for seed in seeds}
+    plan = DrawPlan(state.layout, [rngs[seed] for _, seed in cells], 50)
+    assert len(plan.calls) == calls
     for draw in range(1, 3):
         samples = est.sample_population(state, plan)
-        assert sum(r.calls for r in rngs) == draw * calls
-    plain = DrawPlan(state.layout,
-                     [np.random.default_rng(c) for c in range(len(arms))], 50)
+        assert sum(r.calls for r in rngs.values()) == draw * calls
+    own = [CountingRng(seed) for _, seed in cells]
+    plain = DrawPlan(state.layout, own, 50)
     for _ in range(2):
         want = est.sample_population(state, plain)
+    assert sum(r.calls for r in own) == 2 * len(state)
     assert_same_bits(samples, want)
+
+
+def test_shared_generator_reads_as_one_cell_reads_its_own():
+    """Three cells on one Generator and one on another, for several
+    draws: each cell's rows are those a one-cell plan draws from a
+    Generator of its seed, and after each draw the shared Generator is
+    where that one-cell Generator is."""
+    # the same sequence of uniforms and normals, in other families
+    codes = [ORDERS["main-nes"], ORDERS["main-vo"],
+             ["B", "G", "G", "L4", "P2", "G"], ORDERS["main-nes"]]
+    seeds = [7, 7, 8, 7]
+    cells = [ParamState.of(make_params(c, np.random.default_rng(k)))
+             for k, c in enumerate(codes)]
+    state = ParamState.joined(cells)
+    shared = {seed: np.random.default_rng(seed) for seed in seeds}
+    plan = DrawPlan(state.layout, [shared[seed] for seed in seeds], 11)
+    alone = [np.random.default_rng(seed) for seed in seeds]
+    plans = [DrawPlan(cell.layout, [rng], 11)
+             for cell, rng in zip(cells, alone)]
+    for _ in range(3):
+        samples = est.sample_population(state, plan)
+        for c, (cell, cell_plan) in enumerate(zip(cells, plans)):
+            want = est.sample_population(cell, cell_plan)
+            assert_same_bits(samples[state.layout.member_rows[:, c]],
+                             want[cell.layout.member_rows[:, 0]])
+            assert (shared[seeds[c]].bit_generator.state
+                    == alone[c].bit_generator.state)
+
+
+@pytest.mark.parametrize("codes", [
+    (["B", "G"], ["G", "B"]),              # the same draws in another order
+    (["L4", "P6", "G"], ["L4", "G", "G"]),  # a normal for a uniform
+], ids=str)
+def test_cells_sharing_a_generator_must_draw_alike(codes):
+    """Cells of one layout have as many holes each; a shared Generator
+    also needs a uniform or a normal at the same place in each."""
+    state = ParamState.joined([
+        ParamState.of(make_params(c, np.random.default_rng(0)))
+        for c in codes])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^cells 0 and 1 share a Generator"
+                                         " but draw different sequences$"):
+        DrawPlan(state.layout, [rng, rng], 5)
+    DrawPlan(state.layout, [rng, np.random.default_rng(0)], 5)
 
 
 @settings(max_examples=150, deadline=None)

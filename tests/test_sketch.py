@@ -12,6 +12,9 @@ from disnes.sketch import (
     eval_batch, eval_program, format_f32, holes_to_distributions,
     parse, render,
 )
+from test_eval_reference import (
+    SPECIALS, assert_matches_reference, special_population,
+)
 
 # assignment reproducing the reference induced program: cond '<',
 # constants -1.5677981 / 1.1321394 / 3.9859228, both operators '*'
@@ -281,6 +284,31 @@ class TestEval:
             return 3.0; }"""
         assert eval_program(parse(text), {}, [5.0]) == np.float32(1.0)
         assert eval_program(parse(text), {}, [-1.0]) == np.float32(3.0)
+
+    # a guard that is a comparison goes to the branch fold as its bools;
+    # any other guard is true where its value is not 0.0, NaN included
+    GUARDS = {
+        "cond_hole": (
+            "fn f(x: f32, y: f32) -> f32 { if x [COND] y { return x - y; } "
+            "if [REAL] [COND] y { return [REAL]; } return y; }"),
+        "fixed_comparison": (
+            "fn f(x: f32, y: f32) -> f32 { if x >= [REAL] { return x * 2.0; "
+            "} if x != x { return 1.0; } if (x + y) < y { return y; } "
+            "return -x; }"),
+        "nan_arithmetic": (
+            "fn f(x: f32, y: f32) -> f32 { if x * [REAL] { return 1.0; } "
+            "if x - x { return 2.0; } if -(x [COND] y) { return 3.0; } "
+            "if (x < y) + [REAL] { return 4.0; } return 5.0; }"),
+    }
+
+    @pytest.mark.parametrize("guards", sorted(GUARDS))
+    def test_guard_kinds_match_reference(self, guards):
+        program = parse(self.GUARDS[guards])
+        inputs = np.array([(v, SPECIALS[(i + 4) % len(SPECIALS)])
+                           for i, v in enumerate(SPECIALS)]
+                          + [(v, v) for v in SPECIALS])
+        population = special_population(program, 5 * len(SPECIALS))
+        assert_matches_reference(program, population, inputs)
 
     def test_division_by_zero_is_ieee(self):
         ast = parse("fn f(x: f32) -> f32 { return 1.0 / x; }")
