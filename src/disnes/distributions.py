@@ -46,7 +46,7 @@ hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals,
 with one ``Generator`` call per hole of one cell (bound once by a
 :class:`DrawPlan`).  Cells that share a ``Generator`` share its draws:
 the plan calls it for the first such cell only and copies those rows to
-the others.  A :class:`DrawPlan` turns the uniforms of every categorical
+each of them.  A :class:`DrawPlan` turns the uniforms of every categorical
 hole into categories at once, through one table of cumulative
 probabilities.  A state's draws come as one ``(holes, n)`` float64
 matrix in its group order (see :class:`ParamState`), so a group's
@@ -684,16 +684,14 @@ class DrawPlan:
     ``ValueError``; cell ``c`` reads ``rngs[c]``.  Each distinct
     ``Generator`` object is drawn from once per draw, by the first cell
     that reads it: each of that cell's holes has its ``Generator`` method
-    bound to one row, and the calls run in hole order, so the stream is
-    read as one call per hole of a one-cell state reads it.  Every cell
-    that shares the ``Generator`` gets the same rows, hole by hole, so its
-    draws are those it would get alone from a ``Generator`` in the same
-    state; such cells must draw the same sequence of uniforms and
-    normals, else ``ValueError``.  Where no ``Generator`` is shared, the
-    calls write straight into the noise buffer, one row per hole in group
-    order, which every draw overwrites; else they write into a buffer of
-    drawn rows, and one ``take`` copies each to its holes' rows of the
-    noise buffer.
+    bound to one row of a buffer of drawn rows, and the calls run in hole
+    order, so the stream is read as one call per hole of a one-cell state
+    reads it.  One ``take`` then copies each drawn row to its hole's row,
+    in group order, of every cell that reads that ``Generator``; where no
+    ``Generator`` is shared, that is each drawn row to one noise row.  So
+    a cell that shares a ``Generator`` gets the rows it would get alone
+    from a ``Generator`` in the same state; such cells must draw the same
+    sequence of uniforms and normals, else ``ValueError``.
 
     Every categorical hole is drawn at once.  The plan keeps one table of
     cumulative probabilities, a column per hole in group order and one
@@ -715,30 +713,23 @@ class DrawPlan:
         for draw, row, cell in layout.draws:
             holes[cell].append((draw, row))
         # per Generator, by identity: its first cell and first drawn row;
-        # per drawn row: its Generator, draw and first cell's noise row;
-        # per noise row: its drawn row
+        # per drawn row: its Generator and draw; per noise row: its drawn row
         firsts, drawn = {}, []
-        source = np.empty(layout.size, dtype=np.intp)
+        self.source = np.empty(layout.size, dtype=np.intp)
         for cell, rng in enumerate(rngs):
             if id(rng) not in firsts:
                 firsts[id(rng)] = (cell, len(drawn))
-                drawn += [(rng, draw, row) for draw, row in holes[cell]]
+                drawn += [(rng, draw) for draw, _ in holes[cell]]
             first, start = firsts[id(rng)]
             if [d for d, _ in holes[cell]] != [d for d, _ in holes[first]]:
                 raise ValueError(f"cells {first} and {cell} share a Generator"
                                  " but draw different sequences")
             for j, (_, row) in enumerate(holes[cell]):
-                source[row] = start + j
-        if len(drawn) == layout.size:  # no Generator is shared
-            self.drawn, self.source = self.noise, None
-            targets = [row for _, _, row in drawn]
-        else:
-            self.drawn = np.empty((len(drawn), lam))
-            self.source, targets = source, range(len(drawn))
+                self.source[row] = start + j
+        self.drawn = np.empty((len(drawn), lam))
         # positional (size, dtype, out): cheaper to call than a keyword
-        self.calls = [partial(getattr(rng, draw), None, np.float64,
-                              self.drawn[target])
-                      for (rng, draw, _), target in zip(drawn, targets)]
+        self.calls = [partial(getattr(rng, draw), None, np.float64, out)
+                      for (rng, draw), out in zip(drawn, self.drawn)]
         groups = list(enumerate(layout.groups))
         categorical = [(i, g) for i, g in groups
                        if issubclass(g.block_type, CategoricalBlock)]
@@ -756,10 +747,9 @@ class DrawPlan:
         ``(holes, lam)`` float64 matrix in group order."""
         for call in self.calls:
             call()
-        if self.source is not None:
-            # every source row is in range; "clip" skips the buffered copy
-            # that the default mode makes of ``out``
-            self.drawn.take(self.source, axis=0, out=self.noise, mode="clip")
+        # every source row is in range; "clip" skips the buffered copy that
+        # the default mode makes of ``out``
+        self.drawn.take(self.source, axis=0, out=self.noise, mode="clip")
         for i, cum in self.fills:
             np.add.accumulate(blocks[i].p[:, :-1], axis=1, out=cum)
         samples = _count_below(self.cum, self.noise, np.float64)
