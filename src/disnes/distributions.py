@@ -17,18 +17,21 @@ the log-probability), a Fisher-preconditioned "natural" score, the
 gradient of the probability itself, entropy, greedy decode and, for
 :class:`BernoulliBlock` and the probability-parametrized categorical
 :class:`ProbsBlock`, the projection after a step.  A block holds ``m``
-holes of one block type and width as an ``(m, width)`` array, one row per
-hole; samples are ``(m, n)`` and gradients come back ``(m, n, width)``.
-A categorical formula is first made per category, as an ``(m, K, K)``
+holes of one block type as an ``(m, width)`` array, one row per hole;
+samples are ``(m, n)`` and gradients come back ``(m, n, width)``.  A
+categorical formula is first made per category, as an ``(m, K, K)``
 table, and each sample gathers its category's row of it.
 
 :class:`ParamState` keeps every hole's parameters in one float64 vector.
-Holes are grouped by (block type, width); the vector holds one group after
-the other, so each group's block is a reshaped slice of it and a training
-step is one NumPy operation per group, not per hole.  A state may hold
-several cells (independent training runs, each with its own learning rate
-and random stream), one after the other in hole order; every formula works
-row by row, so a cell's numbers do not depend on the cells beside it.
+Holes are grouped by block type (see :func:`_group_key`); the vector holds
+one group after the other, so each group's block is a reshaped slice of
+it and a training step is one NumPy operation per group, not per hole.  A
+categorical hole with fewer categories than its group's widest fills the
+rest of its row with pads, categories of probability exactly 0: 0.0 as a
+probability, ``-inf`` as a logit.  A state may hold several cells
+(independent training runs, each with its own learning rate and random
+stream), one after the other in hole order; every formula works row by
+row, so a cell's numbers do not depend on the cells beside it.
 
 The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
 :class:`GaussianParams`), the API for single distributions, are one-row
@@ -83,6 +86,10 @@ LOGIT_MAX = sys.float_info.max / 2
 LOGITS = "logits"
 PROBS = "probs"
 
+# Widest categorical row that shares a group with rows of other widths
+# (see _group_key).
+PAD_MAX = 7
+
 
 def _unchecked(cls, **fields):
     """A ``cls`` built without running ``__post_init__``, for values that a
@@ -130,7 +137,8 @@ class _Block:
     which acts on a values array before a block is made of it.  ``lower``
     and ``upper`` bound every column or each column (default: any finite
     value); a step out of them diverges.  ``discrete`` tells whether
-    samples are category indices.
+    samples are category indices.  ``distribution`` makes the per-hole
+    distribution of one hole's values.
     """
 
     lower, upper = -sys.float_info.max, sys.float_info.max
@@ -178,12 +186,14 @@ class BernoulliBlock(_Block):
         return [1 if t >= 0.5 else 0 for t in self.values[:, 0].tolist()]
 
     @staticmethod
-    def project(values):
-        """Clamp theta to ``[EPS, 1 - EPS]``, in place."""
+    def project(values, real=None):
+        """Clamp theta to ``[EPS, 1 - EPS]``, in place; a Bernoulli row has
+        no pads, so ``real`` is None."""
         _clip(values)
 
-    def distribution(self, row):
-        return _unchecked(BernoulliParams, theta=float(self.values[row, 0]))
+    @staticmethod
+    def distribution(values):
+        return _unchecked(BernoulliParams, theta=float(values[0]))
 
 
 def _clip(values):
@@ -194,15 +204,22 @@ def _clip(values):
 
 
 class CategoricalBlock(_Block):
-    """Categorical holes of one K: K columns of logits, each within
-    ``LOGIT_MAX`` of 0.  Each per-sample formula is an ``(m, K, K)``
-    category table, whose row ``c`` of hole ``h`` is the formula's value
-    at category ``c``; the samples gather their rows of it (see
-    :func:`_rows`), which gives the ``(m, n, K)`` layout."""
+    """Categorical holes as K columns of logits, each within ``LOGIT_MAX``
+    of 0.  Each per-sample formula is an ``(m, K, K)`` category table,
+    whose row ``c`` of hole ``h`` is the formula's value at category
+    ``c``; the samples gather their rows of it (see :func:`_rows`), which
+    gives the ``(m, n, K)`` layout.
+
+    A hole of fewer categories may end its row in ``pad`` columns, of
+    probability exactly 0: the softmax of a ``-inf`` logit.  A table's
+    row of a real category is 0 in a pad's column, and no sample is a
+    pad, so every weight of a pad is 0; ``sample`` and ``log_prob`` take
+    unpadded rows only (a :class:`DrawPlan` draws padded ones)."""
 
     draw = "random"
     mode = LOGITS
     lower, upper = -LOGIT_MAX, LOGIT_MAX
+    pad = -math.inf
 
     @_once
     def p(self):
@@ -243,26 +260,36 @@ class CategoricalBlock(_Block):
         """Modal categories; ties break toward the lower index."""
         return np.argmax(self.p, axis=1).tolist()
 
-    def distribution(self, row):
-        return _unchecked(CategoricalParams, values=self.values[row].copy(),
-                          mode=self.mode)
+    @classmethod
+    def distribution(cls, values):
+        return _unchecked(CategoricalParams, values=values.copy(),
+                          mode=cls.mode)
 
 
 class ProbsBlock(CategoricalBlock):
-    """Categorical holes of one K as K columns of probabilities, the
+    """Categorical holes as K columns of probabilities, the
     parametrization of the explicit Fisher step; its score is the log-pmf
-    partials ``onehot(x) / p``."""
+    partials ``onehot(x) / p``.  A pad is a probability of 0.0."""
 
     mode = PROBS
+    pad = 0.0
     p = _once(lambda self: self.values)
 
     def _score_table(self):
-        return _identity(self.values.shape[1]) / self.values[:, None, :]
+        # every real probability is at least EPS; a pad divides by +inf,
+        # so its column is 0, not 0 / 0
+        values = self.values
+        return _identity(values.shape[1]) / np.where(
+            values > 0.0, values, math.inf)[:, None, :]
 
     @staticmethod
-    def project(values):
-        """Clamp to ``[EPS, 1 - EPS]`` and renormalize, in place."""
+    def project(values, real=None):
+        """Clamp to ``[EPS, 1 - EPS]``, set the pads back to 0.0 and
+        renormalize, in place.  ``real`` is 1.0 at each real entry and 0.0
+        at each pad, or None for rows without pads."""
         _clip(values)
+        if real is not None:
+            values *= real
         values /= np.add.reduce(values, axis=1, keepdims=True)
 
 
@@ -361,9 +388,10 @@ class GaussianBlock(_Block):
     def greedy(self):
         return self.values[:, 0].tolist()
 
-    def distribution(self, row):
-        return _unchecked(GaussianParams, mu=float(self.values[row, 0]),
-                          log_sigma=float(self.values[row, 1]))
+    @staticmethod
+    def distribution(values):
+        return _unchecked(GaussianParams, mu=float(values[0]),
+                          log_sigma=float(values[1]))
 
 
 # --- Per-hole distributions -------------------------------------------------
@@ -567,16 +595,41 @@ FAMILIES = {cls.family: cls
 
 # --- The flat parameter state -----------------------------------------------
 
-class _Group:
-    """The holes of one (block type, width): positions ``start:stop`` of
-    the vector, and ``rows`` of a per-hole array in group order (the holes
-    of one group after the other)."""
+def _group_key(block_type, width):
+    """The group of a hole of ``block_type`` whose row is ``width`` wide.
 
-    def __init__(self, block_type, width, holes, start, first):
-        self.block_type, self.width = block_type, width
+    A group pads each of its rows to its widest, and every real entry
+    keeps its bits (checked with NumPy 2.4 and OpenBLAS 0.3) because:
+
+    * NumPy sums a row up to ``PAD_MAX`` wide one entry after another, so
+      zeros added at its end change no sum, softmax or cumulative sum
+      (its pairwise summation starts at 8 entries);
+    * OpenBLAS's gemv, under ``matmul``, takes a row's columns four at a
+      time and the rest by another kernel, so a real column's weighted sum
+      keeps its bits while the row keeps its number of whole fours.
+
+    So rows up to ``PAD_MAX`` wide group by block type and ``width // 4``
+    (2 or 3 wide, and 4 to 7 wide), and wider rows by block type and
+    width.  A Bernoulli or Gaussian row is always 1 or 2 wide."""
+    return block_type, width // 4 if width <= PAD_MAX else width
+
+
+class _Group:
+    """The holes of one group (see :func:`_group_key`), of ``widths``
+    parameters each: positions ``start:stop`` of the vector, one row per
+    hole as wide as the widest (``width``), and ``rows`` of a per-hole
+    array in group order (the holes of one group after the other).  A
+    narrower hole ends its row in pads; ``real`` is an ``(m, width)``
+    array, 1.0 at each real entry and 0.0 at each pad, or None where no
+    row has pads."""
+
+    def __init__(self, block_type, widths, holes, start, first):
+        self.block_type, self.width = block_type, max(widths)
         self.holes = tuple(holes)
-        self.start, self.stop = start, start + width * len(holes)
+        self.start, self.stop = start, start + self.width * len(holes)
         self.rows = slice(first, first + len(holes))
+        real = np.arange(self.width) < np.array(widths)[:, None]
+        self.real = None if real.all() else real.astype(np.float64)
 
 
 class _Layout:
@@ -585,10 +638,14 @@ class _Layout:
 
     ``keys`` gives each hole's (block type, width) in hole order and
     ``cell_of_hole`` its cell, out of ``cell_count`` (default: one cell).
-    The loop takes per-cell values, such as learning rates, to vector
-    positions once through ``cell_of``; only the public steps convert
-    per-hole gradients, through :meth:`vector_of`.  ``projected`` lists
-    the groups whose block type projects after a step.
+    The holes are grouped by :func:`_group_key`, and a hole narrower than
+    its group's widest row ends its row in pads: positions of the vector
+    that belong to no parameter and hold the block type's ``pad``, which
+    is also both of their bounds.  ``spans`` give each hole's parameters,
+    which skip the pads.  The loop takes per-cell values, such as learning
+    rates, to vector positions once through ``cell_of``; only the public
+    steps convert per-hole gradients, through :meth:`vector_of`.
+    ``projected`` lists the groups whose block type projects after a step.
     """
 
     def __init__(self, keys, cell_of_hole=None, cell_count=1):
@@ -597,10 +654,11 @@ class _Layout:
             else np.array(cell_of_hole, dtype=np.intp)
         by_key = {}
         for hole, key in enumerate(keys):
-            by_key.setdefault(key, []).append(hole)
+            by_key.setdefault(_group_key(*key), []).append(hole)
         self.groups, start, first = [], 0, 0
-        for (block_type, width), holes in by_key.items():
-            self.groups.append(_Group(block_type, width, holes, start, first))
+        for (block_type, _), holes in by_key.items():
+            self.groups.append(_Group(block_type, [keys[h][1] for h in holes],
+                                      holes, start, first))
             start, first = self.groups[-1].stop, first + len(holes)
         self.projected = [g for g in self.groups
                           if hasattr(g.block_type, "project")]
@@ -617,18 +675,25 @@ class _Layout:
         self.hole_of = np.array([h for g in self.groups for h in g.holes
                                  for _ in range(g.width)], dtype=np.intp)
         self.cell_of = cells[self.hole_of]  # vector position -> its cell
-        # vector position -> its bounds (see _Block)
+        # vector position -> its bounds (see _Block), a pad's its value;
+        # and a vector that holds each pad's value and 0.0 elsewhere
         self.lower, self.upper = np.empty((2, self.hole_of.size))
+        self.padding = np.zeros(self.hole_of.size)
         for g in self.groups:
             size = g.stop - g.start
             self.lower[g.start:g.stop] = np.resize(g.block_type.lower, size)
             self.upper[g.start:g.stop] = np.resize(g.block_type.upper, size)
-        # hole -> its slice of the vector, and whether it draws categories
+            if g.real is not None:
+                pads = g.start + np.flatnonzero(g.real == 0.0)
+                for values in (self.lower, self.upper, self.padding):
+                    values[pads] = g.block_type.pad
+        # hole -> its parameters' slice of the vector, and whether it draws
+        # categories
         self.spans = [None] * self.size
         for g in self.groups:
             for j, hole in enumerate(g.holes):
                 start = g.start + j * g.width
-                self.spans[hole] = slice(start, start + g.width)
+                self.spans[hole] = slice(start, start + keys[hole][1])
         self.discrete = [block_type.discrete for block_type, _ in keys]
         # per hole, in hole order: its draw type, its row and its cell
         self.draws = [(key[0].draw, row, cell) for key, row, cell
@@ -639,26 +704,32 @@ class _Layout:
 
     @classmethod
     def joined(cls, layouts):
-        """The one-cell ``layouts`` side by side, one cell each."""
+        """The one-cell ``layouts`` side by side, one cell each; they must
+        have as many holes each, else ``ValueError``."""
+        sizes = [lay.size for lay in layouts]
+        if len(set(sizes)) > 1:
+            raise ValueError("the cells of a joined state need as many holes"
+                             f" each, got {', '.join(map(str, sizes))}")
         joint = cls([key for lay in layouts for key in lay.keys],
                     [c for c, lay in enumerate(layouts) for _ in lay.keys],
                     len(layouts))
-        # each cell's positions: its holes' joint spans, in its vector order
-        firsts = np.cumsum([0] + [lay.size for lay in layouts]).tolist()
+        # each cell's positions: the start of its holes' joint rows plus
+        # each column of its own rows, in its vector order; a joint row is
+        # at least as wide, so a cell's pads are the first of the joint's
         joint.cells = [
-            (lay, np.array([i for g in lay.groups for h in g.holes
-                            for i in range(joint.spans[first + h].start,
-                                           joint.spans[first + h].stop)],
-                           dtype=np.intp))
-            for lay, first in zip(layouts, firsts)]
+            (lay, np.array([joint.spans[c * lay.size + h].start + i
+                            for g in lay.groups for h in g.holes
+                            for i in range(g.width)], dtype=np.intp))
+            for c, lay in enumerate(layouts)]
         return joint
 
     def vector_of(self, gradients):
-        """``gradients`` as one vector in this layout's order.
+        """``gradients`` as one vector in this layout's order, 0.0 at the
+        pads.
 
         ``gradients`` is one array per hole, in hole order, each of its
         hole's parameter count (else ``ValueError``), or already such a
-        vector.  A hole-free layout's vector is an empty float64 one.
+        vector.
         """
         if (isinstance(gradients, np.ndarray)
                 and gradients.shape == self.hole_of.shape):
@@ -666,10 +737,10 @@ class _Layout:
         if ([np.size(g) for g in gradients]
                 != [span.stop - span.start for span in self.spans]):
             raise ValueError("gradient layout does not match params layout")
-        if not self.size:
-            return np.empty(0)
-        return np.concatenate([gradients[h] for g in self.groups
-                               for h in g.holes], axis=None)
+        vector = np.zeros(self.hole_of.size)
+        for span, gradient in zip(self.spans, gradients):
+            vector[span] = np.ravel(gradient)
+        return vector
 
     def per_hole(self, vector):
         """The per-hole parts of a vector in this layout's order, in hole
@@ -695,9 +766,11 @@ class DrawPlan:
 
     Every categorical hole is drawn at once.  The plan keeps one table of
     cumulative probabilities, a column per hole in group order and one
-    row fewer than the largest K: each categorical group writes the first
-    K - 1 cumulative sums of each of its holes into the hole's column,
-    and every other entry stays ``+inf``, which no uniform exceeds.  One
+    row fewer than the widest categorical row: each categorical group
+    writes the cumulative sums of the first width - 1 entries of each of
+    its rows into the hole's column, and then sets the sums that end in a
+    pad back to ``+inf``, which no uniform exceeds, so each hole keeps the
+    first K - 1 sums of its own K.  Every other entry stays ``+inf``.  One
     compare and one count over the table then give every hole's category
     (see :func:`_count_below`), and the other groups overwrite their rows
     of the draws with their blocks' draws.
@@ -736,8 +809,12 @@ class DrawPlan:
         sums_per_hole = max([g.width for _, g in categorical], default=1) - 1
         self.cum = np.full((sums_per_hole, layout.size), np.inf)
         # per categorical group, by index: its part of the table, as an
-        # (m, K - 1) view; per other group: its rows
-        self.fills = [(i, self.cum[:g.width - 1, g.rows].T)
+        # (m, width - 1) view, and the floor that sets its pads' sums back
+        # to +inf, -inf elsewhere (None where no row has pads); per other
+        # group: its rows
+        self.fills = [(i, self.cum[:g.width - 1, g.rows].T,
+                       None if g.real is None
+                       else np.where(g.real[:, 1:] == 0.0, np.inf, -np.inf))
                       for i, g in categorical]
         self.others = [(i, g.rows) for i, g in groups
                        if not issubclass(g.block_type, CategoricalBlock)]
@@ -750,8 +827,10 @@ class DrawPlan:
         # every source row is in range; "clip" skips the buffered copy that
         # the default mode makes of ``out``
         self.drawn.take(self.source, axis=0, out=self.noise, mode="clip")
-        for i, cum in self.fills:
+        for i, cum, floor in self.fills:
             np.add.accumulate(blocks[i].p[:, :-1], axis=1, out=cum)
+            if floor is not None:
+                np.maximum(cum, floor, out=cum)
         samples = _count_below(self.cum, self.noise, np.float64)
         for i, rows in self.others:
             samples[rows] = blocks[i].sample(self.noise[rows])
@@ -759,10 +838,11 @@ class DrawPlan:
 
 
 class ParamState:
-    """Every hole's parameters in one float64 vector, grouped by
-    (block type, width).  In this group order the groups come in the order
-    of their first holes, and the holes of a group in hole order; the
-    state's draws come in it too.
+    """Every hole's parameters in one float64 vector, grouped by block
+    type (see :func:`_group_key`), with a hole narrower than its group
+    padded to its group's widest row (see :class:`_Layout`).  In this
+    group order the groups come in the order of their first holes, and
+    the holes of a group in hole order; the state's draws come in it too.
 
     A state stands wherever a params-set (a list of per-hole
     distributions) is read: ``len``, indexing and iteration give per-hole
@@ -798,14 +878,17 @@ class ParamState:
             return params_set
         blocks = [p._block() for p in params_set]
         layout = _Layout([(type(b), b.values.shape[1]) for b in blocks])
-        return cls(layout, np.array([v for g in layout.groups for h in g.holes
-                                     for v in blocks[h].values[0].tolist()]))
+        vector = layout.padding.copy()
+        for span, block in zip(layout.spans, blocks):
+            vector[span] = block.values[0]
+        return cls(layout, vector)
 
     @classmethod
     def joined(cls, states):
-        """One state whose cells are the one-cell ``states``, in order."""
+        """One state whose cells are the one-cell ``states``, in order;
+        they must have as many holes each, else ``ValueError``."""
         layout = _Layout.joined([s.layout for s in states])
-        vector = np.empty(layout.hole_of.size)
+        vector = layout.padding.copy()
         for state, (_, positions) in zip(states, layout.cells):
             vector[positions] = state.vector
         return cls(layout, vector)
@@ -835,8 +918,9 @@ class ParamState:
 
     def params(self):
         """The per-hole distributions, as copies, in hole order."""
-        return self._per_group(
-            lambda g, b: [b.distribution(j) for j in range(len(g.holes))])
+        return [block_type.distribution(self.vector[span])
+                for (block_type, _), span in zip(self.layout.keys,
+                                                 self.layout.spans)]
 
     def stepped(self, gradient, eta, hole_ids=None):
         """The state after the ascent step ``theta + eta * gradient`` and
@@ -846,7 +930,8 @@ class ParamState:
         layout = self.layout
         vector = self.vector + eta * gradient
         for g in layout.projected:
-            g.block_type.project(vector[g.start:g.stop].reshape(-1, g.width))
+            g.block_type.project(vector[g.start:g.stop].reshape(-1, g.width),
+                                 g.real)
         return _check_finite(ParamState(layout, vector), hole_ids)
 
     def entropies(self):

@@ -178,10 +178,12 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     ``fitness_transform``, when given, maps the fitnesses to the weights
     actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
     array; the reported fitnesses stay untransformed.  The weights and
-    the weighted sum are one NumPy operation per group of holes with the
-    same family, K and mode (and per kind, where a group mixes kinds),
+    the weighted sum are one NumPy operation per group of holes (one
+    block type, narrower categorical rows padded to the group's widest;
+    see :class:`ParamState`), and per kind where a group mixes kinds,
     written into the kind plan's buffer of sums in vector order; one
-    division by ``lam`` then makes the gradient vector.
+    division by ``lam`` then makes the gradient vector, whose pads are
+    0.0.
 
     A state of several cells (see :meth:`ParamState.joined`) holds the
     holes of one problem once per cell.  Every cell draws its own

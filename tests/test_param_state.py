@@ -3,12 +3,13 @@
 The reference below is the per-hole arithmetic of a training step written
 out one hole at a time: one ``Generator`` call, one weight matrix, one
 weighted sum and one projected step per hole.  It lives only here.  The
-state groups holes by (block type, width) and makes one ``Generator`` call
+state groups holes by block type, pads each categorical row to its group's
+widest with zero-probability categories, and makes one ``Generator`` call
 per hole of each distinct generator, whose rows every cell that shares
 it reads; the sample matrix (in group order), the
 gradient vector, every per-hole gradient, stepped parameter, entropy and
-greedy value must still equal the reference's bit for bit, and the rng
-must end in the same state.
+greedy value must still equal the reference's bit for bit, the pads must
+hold their values, and the rng must end in the same state.
 """
 
 import math
@@ -167,21 +168,39 @@ class Fitness:
         return np.sin(total) - 0.1 * total
 
 
+def ref_key(p):
+    """A hole's group: its family and mode, and its width's class.  Rows
+    2 or 3 wide share a group, and so do rows 4 to 7 wide; each wider
+    width has its own."""
+    k = vector_of(p).size
+    return type(p), getattr(p, "mode", None), k // 4 if k <= 7 else k
+
+
 def ref_grouped(params, per_hole):
     """Per-hole items in a state's group order: holes grouped by
-    (family, K, mode) in order of first appearance, in hole order within a
+    ``ref_key`` in order of first appearance, in hole order within a
     group."""
-    def key(p):
-        return type(p), vector_of(p).size, getattr(p, "mode", None)
-
-    return [x for k in dict.fromkeys(map(key, params))
-            for p, x in zip(params, per_hole) if key(p) == k]
+    return [x for k in dict.fromkeys(map(ref_key, params))
+            for p, x in zip(params, per_hole) if ref_key(p) == k]
 
 
-def ref_vector(params, per_hole):
-    """Per-hole arrays laid out as a state's vector."""
-    return np.concatenate([np.asarray(x, dtype=np.float64).reshape(-1)
-                           for x in ref_grouped(params, per_hole)])
+def param_pad(p):
+    """A pad's value among the parameters of ``p``'s group."""
+    return -math.inf if getattr(p, "mode", None) == LOGITS else 0.0
+
+
+def ref_vector(params, per_hole, pad=lambda p: 0.0):
+    """Per-hole arrays laid out as a state's vector: each hole's row
+    filled to its group's widest with ``pad(p)`` (by default 0.0, as in a
+    gradient)."""
+    width = {}
+    for p in params:
+        width[ref_key(p)] = max(width.get(ref_key(p), 0), vector_of(p).size)
+    rows = []
+    for p, x in zip(ref_grouped(params, params), ref_grouped(params, per_hole)):
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        rows += [x, np.full(width[ref_key(p)] - x.size, pad(p))]
+    return np.concatenate(rows)
 
 
 def assert_same_bits(a, b):
@@ -197,6 +216,9 @@ ORDERS = {
     "bernoulli-run": ["B", "B", "B", "G", "B"],
     "every-family": ["P2", "L2", "P4", "L4", "P6", "L6", "B", "G"],
     "one-hole": ["G"],
+    # padded rows of every width up to 7 and unpadded ones from 8
+    "mixed-K": ["L2", "P4", "L6", "P3", "L7", "P2", "L3", "P7", "L4", "P6"],
+    "wide-K": ["L9", "P12", "L4", "P8", "L8", "L9", "P7", "P12", "G"],
 }
 
 
@@ -262,7 +284,7 @@ def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,),
     stepped = sgd_step(state, estimate.gradients, rates)
     cell_eta = [eta for cell, eta in zip(cell_params, etas) for _ in cell]
     want = [ref_step(p, g, eta) for p, g, eta in zip(params, grads, cell_eta)]
-    assert_same_bits(stepped.vector, ref_vector(params, want))
+    assert_same_bits(stepped.vector, ref_vector(params, want, param_pad))
     for q, w in zip(stepped, want):
         assert_same_bits(vector_of(q), w)
     assert_same_bits(sgd_step(state, estimate.vector, rates).vector,
@@ -433,8 +455,9 @@ def test_cells_sharing_a_generator_must_draw_alike(codes):
 
 
 @settings(max_examples=150, deadline=None)
-@given(codes=st.lists(st.sampled_from(["B", "G", "L2", "L4", "L6", "P2",
-                                       "P4", "P6"]), min_size=1, max_size=9),
+@given(codes=st.lists(st.sampled_from(["B", "G", "L2", "L3", "L4", "L6",
+                                       "L7", "L9", "P2", "P4", "P6", "P7",
+                                       "P12"]), min_size=1, max_size=9),
        seed=st.integers(0, 2**32 - 1), lam=st.integers(1, 40),
        kinds=st.sampled_from(est.KINDS))
 def test_random_family_sequences(codes, seed, lam, kinds):
@@ -471,7 +494,8 @@ def test_projection_at_the_bounds():
 
 
 def test_step_projects_only_bernoulli_and_probs_groups(monkeypatch):
-    # groups B, L4, P4, G, L6; a LOGITS or Gaussian group is only bounded
+    # groups B, L4 and L6, P4, G; a LOGITS or Gaussian group is only
+    # bounded
     assert not hasattr(CategoricalBlock, "project")
     assert not hasattr(GaussianBlock, "project")
     calls = []
@@ -479,9 +503,9 @@ def test_step_projects_only_bernoulli_and_probs_groups(monkeypatch):
     def recorded(block_type):
         project = block_type.project
 
-        def spy(values):
+        def spy(values, real):
             calls.append((block_type, values.shape))
-            project(values)
+            project(values, real)
         return staticmethod(spy)
 
     for block_type in (BernoulliBlock, ProbsBlock):
@@ -525,8 +549,8 @@ def test_state_reads_as_a_params_set():
 
 
 def test_divergence_names_first_hole_in_hole_order():
-    # the vector holds groups G[0,3], L6[1], L4[2], B[4], P6[5]: hole 3
-    # sits before hole 1 in the vector, but hole 1 comes first in hole order
+    # the vector holds groups G[0,3], L[1,2], B[4], P[5]: hole 3 sits
+    # before hole 1 in the vector, but hole 1 comes first in hole order
     params = make_params(ORDERS["G,C,C,G,B,C"], np.random.default_rng(6))
     grads = [np.zeros(vector_of(p).size) for p in params]
     grads[3][1] = np.nan
@@ -536,6 +560,111 @@ def test_divergence_names_first_hole_in_hole_order():
         sgd_step(ParamState.of(params), grads, 0.1, hole_ids=ids)
     with pytest.raises(FloatingPointError, match="hole 1 after update"):
         sgd_step(params, grads, 0.1)
+
+
+def test_joined_cells_need_as_many_holes():
+    cells = [ParamState.of(make_params(codes, np.random.default_rng(0)))
+             for codes in (["G"], ["G", "L4"], ["G"])]
+    with pytest.raises(ValueError, match="^the cells of a joined state need"
+                                         " as many holes each, got 1, 2, 1$"):
+        ParamState.joined(cells)
+
+
+def test_cells_of_other_widths_join_and_come_back():
+    # the joint rows are as wide as cell 1's; cell 0's P4 and L2 rows are
+    # padded further in the joint state than in its own
+    codes = (["P4", "G", "L2"], ["P6", "G", "L3"])
+    cells = [ParamState.of(make_params(c, np.random.default_rng(k)))
+             for k, c in enumerate(codes)]
+    joint = ParamState.joined(cells)
+    assert [g.width for g in cells[0].layout.groups] == [4, 2, 2]
+    assert [g.width for g in joint.layout.groups] == [6, 2, 3]
+    rng = np.random.default_rng(3)
+    grads = [[rng.normal(size=vector_of(p).size) for p in cell]
+             for cell in cells]
+    stepped = joint.stepped(joint.layout.vector_of(grads[0] + grads[1]), 0.4)
+    for c, cell in enumerate(cells):
+        assert joint.cell(c).layout is cell.layout
+        assert_same_bits(joint.cell(c).vector, cell.vector)
+        assert_same_bits(stepped.cell(c).vector,
+                         sgd_step(cell, grads[c], 0.4).vector)
+
+
+def pad_positions(layout):
+    """The vector positions that belong to no hole's parameters."""
+    pads = np.ones(layout.hole_of.size, dtype=bool)
+    for span in layout.spans:
+        pads[span] = False
+    return pads
+
+
+def test_no_pad_shows_outside_the_state():
+    params = make_params(ORDERS["mixed-K"], np.random.default_rng(9))
+    state = ParamState.of(params)
+    pads = pad_positions(state.layout)
+    # per mode, K = 2 and 3 share a group, and so do K = 4 to 7
+    assert [g.width for g in state.layout.groups] == [3, 7, 7, 3]
+    assert pads.sum() == 10  # L2 1, P4 3, L6 1, P2 1, L4 3, P6 1
+    assert_same_bits(state.vector, ref_vector(
+        params, [vector_of(p) for p in params], param_pad))
+    assert [q.k for q in state.params()] == [p.k for p in params]
+    for p, q in zip(params, state):
+        assert_same_bits(vector_of(q), vector_of(p))
+    ids = [f"h{i}" for i in range(len(params))]
+    back_ids, back = harness.params_from_json(
+        harness.params_to_json(state, ids))
+    assert back_ids == ids
+    assert_same_bits(ParamState.of(back).vector, state.vector)
+
+    for kind in est.KINDS:
+        estimate = est.estimate_gradient(state, Fitness(len(params)), 9,
+                                         np.random.default_rng(1), kind)
+        assert [g.size for g in estimate.gradients] == [p.k for p in params]
+        assert_same_bits(estimate.vector[pads], np.zeros(pads.sum()))
+        # per-hole gradients step as the vector does, and pads take none
+        stepped = sgd_step(params, estimate.gradients, 0.3)
+        assert_same_bits(state.layout.vector_of(estimate.gradients),
+                         estimate.vector)
+        assert_same_bits(stepped.vector,
+                         sgd_step(state, estimate.vector, 0.3).vector)
+        assert_same_bits(stepped.vector[pads], state.vector[pads])
+    # a gradient as wide as its group's row is not a hole's gradient
+    wide = [np.zeros(7 if p.k > 3 else 3) for p in params]
+    with pytest.raises(ValueError, match="layout"):
+        sgd_step(state, wide, 0.1)
+
+
+def test_pads_never_trip_the_bounds_check():
+    # LOGITS pads are -inf, beyond -LOGIT_MAX, and PROBS pads 0.0, below
+    # EPS: a pad is its own bound
+    params = make_params(ORDERS["mixed-K"], np.random.default_rng(10))
+    state = ParamState.of(params)
+    pads = pad_positions(state.layout)
+    assert np.isneginf(state.vector[pads]).any()
+    assert (state.vector[pads] == 0.0).any()
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        grads = [rng.normal(scale=30.0, size=p.k) for p in params]
+        state = sgd_step(state, grads, 0.5)
+    assert_same_bits(state.vector[pads], ParamState.of(params).vector[pads])
+
+
+@pytest.mark.parametrize("hole, value, fault", [
+    (1, np.inf, "non-finite"),      # a LOGITS hole of K = 4 padded to 6
+    (1, 1e308, "out-of-range"),     # its -inf pads are not out of range
+    (3, np.nan, "non-finite"),      # a PROBS hole of K = 4 padded to 6
+], ids=str)
+def test_divergence_in_a_padded_hole_names_it(hole, value, fault):
+    params = make_params(["L6", "L4", "P6", "P4", "G"],
+                         np.random.default_rng(12))
+    state = ParamState.of(params)
+    assert [g.width for g in state.layout.groups] == [6, 6, 2]
+    grads = [np.zeros(vector_of(p).size) for p in params]
+    grads[hole][2] = value
+    ids = [f"h{i}" for i in range(len(params))]
+    with pytest.raises(FloatingPointError,
+                       match=f"^{fault} parameters for hole 'h{hole}' "):
+        sgd_step(state, grads, 1.0, hole_ids=ids)
 
 
 def test_categorical_sample_ties_break_low():
@@ -588,8 +717,9 @@ def test_one_draw_of_every_categorical_hole_matches_per_hole():
                                 [0.0, np.nextafter(1.0, 0.0)]])
             noise[-1].append(np.resize(u, 17))
     state = ParamState.joined([ParamState.of(params) for params in cells])
-    # the groups: PROBS K = 4, Gaussian, PROBS K = 6, LOGITS 6, LOGITS 4
-    assert [g.width for g in state.layout.groups] == [4, 2, 6, 6, 4]
+    # the groups: PROBS K = 4 and 6, Gaussian, LOGITS K = 6 and 4, each
+    # K = 4 row padded to 6
+    assert [g.width for g in state.layout.groups] == [6, 2, 6]
     plan = DrawPlan(state.layout, [ScriptedRng(rows) for rows in noise], 17)
     samples = est.sample_population(state, plan)
     holes = [p for params in cells for p in params]
