@@ -16,7 +16,8 @@ import numpy as np
 
 from . import estimator as est
 from .distributions import (
-    BernoulliParams, CategoricalParams, GaussianParams, LOGITS, PROBS,
+    BernoulliParams, CategoricalParams, DrawPlan, GaussianParams, LOGITS,
+    PROBS, ParamState,
 )
 
 
@@ -143,9 +144,13 @@ def categorical_k2_vs_bernoulli(rng, cases):
 
 def estimator_vs_oracle(rng, params_set, fitness, kind, estimates, lam):
     """The mean of ``estimates`` Monte Carlo estimates, each from ``lam``
-    draws, matches the enumeration oracle to 4 standard errors."""
+    draws, matches the enumeration oracle to 4 standard errors.  The
+    estimates share one state and its plans, as the training loop's do."""
     exact = est.exact_gradient_oracle(params_set, fitness, kind)
-    reps = [est.estimate_gradient(params_set, fitness, lam, rng, kind)
+    state = ParamState.of(params_set)
+    draws = DrawPlan(state.layout, [rng], lam)
+    kinds = est.KindPlan(state.layout, kind)
+    reps = [est.estimate_gradient(state, fitness, lam, draws, kinds)
             for _ in range(estimates)]
     name = f"estimator-vs-oracle/{kind}"
     for i, e in enumerate(exact):

@@ -12,15 +12,19 @@ Three families are supported:
 
 Each family's formulas are written once, in its block class
 (:class:`BernoulliBlock`, :class:`CategoricalBlock`,
-:class:`GaussianBlock`): sampling, log-probability, the score (gradient of
-the log-probability), a Fisher-preconditioned "natural" score, the
-gradient of the probability itself, entropy, greedy decode and, for
+:class:`GaussianBlock`): log-probability, the score (gradient of the
+log-probability), a Fisher-preconditioned "natural" score, the gradient
+of the probability itself, entropy, greedy decode, for Bernoulli and
+Gaussian blocks the map from a uniform or normal to a sample and, for
 :class:`BernoulliBlock` and the probability-parametrized categorical
-:class:`ProbsBlock`, the projection after a step.  A block holds ``m``
-holes of one block type as an ``(m, width)`` array, one row per hole;
-samples are ``(m, n)`` and gradients come back ``(m, n, width)``.  A
-categorical formula is first made per category, as an ``(m, K, K)``
-table, and each sample gathers its category's row of it.
+:class:`ProbsBlock`, the projection after a step.  Categories are drawn
+by :class:`DrawPlan` alone, the one inverse-CDF sampler.  A block holds
+``m`` holes of one block type as an ``(m, width)`` array, one row per
+hole, and computes its derived arrays (a categorical's probabilities
+``p``, a Gaussian's ``sigma``) when it is made; samples are ``(m, n)``
+and gradients come back ``(m, n, width)``.  A categorical formula is
+first made per category, as an ``(m, K, K)`` table, and each sample
+gathers its category's row of it.
 
 :class:`ParamState` keeps every hole's parameters in one float64 vector.
 Holes are grouped by block type (see :func:`_group_key`); the vector holds
@@ -36,7 +40,8 @@ row, so a cell's numbers do not depend on the cells beside it.
 The per-hole classes (:class:`BernoulliParams`, :class:`CategoricalParams`,
 :class:`GaussianParams`), the API for single distributions, are one-row
 views of their family's block: their methods, written once on
-:class:`_Distribution`, run the block formulas on a one-row block, and
+:class:`_Distribution`, run the block formulas on a one-row block,
+``sample`` is the draw of a one-hole state (see :class:`DrawPlan`) and
 ``stepped`` is the checked step of a one-hole state (see
 :meth:`ParamState.stepped`).  Per-sample methods accept a single sample or
 a 1-D array of samples; in the array case gradients come back as
@@ -110,30 +115,11 @@ def _softmax(logits):
 
 # --- Block formulas ---------------------------------------------------------
 
-class _once:
-    """``functools.cached_property`` without the lock that it takes on
-    each first read before Python 3.12: every training iteration makes
-    new blocks, so each of their derived arrays is read for the first
-    time once per iteration."""
-
-    def __init__(self, method):
-        self.method, self.__doc__ = method, method.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, block, owner=None):
-        if block is None:
-            return self
-        value = block.__dict__[self.name] = self.method(block)
-        return value
-
-
 class _Block:
     """``m`` holes of one family as an ``(m, width)`` array ``values``.
 
     A block is read-only: quantities derived from ``values`` are computed
-    once, on first use.  A type that projects has a static ``project``,
+    when it is made.  A type that projects has a static ``project``,
     which acts on a values array before a block is made of it.  ``lower``
     and ``upper`` bound every column or each column (default: any finite
     value); a step out of them diverges.  ``discrete`` tells whether
@@ -213,23 +199,17 @@ class CategoricalBlock(_Block):
     A hole of fewer categories may end its row in ``pad`` columns, of
     probability exactly 0: the softmax of a ``-inf`` logit.  A table's
     row of a real category is 0 in a pad's column, and no sample is a
-    pad, so every weight of a pad is 0; ``sample`` and ``log_prob`` take
-    unpadded rows only (a :class:`DrawPlan` draws padded ones)."""
+    pad, so every weight of a pad is 0; ``log_prob`` takes unpadded rows
+    only.  A :class:`DrawPlan` draws the categories, padded or not."""
 
     draw = "random"
     mode = LOGITS
     lower, upper = -LOGIT_MAX, LOGIT_MAX
     pad = -math.inf
 
-    @_once
-    def p(self):
-        """The probabilities, one row per hole."""
-        return _softmax(self.values)
-
-    def sample(self, u):
-        """Inverse-CDF sampling; boundary ties break toward the lower index
-        (see :func:`_count_below`)."""
-        return _count_below(np.add.accumulate(self.p[:, :-1], axis=1).T, u)
+    def __init__(self, values):
+        self.values = values
+        self.p = _softmax(values)  # the probabilities, one row per hole
 
     def log_prob(self, x):
         return _rows(np.log(self.p), x)
@@ -273,7 +253,9 @@ class ProbsBlock(CategoricalBlock):
 
     mode = PROBS
     pad = 0.0
-    p = _once(lambda self: self.values)
+
+    def __init__(self, values):
+        self.values = self.p = values
 
     def _score_table(self):
         # every real probability is at least EPS; a pad divides by +inf,
@@ -291,18 +273,6 @@ class ProbsBlock(CategoricalBlock):
         if real is not None:
             values *= real
         values /= np.add.reduce(values, axis=1, keepdims=True)
-
-
-def _count_below(cum, u, dtype=np.int64):
-    """The category of each uniform ``u[h, j]``: how many of the
-    cumulative probabilities ``cum[:, h]`` of hole ``h`` lie below it.
-
-    Column ``h`` of ``cum`` holds the first K - 1 cumulative sums of hole
-    ``h``'s probabilities, so the count is ``searchsorted(cumsum(p), u,
-    side="left")`` capped at K - 1, even where the K sums round below 1.
-    Rows past a hole's K - 1 may be ``+inf``, which no uniform exceeds.
-    """
-    return np.add.reduce(cum[:, :, None] < u, axis=0, dtype=dtype)
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +313,11 @@ class GaussianBlock(_Block):
     lower = (-F32_MAX, LOG_SIGMA_MIN)
     upper = (F32_MAX, LOG_SIGMA_MAX)
 
-    @_once
-    def sigma(self):
+    def __init__(self, values):
+        self.values = values
         # scalar libm exp: np.exp may differ from math.exp in the last bit
-        return np.array([math.exp(s)
-                         for s in self.values[:, 1].tolist()])[:, None]
+        self.sigma = np.array([math.exp(s)
+                               for s in values[:, 1].tolist()])[:, None]
 
     def sample(self, z):
         return self.values[:, :1] + self.sigma * z
@@ -372,9 +342,10 @@ class GaussianBlock(_Block):
         practice: the mu component becomes ``x - mu`` and the log_sigma
         component ``(z^2 - 1) / 2``.
         """
-        z = (x - self.values[:, :1]) / self.sigma
+        d = x - self.values[:, :1]
+        z = d / self.sigma
         g = np.empty(x.shape + (2,))
-        g[..., 0] = x - self.values[:, :1]
+        g[..., 0] = d
         g[..., 1] = 0.5 * (z * z - 1.0)
         return g
 
@@ -416,13 +387,14 @@ class _Distribution:
     wraps in its own class too, where the tracer looks them up."""
 
     def sample(self, rng, size=None):
-        """``size`` draws, or with ``size=None`` one int (float: Gaussian)."""
-        block = self._block()
-        noise = getattr(rng, block.draw)((1, 1 if size is None else size))
-        x = block.sample(noise)[0]
-        if size is not None:
-            return x
-        return int(x[0]) if block.discrete else float(x[0])
+        """``size`` draws, int64 (float64: Gaussian), or with ``size=None``
+        one int (float): the draws of a one-hole state."""
+        state = ParamState.of([self])
+        plan = DrawPlan(state.layout, [rng], 1 if size is None else size)
+        x = plan.sample(state.blocks)[0]
+        if state.layout.discrete[0]:
+            x = x.astype(np.int64)
+        return x if size is not None else x[0].item()
 
     log_prob = _one_row("log_prob")
     score = _one_row("score")
@@ -771,9 +743,13 @@ class DrawPlan:
     its rows into the hole's column, and then sets the sums that end in a
     pad back to ``+inf``, which no uniform exceeds, so each hole keeps the
     first K - 1 sums of its own K.  Every other entry stays ``+inf``.  One
-    compare and one count over the table then give every hole's category
-    (see :func:`_count_below`), and the other groups overwrite their rows
-    of the draws with their blocks' draws.
+    compare and one count over the table then give every hole's category:
+    how many of its sums lie below its uniform, which is
+    ``searchsorted(cumsum(p), u, side="left")`` capped at K - 1, even
+    where the K sums round below 1; a uniform equal to a sum takes the
+    lower category.  This is the only inverse-CDF sampler of categories.
+    The other groups then overwrite their rows of the draws with their
+    blocks' draws.
     """
 
     def __init__(self, layout, rngs, lam):
@@ -831,7 +807,8 @@ class DrawPlan:
             np.add.accumulate(blocks[i].p[:, :-1], axis=1, out=cum)
             if floor is not None:
                 np.maximum(cum, floor, out=cum)
-        samples = _count_below(self.cum, self.noise, np.float64)
+        samples = np.add.reduce(self.cum[:, :, None] < self.noise, axis=0,
+                                dtype=np.float64)
         for i, rows in self.others:
             samples[rows] = blocks[i].sample(self.noise[rows])
         return samples

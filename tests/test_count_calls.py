@@ -1,6 +1,6 @@
 """``tools/count_calls.py`` runs, and the training loop makes no more Python
-calls per iteration than it did when each categorical parametrization
-became one group, its narrower holes padded to its widest."""
+calls per iteration, on the run-main and the run-ablation batch, than it
+did when blocks came to compute their derived arrays when made."""
 
 import os
 import subprocess
@@ -15,17 +15,33 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # categorical group drew on its own and its weights were built from
 # one-hot samples, 188.3 while every group was projected, the LOGITS and
 # Gaussian ones by a no-op, and the entropy entered np.errstate, 180.3
-# before the cells of one seed shared its draws, and 177.3 while holes
-# were grouped by block type and width, five groups in place of three)
-MAX_CALLS_PER_ITERATION = 144.0
+# before the cells of one seed shared its draws, 177.3 while holes
+# were grouped by block type and width, five groups in place of three,
+# and 144.0 while blocks computed p and sigma on first read, through a
+# descriptor)
+MAX_CALLS_PER_ITERATION = 137.1
+# the same for the 10-cell run-ablation batch (185.2 while blocks computed
+# p and sigma on first read)
+MAX_ABLATION_CALLS_PER_ITERATION = 178.7
 
 
-def test_calls_per_iteration_within_the_measured_count():
+def calls_per_iteration(batch):
+    """``tools/count_calls.py 300 BATCH``'s calls per iteration."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "count_calls.py"), "300"],
+        [sys.executable, os.path.join(ROOT, "tools", "count_calls.py"), "300",
+         batch],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     ).stdout
     report = dict(line.split(": ") for line in out.splitlines())
     assert report["iterations"] == "300"
-    assert float(report["calls per iteration"]) <= MAX_CALLS_PER_ITERATION
+    return float(report["calls per iteration"])
+
+
+def test_calls_per_iteration_within_the_measured_count():
+    assert calls_per_iteration("main") <= MAX_CALLS_PER_ITERATION
+
+
+def test_ablation_calls_per_iteration_within_the_measured_count():
+    assert (calls_per_iteration("ablation")
+            <= MAX_ABLATION_CALLS_PER_ITERATION)

@@ -49,6 +49,18 @@ class TestSampling:
         x = p.sample(rng(3))
         assert isinstance(x, int) and 0 <= x < 4
 
+    @pytest.mark.parametrize("p, dtype", [
+        (BernoulliParams(0.4), np.int64),
+        (CategoricalParams(np.array([0.1, 0.2, 0.7]), mode=PROBS), np.int64),
+        (CategoricalParams(np.zeros(3), mode=LOGITS), np.int64),
+        (GaussianParams(1.0, -0.5), np.float64),
+    ], ids=["bernoulli", "probs", "logits", "gaussian"])
+    def test_zero_draws_are_an_empty_array(self, p, dtype):
+        a, b = rng(5), rng(5)
+        xs = p.sample(a, size=0)
+        assert xs.shape == (0,) and xs.dtype == dtype
+        assert a.random() == b.random()  # no draw was read
+
 
 class TestLogProb:
     def test_bernoulli_symmetric(self):

@@ -667,18 +667,6 @@ def test_divergence_in_a_padded_hole_names_it(hole, value, fault):
         sgd_step(state, grads, 1.0, hole_ids=ids)
 
 
-def test_categorical_sample_ties_break_low():
-    # a uniform equal to a cumulative probability picks that category,
-    # as ``searchsorted(side="left")`` does
-    probs = np.array([[0.25, 0.25, 0.5]])
-    u = np.array([[0.0, 0.25, 0.3, 0.5, 0.75, 1.0]])
-    got = ProbsBlock(probs).sample(u)
-    want = np.minimum(np.searchsorted(np.cumsum(probs[0]), u[0],
-                                      side="left"), 2)
-    assert_same_bits(got[0], want)
-    assert got.tolist() == [[0, 0, 1, 1, 2, 2]]
-
-
 class ScriptedRng:
     """Hands out the given rows, one per ``Generator`` call, in order."""
 
@@ -689,6 +677,19 @@ class ScriptedRng:
         out[...] = next(self.rows)
 
     standard_normal = random
+
+
+def test_categorical_sample_ties_break_low():
+    # a uniform equal to a cumulative probability picks that category,
+    # as ``searchsorted(side="left")`` does
+    probs = np.array([[0.25, 0.25, 0.5]])
+    u = np.array([[0.0, 0.25, 0.3, 0.5, 0.75, 1.0]])
+    state = ParamState.of([CategoricalParams(probs[0], PROBS)])
+    got = DrawPlan(state.layout, [ScriptedRng(u)], 6).sample(state.blocks)
+    want = np.minimum(np.searchsorted(np.cumsum(probs[0]), u[0],
+                                      side="left"), 2)
+    assert_same_bits(got[0], want.astype(np.float64))
+    assert got.tolist() == [[0, 0, 1, 1, 2, 2]]
 
 
 def test_one_draw_of_every_categorical_hole_matches_per_hole():
