@@ -829,7 +829,7 @@ class ParamState:
     one out again.
     """
 
-    # snapshots of a long run are kept by the thousand: no instance dict
+    # every step makes a new state: no instance dict to make with it
     __slots__ = ("layout", "vector", "_blocks")
 
     def __init__(self, layout, vector):

@@ -116,30 +116,36 @@ def sample_population(state, plan):
     return plan.sample(state.blocks)
 
 
+def call_fitness(fitness, draws, discrete=None):
+    """The fitness of each column of ``draws``, a ``(holes, n)`` array
+    with one row of values per hole, as ``n`` float64s.  Uses the batched
+    ``fitness.population(draws)`` path when the callable provides one,
+    otherwise calls ``fitness`` once per column with the tuple of its
+    per-hole values; the values of a hole flagged in ``discrete`` then
+    come as integers.  Every fitness call in the package is made here."""
+    if hasattr(fitness, "population"):
+        return np.asarray(fitness.population(draws), dtype=np.float64)
+    members = np.shape(draws)[1]
+    if discrete is not None:
+        draws = [row.astype(np.int64) if flag else row
+                 for row, flag in zip(draws, discrete)]
+    return np.array(
+        [float(fitness(tuple(d[i] for d in draws))) for i in range(members)],
+        dtype=np.float64,
+    )
+
+
 def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
     """Evaluate the fitness of every population member.
 
     ``draws`` holds one row of values per hole, each of ``cells * lam``
-    members, the populations of ``cells`` cells one after the other.  Uses
-    the batched ``fitness.population(draws)`` path when the callable
-    provides one, otherwise calls ``fitness`` once per member with the
-    tuple of per-hole values; the values of a hole flagged in
-    ``discrete`` then come as integers.  Non-finite fitnesses are replaced
+    members, the populations of ``cells`` cells one after the other; they
+    are scored by :func:`call_fitness`.  Non-finite fitnesses are replaced
     by the worst finite fitness of the member's cell minus 1 (or -1.0 if
     the cell's whole population is non-finite).
     """
     members = cells * lam
-    if hasattr(fitness, "population"):
-        fits = np.asarray(fitness.population(draws), dtype=np.float64)
-    else:
-        if discrete is not None:
-            draws = [row.astype(np.int64) if flag else row
-                     for row, flag in zip(draws, discrete)]
-        fits = np.array(
-            [float(fitness(tuple(d[i] for d in draws)))
-             for i in range(members)],
-            dtype=np.float64,
-        )
+    fits = call_fitness(fitness, draws, discrete)
     if fits.shape != (members,):
         raise ValueError(
             f"fitness returned shape {fits.shape}, expected ({members},)")
@@ -241,25 +247,23 @@ def exact_gradient_oracle(params_set, fitness, kind):
     """Infinite-population limit of an estimator, by exhaustive enumeration.
 
     Computes ``sum_x pi(x) f(x) w(x)`` over the full joint discrete
-    support.  Refuses supports above ``MAX_ORACLE_SUPPORT``.
+    support, scored in one :func:`call_fitness`.  Refuses supports above
+    ``MAX_ORACLE_SUPPORT``; a params set without holes has no gradients.
     """
     kinds = _resolve_kinds(kind, len(params_set))
     size = joint_support_size(params_set)
     if size > MAX_ORACLE_SUPPORT:
         raise ValueError(f"joint support size {size} exceeds {MAX_ORACLE_SUPPORT}")
 
-    supports = [p.support for p in params_set]
-    grids = np.meshgrid(*supports, indexing="ij")
-    joint = np.stack([g.reshape(-1) for g in grids], axis=1)  # (size, n_holes)
+    if not len(params_set):
+        return []
+
+    grids = np.meshgrid(*[p.support for p in params_set], indexing="ij")
+    joint = np.stack([g.reshape(-1) for g in grids])  # (holes, size) int64
 
     log_p = np.zeros(size)
-    for i, p in enumerate(params_set):
-        log_p += p.log_prob(joint[:, i])
-    probs = np.exp(log_p)
-
-    fits = np.array([float(fitness(tuple(row))) for row in joint])
-    weighted = probs * fits
-    return [
-        weighted @ _weights(p, joint[:, i], k)
-        for i, (p, k) in enumerate(zip(params_set, kinds))
-    ]
+    for p, xs in zip(params_set, joint):
+        log_p += p.log_prob(xs)
+    weighted = np.exp(log_p) * call_fitness(fitness, joint)
+    return [weighted @ _weights(p, xs, k)
+            for p, xs, k in zip(params_set, joint, kinds)]

@@ -93,7 +93,8 @@ class LogRecord:
     loss: float
     entropies: tuple  # nats, per discrete hole in its log's discrete_ids order
     decode_loss: float | None
-    params: ParamState  # one-cell copy of the parameters after the update
+    # never filled: bench/tracer.py reports a counter absent without it
+    params: ParamState | None = None
 
 
 @dataclass
@@ -174,9 +175,9 @@ def train(problem, configs):
     The configs may differ only in ``estimator_kind``, ``learning_rate``
     and ``seed`` (else ``ValueError``).  The per-iteration loss is the
     mean population MSE (negated mean fitness).  The greedy-decode MSE is
-    logged additionally every ``log_every * 10`` iterations.  Each record
-    keeps a one-cell :class:`ParamState` of the parameters after its
-    update; the final params are one too.
+    logged additionally every ``log_every * 10`` iterations, for every
+    cell in one fitness evaluation.  Records keep numbers only; the final
+    params are a one-cell :class:`ParamState`.
 
     A cell whose step diverges leaves the batch at once, and so does
     every cell after it in the list: trained one after another, those
@@ -236,20 +237,21 @@ def _batch(cells, layout, lam):
 
 def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
     """One record of ``iteration`` for each cell's log; row ``k`` of
-    ``fits`` is cell ``k``'s population."""
+    ``fits`` is cell ``k``'s population.  On a decode iteration one
+    fitness evaluation scores every cell's greedy assignment."""
     holes = len(hole_ids)
     means = est.mean(fits)
     entropies = state.entropies()
-    greedy = state.greedy() if decode else None
+    if decode:
+        greedy = np.array(state.greedy(), dtype=np.float64)
+        decode_losses = -est.call_fitness(
+            fitness, greedy.reshape(len(cells), holes).T,
+            state.layout.discrete[:holes])
     for k, cell in enumerate(cells):
-        own = slice(k * holes, (k + 1) * holes)
-        decode_loss = (-float(fitness(tuple(greedy[own]))) if decode
-                       else None)
-        cell_entropies = entropies[own]
+        cell_entropies = entropies[k * holes:(k + 1) * holes]
         cell.log.records.append(LogRecord(
             iteration=iteration,
             loss=-float(means[k]),
             entropies=tuple([cell_entropies[h] for h in cell.discrete]),
-            decode_loss=decode_loss,
-            params=state.cell(k),
+            decode_loss=float(decode_losses[k]) if decode else None,
         ))

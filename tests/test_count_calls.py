@@ -1,6 +1,6 @@
 """``tools/count_calls.py`` runs, and the training loop makes no more Python
 calls per iteration, on the run-main and the run-ablation batch, than it
-did when blocks came to compute their derived arrays when made."""
+did when one fitness call came to decode every cell."""
 
 import os
 import subprocess
@@ -17,12 +17,14 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # Gaussian ones by a no-op, and the entropy entered np.errstate, 180.3
 # before the cells of one seed shared its draws, 177.3 while holes
 # were grouped by block type and width, five groups in place of three,
-# and 144.0 while blocks computed p and sigma on first read, through a
-# descriptor)
-MAX_CALLS_PER_ITERATION = 137.1
+# 144.0 while blocks computed p and sigma on first read, through a
+# descriptor, and 137.1 while each logged decode called the fitness once
+# per cell and each record copied its cell's parameters)
+MAX_CALLS_PER_ITERATION = 137.0
 # the same for the 10-cell run-ablation batch (185.2 while blocks computed
-# p and sigma on first read)
-MAX_ABLATION_CALLS_PER_ITERATION = 178.7
+# p and sigma on first read, 178.7 while each logged decode called the
+# fitness once per cell and each record copied its cell's parameters)
+MAX_ABLATION_CALLS_PER_ITERATION = 172.2
 
 
 def calls_per_iteration(batch):

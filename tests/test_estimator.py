@@ -142,6 +142,28 @@ class TestOracle:
         with pytest.raises(ValueError):
             est.exact_gradient_oracle(params, lambda xs: 0.0, est.SEARCH)
 
+    def test_hole_free_params_have_no_gradients(self):
+        for kind in est.KINDS:
+            assert est.exact_gradient_oracle([], lambda xs: 1.0, kind) == []
+
+    @pytest.mark.parametrize("kind", est.KINDS)
+    def test_population_only_fitness(self, kind):
+        params = bern_cat_set() + [
+            CategoricalParams(np.array([0.1, 0.2, 0.3, 0.4]), mode=PROBS)]
+
+        class Batched:
+            def population(self, draws):
+                return 1.0 + draws[0] - 0.5 * draws[1] + (draws[2] == 2)
+
+        def single(xs):
+            return 1.0 + xs[0] - 0.5 * xs[1] + (xs[2] == 2)
+
+        assert not callable(Batched())
+        batched = est.exact_gradient_oracle(params, Batched(), kind)
+        for got, want in zip(batched,
+                             est.exact_gradient_oracle(params, single, kind)):
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
 
 class TestPopulationMechanics:
     def test_shared_draws_across_kinds(self, monkeypatch):
