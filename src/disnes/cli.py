@@ -43,11 +43,13 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--iters", type=_positive_int, default=10000,
-                     help="iteration budget")
+    sub.add_argument("--iters", type=_positive_int,
+                     default=TrainConfig.iterations, help="iteration budget")
     sub.add_argument("--lambda", dest="population", type=_positive_int,
-                     default=50, help="population size per gradient estimate")
-    sub.add_argument("--log-every", type=_positive_int, default=10)
+                     default=TrainConfig.population,
+                     help="population size per gradient estimate")
+    sub.add_argument("--log-every", type=_positive_int,
+                     default=TrainConfig.log_every)
     sub.add_argument("--sketch", help="path to a sketch file overriding the default")
     sub.add_argument("--out", default="runs", help="output directory")
 
@@ -81,8 +83,8 @@ def build_parser():
 
     p = subs.add_parser("run-main", help="single-input induction experiment")
     _add_train_flags(p)
-    p.add_argument("--lr", type=_positive_float, default=0.1,
-                   help="learning rate")
+    p.add_argument("--lr", type=_positive_float,
+                   default=TrainConfig.learning_rate, help="learning rate")
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--estimator", choices=sorted(harness.ARM_KINDS),
                    action="append", dest="arms",

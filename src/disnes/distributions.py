@@ -142,11 +142,15 @@ class BernoulliBlock(_Block):
     def sample(self, u):
         return (u < self.values).astype(np.int64)
 
-    def log_prob(self, x):
+    def _logs(self):
+        """``log(theta)`` and ``log(1 - theta)``, as ``(m, 1)`` columns."""
         # scalar libm logs: np.log may differ from math.log in the last bit
         thetas = self.values[:, 0].tolist()
-        log_t = np.array([math.log(t) for t in thetas])[:, None]
-        log_f = np.array([math.log(1.0 - t) for t in thetas])[:, None]
+        return (np.array([math.log(t) for t in thetas])[:, None],
+                np.array([math.log(1.0 - t) for t in thetas])[:, None])
+
+    def log_prob(self, x):
+        log_t, log_f = self._logs()
         return x * log_t + (1.0 - x) * log_f
 
     def score(self, x):
@@ -164,8 +168,9 @@ class BernoulliBlock(_Block):
         return np.where(x > 0.5, t, 1.0 - t)[..., None] * self.score(x)
 
     def entropy(self):
-        return np.array([-(t * math.log(t) + (1.0 - t) * math.log(1.0 - t))
-                         for t in self.values[:, 0].tolist()])
+        log_t, log_f = self._logs()
+        t = self.values
+        return -(t * log_t + (1.0 - t) * log_f)[:, 0]
 
     def greedy(self):
         """Modal values; ties at theta == 0.5 resolve to 1."""
@@ -383,8 +388,15 @@ class _Distribution:
     (``_block``).  ``family`` names a family in params snapshots (see
     :data:`FAMILIES`) and check names; its dataclass fields are the
     snapshot's fields, which :meth:`snapshot` gives in snapshot order as
-    JSON values.  Each family binds the methods that ``bench/tracer.py``
-    wraps in its own class too, where the tracer looks them up."""
+    JSON values.  Each family binds the ``_TRACED`` methods in its own
+    class too, where ``bench/tracer.py`` looks them up and wraps them."""
+
+    _TRACED = ("sample", "score", "natural_score", "prob_gradient",
+               "entropy", "stepped")
+
+    def __init_subclass__(cls):
+        for name in _Distribution._TRACED:
+            setattr(cls, name, vars(cls).get(name, getattr(cls, name)))
 
     def sample(self, rng, size=None):
         """``size`` draws, int64 (float64: Gaussian), or with ``size=None``
@@ -427,12 +439,6 @@ class BernoulliParams(_Distribution):
 
     family = "bernoulli"
     theta: float
-    sample = _Distribution.sample
-    score = _Distribution.score
-    natural_score = _Distribution.natural_score
-    prob_gradient = _Distribution.prob_gradient
-    entropy = _Distribution.entropy
-    stepped = _Distribution.stepped
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -473,15 +479,12 @@ class CategoricalParams(_Distribution):
     family = "categorical"
     values: np.ndarray
     mode: str = LOGITS
-    sample = _Distribution.sample
-    score = _Distribution.score
-    natural_score = _Distribution.natural_score
-    prob_gradient = _Distribution.prob_gradient
-    entropy = _Distribution.entropy
-    stepped = _Distribution.stepped
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).copy()
+        try:
+            self.values = np.asarray(self.values, dtype=np.float64).copy()
+        except OverflowError as exc:  # an int beyond the float range
+            raise ValueError(f"values must be finite: {exc}") from exc
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("values must be a 1-D vector of length >= 2")
         if self.mode not in (LOGITS, PROBS):
@@ -535,12 +538,6 @@ class GaussianParams(_Distribution):
     family = "gaussian"
     mu: float
     log_sigma: float
-    sample = _Distribution.sample
-    score = _Distribution.score
-    natural_score = _Distribution.natural_score
-    prob_gradient = _Distribution.prob_gradient
-    entropy = _Distribution.entropy
-    stepped = _Distribution.stepped
 
     def __post_init__(self):
         for name, low, high in zip(("mu", "log_sigma"), GaussianBlock.lower,
@@ -608,22 +605,24 @@ class _Layout:
     """Where each hole's parameters sit in the vector; shared by every
     state stepped from the same params-set.
 
-    ``keys`` gives each hole's (block type, width) in hole order and
-    ``cell_of_hole`` its cell, out of ``cell_count`` (default: one cell).
+    ``keys`` gives each hole's (block type, width) in hole order: the
+    holes of ``cell_count`` equal cells (default: one), cell after cell.
     The holes are grouped by :func:`_group_key`, and a hole narrower than
     its group's widest row ends its row in pads: positions of the vector
-    that belong to no parameter and hold the block type's ``pad``, which
-    is also both of their bounds.  ``spans`` give each hole's parameters,
-    which skip the pads.  The loop takes per-cell values, such as learning
-    rates, to vector positions once through ``cell_of``; only the public
-    steps convert per-hole gradients, through :meth:`vector_of`.
-    ``projected`` lists the groups whose block type projects after a step.
+    that belong to no parameter and hold the block type's ``pad``, also
+    both of their bounds.  ``spans``, the one map from holes to the
+    vector, give each hole's parameters, which skip the pads.  The loop
+    takes per-cell values, such as learning rates, to vector positions
+    once through ``cell_of``; only the public steps convert per-hole
+    gradients, through :meth:`vector_of`.  ``projected`` lists the groups
+    whose block type projects after a step; ``cells``, each cell's
+    one-cell layout.
     """
 
-    def __init__(self, keys, cell_of_hole=None, cell_count=1):
+    def __init__(self, keys, cell_count=1):
         self.keys, self.size, self.cell_count = keys, len(keys), cell_count
-        cells = np.zeros(self.size, dtype=np.intp) if cell_of_hole is None \
-            else np.array(cell_of_hole, dtype=np.intp)
+        # hole -> its cell
+        cells = np.arange(self.size) * cell_count // (self.size or 1)
         by_key = {}
         for hole, key in enumerate(keys):
             by_key.setdefault(_group_key(*key), []).append(hole)
@@ -670,9 +669,7 @@ class _Layout:
         # per hole, in hole order: its draw type, its row and its cell
         self.draws = [(key[0].draw, row, cell) for key, row, cell
                       in zip(keys, row_of.tolist(), cells.tolist())]
-        # per cell: its one-cell layout, and the positions in this vector
-        # of that layout's vector
-        self.cells = [(self, np.arange(self.hole_of.size))]
+        self.cells = [self]  # per cell: its one-cell layout
 
     @classmethod
     def joined(cls, layouts):
@@ -683,16 +680,8 @@ class _Layout:
             raise ValueError("the cells of a joined state need as many holes"
                              f" each, got {', '.join(map(str, sizes))}")
         joint = cls([key for lay in layouts for key in lay.keys],
-                    [c for c, lay in enumerate(layouts) for _ in lay.keys],
                     len(layouts))
-        # each cell's positions: the start of its holes' joint rows plus
-        # each column of its own rows, in its vector order; a joint row is
-        # at least as wide, so a cell's pads are the first of the joint's
-        joint.cells = [
-            (lay, np.array([joint.spans[c * lay.size + h].start + i
-                            for g in lay.groups for h in g.holes
-                            for i in range(g.width)], dtype=np.intp))
-            for c, lay in enumerate(layouts)]
+        joint.cells = list(layouts)
         return joint
 
     def vector_of(self, gradients):
@@ -866,15 +855,21 @@ class ParamState:
         they must have as many holes each, else ``ValueError``."""
         layout = _Layout.joined([s.layout for s in states])
         vector = layout.padding.copy()
-        for state, (_, positions) in zip(states, layout.cells):
-            vector[positions] = state.vector
+        for c, state in enumerate(states):
+            own = state.layout
+            for span, joint in zip(own.spans, layout.spans[c * own.size:]):
+                vector[joint] = state.vector[span]
         return cls(layout, vector)
 
     def cell(self, c):
         """Cell ``c`` as a one-cell state: a copy of its parameters in its
         own layout."""
-        layout, positions = self.layout.cells[c]
-        return ParamState(layout, self.vector[positions])
+        layout = self.layout.cells[c]
+        vector = layout.padding.copy()
+        joint_spans = self.layout.spans[c * layout.size:]
+        for span, joint in zip(layout.spans, joint_spans):
+            vector[span] = self.vector[joint]
+        return ParamState(layout, vector)
 
     def __len__(self):
         return self.layout.size

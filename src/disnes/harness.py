@@ -124,6 +124,24 @@ def params_from_json(text):
     return hole_ids, params
 
 
+def _stem(arm, config):
+    """The name, before its suffixes, of each file of the (arm, config)
+    cell."""
+    return f"{arm}_lr{config.learning_rate:g}_seed{config.seed}"
+
+
+def _check_stems(cells):
+    """``ValueError`` naming the first stem (see :func:`_stem`) that two of
+    the (arm, config) ``cells`` share: the second's files would replace
+    the first's."""
+    seen = set()
+    for arm, config in cells:
+        stem = _stem(arm, config)
+        if stem in seen:
+            raise ValueError(f"two cells would write the files {stem}.*")
+        seen.add(stem)
+
+
 def run_single(experiment, arm, problem, config, log, params, out_dir):
     """Decode one trained (arm, lr, seed) cell and persist its artifacts."""
     decoded = greedy_decode(params)
@@ -132,7 +150,7 @@ def run_single(experiment, arm, problem, config, log, params, out_dir):
     final_loss = float(problem.fitness.mean_squared_error(outputs))
     program_text = render(problem.program, assignment)
 
-    stem = f"{arm}_lr{config.learning_rate:g}_seed{config.seed}"
+    stem = _stem(arm, config)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, stem + ".csv")
     log.write_csv(csv_path)
@@ -185,12 +203,15 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
 
     The sketch is parsed and checked against the specification once,
     before anything is written, so a malformed one, or one of another
-    arity, raises :class:`SketchError` with ``out_dir`` untouched.
+    arity, raises :class:`SketchError` with ``out_dir`` untouched.  So does
+    an arm given twice, with ``ValueError`` (see :func:`_check_stems`).
     """
     config = config or TrainConfig(seed=seed)
     config = replace(config, seed=seed)
     problem = SketchProblem(parse(sketch_text or MAIN_SKETCH),
                             spec or MAIN_SPEC)
+    cells = [(arm, config) for arm in arms]
+    _check_stems(cells)
     _write_config_echo(out_dir, [
         ("experiment", "main"),
         ("arms", ",".join(arms)),
@@ -202,8 +223,7 @@ def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
         ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
-    return _run_cells("main", problem, [(arm, config) for arm in arms],
-                      out_dir)
+    return _run_cells("main", problem, cells, out_dir)
 
 
 def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
@@ -212,11 +232,16 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
 
     The sketch is parsed and checked against the specification once for
     the whole sweep, before anything is written, and every (arm, lr, seed)
-    cell trains in one batch.
+    cell trains in one batch.  Two cells whose files would share a name
+    (see :func:`_check_stems`) raise ``ValueError``, also before anything
+    is written.
     """
     config = config or TrainConfig()
     problem = SketchProblem(parse(sketch_text or ABLATION_SKETCH),
                             spec or ABLATION_SPEC)
+    cells = [(arm, replace(config, learning_rate=lr, seed=seed))
+             for arm in arms for lr in learning_rates for seed in seeds]
+    _check_stems(cells)
     _write_config_echo(out_dir, [
         ("experiment", "ablation"),
         ("arms", ",".join(arms)),
@@ -228,8 +253,6 @@ def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
         ("continuous_kind", CONTINUOUS_KIND),
         ("out", out_dir),
     ])
-    cells = [(arm, replace(config, learning_rate=lr, seed=seed))
-             for arm in arms for lr in learning_rates for seed in seeds]
     return _run_cells("ablation", problem, cells, out_dir)
 
 

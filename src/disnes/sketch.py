@@ -472,14 +472,16 @@ def _compile_program(program):
     final = _compile(program.else_expr, rows)
 
     # the last evaluation's inputs and lam, with the inputs' tiles and
-    # arange(lam)
+    # arange(lam); the tiles are reused only for the same read-only inputs
+    # that own their memory, which no other array can write
     last = (None, 0, None, None)
 
     def run(hv, xs):
         nonlocal last
         lam, n = hv.shape[1], xs.shape[0]
         seen = last
-        if seen[0] is not xs or seen[1] != lam or xs.flags.writeable:
+        if (seen[0] is not xs or seen[1] != lam or xs.flags.writeable
+                or not xs.flags.owndata):
             tiles = xs.T[:, None, :].repeat(lam, axis=1)
             tiles.flags.writeable = False
             seen = last = (xs, lam, tiles, np.arange(lam))
@@ -573,6 +575,9 @@ def _one_member(program, assignment):
 # --- Specification and fitness ---------------------------------------------
 
 def _read_only(array):
+    """``array`` made read-only, copied first unless it owns its memory."""
+    if not array.flags.owndata:
+        array = array.copy()
     array.flags.writeable = False
     return array
 

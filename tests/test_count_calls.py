@@ -23,8 +23,9 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 MAX_CALLS_PER_ITERATION = 137.0
 # the same for the 10-cell run-ablation batch (185.2 while blocks computed
 # p and sigma on first read, 178.7 while each logged decode called the
-# fitness once per cell and each record copied its cell's parameters)
-MAX_ABLATION_CALLS_PER_ITERATION = 172.2
+# fitness once per cell and each record copied its cell's parameters,
+# 172.2 while a joined state kept a position array per cell)
+MAX_ABLATION_CALLS_PER_ITERATION = 172.1
 
 
 def calls_per_iteration(batch):

@@ -320,9 +320,11 @@ class TestPopulationMechanics:
                                          est.VO)
             one = est.estimate_gradient(params, fitness, 8, alone, est.VO)
             assert np.array_equal(both.fitnesses, np.tile(one.fitnesses, 2))
-            assert np.array_equal(both.vector[state.layout.cells[1][1]],
-                                  one.vector)
-            assert np.array_equal(both.vector[state.layout.cells[0][1]],
-                                  one.vector)
+            # each cell's span of every hole holds the one-cell gradient
+            per_hole = state.layout.per_hole(both.vector)
+            want = ParamState.of(params).layout.per_hole(one.vector)
+            assert len(per_hole) == 2 * len(want)
+            for got, hole in zip(per_hole, want + want):
+                assert np.array_equal(got, hole)
             assert (shared.bit_generator.state
                     == alone.bit_generator.state)

@@ -135,6 +135,22 @@ class TestRunAblation:
         assert "sg_lr0.01_seed2.csv" in names
         assert "nes_lr0.1_seed1_program.txt" in names
 
+    @pytest.mark.parametrize("run", [
+        lambda out: harness.run_ablation(
+            (1,), out, learning_rates=(0.1, 0.1000001), arms=("nes",)),
+        lambda out: harness.run_ablation((1,), out, arms=("nes", "nes")),
+        lambda out: harness.run_ablation((1, 1), out),
+        lambda out: harness.run_main(1, out, arms=("nes", "nes")),
+    ], ids=["lr", "ablation-arm", "seed", "main-arm"])
+    def test_cells_sharing_file_names_are_rejected(self, tmp_path, run):
+        """Learning rates equal to 6 significant digits, or a repeated arm
+        or seed, would give two cells one file name: the run raises,
+        naming it, before it writes anything."""
+        out = tmp_path / "abl"
+        with pytest.raises(ValueError, match=r"files nes_lr0\.1_seed1\.\*"):
+            run(str(out))
+        assert not out.exists()
+
     def test_config_echo_lists(self, tmp_path):
         out = str(tmp_path / "abl")
         harness.run_ablation((1, 3), out, config=quick_config(),
@@ -207,6 +223,15 @@ class TestCli:
         names = os.listdir(out)
         assert any(n.startswith("sg_") for n in names)
         assert not any(n.startswith("nes_") for n in names)
+
+    @pytest.mark.parametrize("command", ["run-main", "run-ablation"])
+    def test_train_flags_default_to_train_config(self, command):
+        args = cli.build_parser().parse_args([command])
+        default = TrainConfig()
+        assert (args.iters, args.population, args.log_every) == (
+            default.iterations, default.population, default.log_every)
+        if command == "run-main":
+            assert args.lr == default.learning_rate
 
     def test_verify_subcommand(self, capsys):
         code = cli.main(["verify", "--samples", "20000", "--cases", "100",
@@ -314,6 +339,7 @@ class TestCli:
         ["run-main", "--sketch", "{unicode_digit}", "--out", "{out}"],
         ["run-main", "--sketch", "{duplicate_arg}", "--out", "{out}"],
         ["decode", "--params", "{huge_logits}", "--sketch", "{main}"],
+        ["decode", "--params", "{huge_int}", "--sketch", "{main}"],
         ["run-ablation", "--seed", "1,1", "--iters", "3", "--out", "{out}"],
         ["run-main", "--estimator", "nes", "--estimator", "nes",
          "--out", "{out}"],
@@ -347,6 +373,7 @@ class TestCli:
                 "fn f(x: f32, x: f32) -> f32 { return x [OP] [REAL]; }",
             "huge_logits": _edited_snapshot(
                 0, values=[1e308, -1e308, 0, 0, 0, 0]),
+            "huge_int": _edited_snapshot(0, values=[10**400, 0, 0, 0, 0, 0]),
         }
         paths = {"out": tmp_path / "out"}
         for name, text in files.items():

@@ -576,9 +576,10 @@ def diverging_steps(schedule):
     def faulty(state, gradients, eta, hole_ids=None):
         layout = state.layout
         vector = gradients.copy()
-        # a cell's learning rate is that of its first vector position
-        rates = [float(eta[positions[0]]) for _, positions in layout.cells]
-        holes = len(state) // len(rates)
+        # a cell's learning rate is that of its first hole's first position
+        holes = len(state) // layout.cell_count
+        rates = [float(eta[layout.spans[cell * holes].start])
+                 for cell in range(layout.cell_count)]
         for lr in set(rates) & set(schedule):
             counts[lr] += 1
         for cell, lr in enumerate(rates):

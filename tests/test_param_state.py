@@ -528,9 +528,8 @@ def test_hole_free_cells_join_and_come_back():
     joint = ParamState.joined(cells)
     assert len(joint) == 0 and joint.layout.cell_count == 3
     assert joint.vector.shape == (0,)
-    for c, (layout, positions) in enumerate(joint.layout.cells):
+    for c, layout in enumerate(joint.layout.cells):
         assert layout is cells[c].layout
-        assert positions.dtype == np.intp and positions.shape == (0,)
         back = joint.stepped(joint.vector, 0.1).cell(c)
         assert back.layout is layout and back.params() == []
         assert_same_bits(back.vector, cells[c].vector)

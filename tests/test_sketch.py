@@ -376,6 +376,30 @@ class TestEval:
         assert eval_batch(program, draws, inputs).tolist() == \
             [[10.0, 4.0]] * 2
 
+    def test_read_only_view_of_changed_memory_is_read_again(self):
+        """A read-only view does not own its memory, which its base can
+        still write: its tiles are not reused."""
+        program = parse("fn f(x: f32) -> f32 { return x * 2.0; }")
+        base = np.ones((2, 1), dtype=np.float32)
+        view = base.view()
+        view.flags.writeable = False
+        draws = np.zeros((0, 2))
+        assert eval_batch(program, draws, view).tolist() == [[2.0, 2.0]] * 2
+        base[:] = 5.0
+        assert eval_batch(program, draws, view).tolist() == \
+            [[10.0, 10.0]] * 2
+
+    @pytest.mark.parametrize("inputs, outputs", [
+        ([[1.0], [2.0]], [0.0, 0.0]), ([1.0, 2.0], [0.0]),
+    ], ids=["2-D", "1-D"])
+    def test_specification_arrays_own_their_memory(self, inputs, outputs):
+        """The evaluator reuses its tiles only of read-only inputs that own
+        their memory: a specification's inputs are such an array, 2-D or
+        1-D, and so are its outputs."""
+        spec = Specification(inputs, outputs)
+        for array in (spec.inputs, spec.outputs):
+            assert array.flags.owndata and not array.flags.writeable
+
     def test_missing_hole_rejected(self):
         with pytest.raises(SketchError, match="missing"):
             eval_program(parse(MAIN_SKETCH), {}, [1.0])
