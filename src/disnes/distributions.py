@@ -49,18 +49,12 @@ a 1-D array of samples; in the array case gradients come back as
 checks its fields and gives its params-snapshot fields; :data:`FAMILIES`
 maps the names back to them.
 
-Random draws read the stream in hole order: each Bernoulli or categorical
-hole takes ``n`` uniforms and each Gaussian hole ``n`` standard normals,
-with one ``Generator`` call per hole of one cell (bound once by a
-:class:`DrawPlan`).  Cells that share a ``Generator`` share its draws:
-the plan calls it for the first such cell only and copies those rows to
-each of them.  A :class:`DrawPlan` turns the uniforms of every categorical
-hole into categories at once, through one table of cumulative
-probabilities.  A state's draws come as one ``(holes, n)`` float64
-matrix in its group order (see :class:`ParamState`), so a group's
-samples are one slice of it.  Each cell reads its own generator's stream
-as a one-cell state would, so a state, each of its cells and its
-per-hole distributions draw the same samples from the same seeds.
+Random draws read the stream in hole order, ``n`` uniforms per Bernoulli
+or categorical hole and ``n`` standard normals per Gaussian hole, through
+a :class:`DrawPlan`.  A state's draws come as one ``(holes, n)`` float64
+matrix in its group order, so a group's samples are one slice of it, and
+a state, each of its cells and its per-hole distributions draw the same
+samples from the same seeds.
 
 All operations are pure given ``(params, rng)``; callers that run
 concurrently must each own a distinct ``numpy.random.Generator``.
@@ -398,10 +392,16 @@ class _Distribution:
         for name in _Distribution._TRACED:
             setattr(cls, name, vars(cls).get(name, getattr(cls, name)))
 
+    def _state(self):
+        """This distribution as a one-hole state, on a shared layout."""
+        block = self._block()
+        layout = _one_hole_layout(type(block), block.values.shape[1])
+        return ParamState(layout, block.values[0])
+
     def sample(self, rng, size=None):
         """``size`` draws, int64 (float64: Gaussian), or with ``size=None``
         one int (float): the draws of a one-hole state."""
-        state = ParamState.of([self])
+        state = self._state()
         plan = DrawPlan(state.layout, [rng], 1 if size is None else size)
         x = plan.sample(state.blocks)[0]
         if state.layout.discrete[0]:
@@ -419,7 +419,7 @@ class _Distribution:
     def stepped(self, gradient, eta):
         """The step of a one-hole state (see :meth:`ParamState.stepped`):
         a divergent step raises :class:`DivergenceError` naming hole 0."""
-        state = ParamState.of([self])
+        state = self._state()
         return state.stepped(state.layout.vector_of([gradient]), eta)[0]
 
     def greedy(self):
@@ -709,6 +709,12 @@ class _Layout:
         return [vector[span] for span in self.spans]
 
 
+@lru_cache(maxsize=None)
+def _one_hole_layout(*key):
+    """The layout of one hole whose key is ``(block type, width)``."""
+    return _Layout([key])
+
+
 class DrawPlan:
     """The ``lam`` draws per hole of one layout's states, set up once.
 
@@ -729,16 +735,17 @@ class DrawPlan:
     cumulative probabilities, a column per hole in group order and one
     row fewer than the widest categorical row: each categorical group
     writes the cumulative sums of the first width - 1 entries of each of
-    its rows into the hole's column, and then sets the sums that end in a
-    pad back to ``+inf``, which no uniform exceeds, so each hole keeps the
-    first K - 1 sums of its own K.  Every other entry stays ``+inf``.  One
-    compare and one count over the table then give every hole's category:
-    how many of its sums lie below its uniform, which is
+    its rows into the hole's column, and every other entry stays
+    ``+inf``, which no uniform exceeds.  One compare and one count over
+    the table then give every hole's category: how many of its sums lie
+    below its uniform, capped at the hole's K - 1.  That is
     ``searchsorted(cumsum(p), u, side="left")`` capped at K - 1, even
     where the K sums round below 1; a uniform equal to a sum takes the
-    lower category.  This is the only inverse-CDF sampler of categories.
-    The other groups then overwrite their rows of the draws with their
-    blocks' draws.
+    lower category.  A pad's sum is its hole's sum of all K, at least
+    every sum of the hole's own: a uniform above it is above them all,
+    and the cap gives K - 1.  This is the only inverse-CDF sampler of
+    categories.  The other groups then overwrite their rows of the draws
+    with their blocks' draws.
     """
 
     def __init__(self, layout, rngs, lam):
@@ -774,15 +781,14 @@ class DrawPlan:
         sums_per_hole = max([g.width for _, g in categorical], default=1) - 1
         self.cum = np.full((sums_per_hole, layout.size), np.inf)
         # per categorical group, by index: its part of the table, as an
-        # (m, width - 1) view, and the floor that sets its pads' sums back
-        # to +inf, -inf elsewhere (None where no row has pads); per other
-        # group: its rows
-        self.fills = [(i, self.cum[:g.width - 1, g.rows].T,
-                       None if g.real is None
-                       else np.where(g.real[:, 1:] == 0.0, np.inf, -np.inf))
+        # (m, width - 1) view; per other group: its rows
+        self.fills = [(i, self.cum[:g.width - 1, g.rows].T)
                       for i, g in categorical]
         self.others = [(i, g.rows) for i, g in groups
                        if not issubclass(g.block_type, CategoricalBlock)]
+        # per row: its hole's width - 1, K - 1 for a categorical hole
+        self.caps = np.array([layout.keys[h][1] - 1.0 for g in layout.groups
+                              for h in g.holes])[:, None]
 
     def sample(self, blocks):
         """The draws of the state whose blocks are ``blocks``: a fresh
@@ -792,12 +798,11 @@ class DrawPlan:
         # every source row is in range; "clip" skips the buffered copy that
         # the default mode makes of ``out``
         self.drawn.take(self.source, axis=0, out=self.noise, mode="clip")
-        for i, cum, floor in self.fills:
+        for i, cum in self.fills:
             np.add.accumulate(blocks[i].p[:, :-1], axis=1, out=cum)
-            if floor is not None:
-                np.maximum(cum, floor, out=cum)
         samples = np.add.reduce(self.cum[:, :, None] < self.noise, axis=0,
                                 dtype=np.float64)
+        np.minimum(samples, self.caps, out=samples)
         for i, rows in self.others:
             samples[rows] = blocks[i].sample(self.noise[rows])
         return samples

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -85,25 +86,24 @@ def _resolve_kinds(kinds, n):
 
 class KindPlan:
     """The estimator kinds of one layout's holes, split by group once, and
-    the buffer the weighted sums go into.  Per group: its ``(kind, rows)``
-    pairs, where ``rows`` picks the group's rows of that kind, or is None
-    when the whole group has it, and its ``(m, 1, width)`` view of
-    ``sums``, the weighted sums in the layout's vector order, which every
-    estimate overwrites."""
+    the buffer the weighted sums go into.  Per group: each kind it holds,
+    with the runs of consecutive rows of that kind, each as its rows'
+    slice and its ``(rows, 1, width)`` view of ``sums``, the weighted sums
+    in the layout's vector order, which every estimate overwrites."""
 
     def __init__(self, layout, kinds):
         kinds = _resolve_kinds(kinds, layout.size)
         self.layout, self.groups = layout, []
         self.sums = np.empty(layout.hole_of.size)
         for group in layout.groups:
-            group_kinds = np.array([kinds[h] for h in group.holes])
-            split = dict.fromkeys(group_kinds.tolist())
-            self.groups.append((
-                [(kind, None if len(split) == 1
-                  else np.flatnonzero(group_kinds == kind))
-                 for kind in split],
-                self.sums[group.start:group.stop].reshape(-1, 1,
-                                                          group.width)))
+            sums = self.sums[group.start:group.stop].reshape(-1, 1,
+                                                             group.width)
+            runs, first = {}, 0
+            for kind, run in groupby([kinds[h] for h in group.holes]):
+                rows = slice(first, first + len(list(run)))
+                runs.setdefault(kind, []).append((rows, sums[rows]))
+                first = rows.stop
+            self.groups.append(list(runs.items()))
 
 
 def sample_population(state, plan):
@@ -183,13 +183,11 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     another layout or ``lam``, raises ``ValueError``.
     ``fitness_transform``, when given, maps the fitnesses to the weights
     actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
-    array; the reported fitnesses stay untransformed.  The weights and
-    the weighted sum are one NumPy operation per group of holes (one
-    block type, narrower categorical rows padded to the group's widest;
-    see :class:`ParamState`), and per kind where a group mixes kinds,
-    written into the kind plan's buffer of sums in vector order; one
-    division by ``lam`` then makes the gradient vector, whose pads are
-    0.0.
+    array; the reported fitnesses stay untransformed.  The weights are
+    one NumPy operation per group of holes (see :class:`ParamState`) and
+    kind, and the weighted sums one per run of rows of one kind, written
+    into the kind plan's buffer (see :class:`KindPlan`); one division by
+    ``lam`` then makes the gradient vector, whose pads are 0.0.
 
     A state of several cells (see :meth:`ParamState.joined`) holds the
     holes of one problem once per cell.  Every cell draws its own
@@ -222,15 +220,13 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     weights = rows if fitness_transform is None else fitness_transform(rows)
     # per sample row: its own cell's weights
     hole_weights = weights[layout.grouped_cells][:, None, :]
-    for group, block, (split, sums) in zip(layout.groups, state.blocks,
-                                           kind_plan.groups):
+    for group, block, kind_runs in zip(layout.groups, state.blocks,
+                                       kind_plan.groups):
         xs, cell_weights = samples[group.rows], hole_weights[group.rows]
-        for kind, picked in split:
-            if picked is None:
-                np.matmul(cell_weights, _weights(block, xs, kind), out=sums)
-            else:
-                sums[picked] = np.matmul(cell_weights,
-                                         _weights(block, xs, kind))[picked]
+        for kind, runs in kind_runs:
+            w = _weights(block, xs, kind)
+            for rows, sums in runs:
+                np.matmul(cell_weights[rows], w[rows], out=sums)
     return GradientEstimate(kind_plan.sums / lam, fits, layout)
 
 

@@ -443,9 +443,9 @@ def _compile_program(program):
     Each evaluation first makes the leaves of :func:`_compile`, all of a
     kind at once: every input column and every REAL row tiled to a full
     ``(lam, n)`` array, and the pick rows of every operator hole,
-    ``category * lam + member``.  The tiles of read-only inputs, such as
-    a :class:`Specification`'s, and ``arange(lam)`` are kept for the next
-    evaluation with the same inputs array and ``lam``; writable inputs
+    ``category * lam + member``.  The tiles of inputs over ``bytes``, such
+    as a :class:`Specification`'s, and ``arange(lam)`` are kept for the
+    next evaluation with the same inputs array and ``lam``; other inputs
     may change in place between calls, so they are tiled anew each time.
     Guards are tested in order, so the first true one wins: the branches
     are folded from the last to the first over the final expression.  A
@@ -472,16 +472,15 @@ def _compile_program(program):
     final = _compile(program.else_expr, rows)
 
     # the last evaluation's inputs and lam, with the inputs' tiles and
-    # arange(lam); the tiles are reused only for the same read-only inputs
-    # that own their memory, which no other array can write
+    # arange(lam); the tiles are reused only for the same inputs over
+    # bytes, which nothing can write
     last = (None, 0, None, None)
 
     def run(hv, xs):
         nonlocal last
         lam, n = hv.shape[1], xs.shape[0]
         seen = last
-        if (seen[0] is not xs or seen[1] != lam or xs.flags.writeable
-                or not xs.flags.owndata):
+        if seen[0] is not xs or seen[1] != lam or type(xs.base) is not bytes:
             tiles = xs.T[:, None, :].repeat(lam, axis=1)
             tiles.flags.writeable = False
             seen = last = (xs, lam, tiles, np.arange(lam))
@@ -574,17 +573,15 @@ def _one_member(program, assignment):
 
 # --- Specification and fitness ---------------------------------------------
 
-def _read_only(array):
-    """``array`` made read-only, copied first unless it owns its memory."""
-    if not array.flags.owndata:
-        array = array.copy()
-    array.flags.writeable = False
-    return array
+def _immutable(array):
+    """A copy of ``array`` over an immutable ``bytes`` object, which NumPy
+    refuses to make writeable."""
+    return np.ndarray(array.shape, array.dtype, array.tobytes())
 
 
 @dataclass
 class Specification:
-    """Input/output pairs in 32-bit float semantics, kept as read-only
+    """Input/output pairs in 32-bit float semantics, kept as immutable
     copies: the evaluator and the fitness keep what they tile from them
     for the next evaluation."""
 
@@ -592,10 +589,10 @@ class Specification:
     outputs: np.ndarray  # (n,) float32
 
     def __post_init__(self):
-        self.inputs = _read_only(
-            np.atleast_2d(np.array(self.inputs, dtype=np.float32)))
-        self.outputs = _read_only(
-            np.array(self.outputs, dtype=np.float32).reshape(-1))
+        self.inputs = _immutable(
+            np.atleast_2d(np.asarray(self.inputs, dtype=np.float32)))
+        self.outputs = _immutable(
+            np.asarray(self.outputs, dtype=np.float32).reshape(-1))
         if self.inputs.shape[0] == 0:
             raise ValueError("specification must be non-empty")
         if self.inputs.shape[0] != self.outputs.shape[0]:
@@ -618,8 +615,8 @@ class SpecFitness:
                 f"program arity {program.arity}")
         self.program = program
         self.spec = spec
-        # the specification's outputs as float64, tiled to the shape of
-        # the last outputs scored, and the array they were tiled from
+        # the specification's outputs as float64, tiled to the last shape
+        # scored, and the array they came from, reused only over bytes
         self._target = (None, np.empty(0))
 
     def mean_squared_error(self, outputs):
@@ -627,7 +624,8 @@ class SpecFitness:
         bits of ``mean(axis=-1)`` without the Python layer of
         ``ndarray.mean``."""
         source, target = self._target
-        if source is not self.spec.outputs or target.shape != outputs.shape:
+        if (source is not self.spec.outputs or type(source.base) is not bytes
+                or target.shape != outputs.shape):
             target = np.empty(outputs.shape)
             target[...] = self.spec.outputs
             self._target = (self.spec.outputs, target)

@@ -6,6 +6,8 @@ experiment-scale criteria train with the default configuration and
 dominate the suite's runtime.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,26 @@ fn prog_output(x: f32) -> f32
     _report(capsys, 7,
             "sketch listings roundtrip; learned assignment renders the "
             "reference program modulo whitespace", ok, detail)
+
+
+class _Uncaptured:
+    """A ``capsys`` stand-in whose ``disabled()`` leaves capture on, so the
+    fault tests below read the criterion's report line."""
+
+    disabled = staticmethod(contextlib.nullcontext)
+
+
+def test_criterion_7_fails_when_render_drops_a_hole(monkeypatch, capsys):
+    """A ``render`` that writes the first REAL hole as a literal, dropping
+    it from the listing, makes criterion 7 report FAIL."""
+    def dropping(program, assignment=None):
+        return original(program, assignment).replace("[REAL]", "0.0", 1)
+
+    original = render
+    monkeypatch.setitem(globals(), "render", dropping)
+    with pytest.raises(AssertionError):
+        test_criterion_7_parser_roundtrip_and_rendering(_Uncaptured)
+    assert capsys.readouterr().out.startswith("[FAIL] criterion 7:")
 
 
 def test_criterion_8_determinism(capsys, tmp_path):

@@ -3,10 +3,12 @@
 The digests were taken before the flat parameter state replaced the
 per-hole distribution objects in the training loop, so any refactor that
 changes a single bit of a CSV log, decoded program, params snapshot or
-``summary.csv`` fails here.  They hold for the float behaviour of the
-platform they were taken on (x86-64, NumPy 2.4); a change of libm or
-NumPy that moves the last bit of ``exp`` or ``log`` would need a re-pin,
-stated as such.
+``summary.csv`` fails here.  They hold only at the SIMD level of the CPU
+they were taken on: x86-64 with AVX-512, where NumPy 2.4 runs its
+AVX-512 ``exp`` and ``log`` loops and OpenBLAS its SkylakeX gemv.  An
+AVX2-only CPU gets other last bits from both (``OPENBLAS_CORETYPE=Haswell``
+alone fails three cases), and so would a change of libm, NumPy or
+OpenBLAS; a re-pin would be stated as such.
 """
 
 import hashlib

@@ -392,13 +392,54 @@ class TestEval:
     @pytest.mark.parametrize("inputs, outputs", [
         ([[1.0], [2.0]], [0.0, 0.0]), ([1.0, 2.0], [0.0]),
     ], ids=["2-D", "1-D"])
-    def test_specification_arrays_own_their_memory(self, inputs, outputs):
-        """The evaluator reuses its tiles only of read-only inputs that own
-        their memory: a specification's inputs are such an array, 2-D or
-        1-D, and so are its outputs."""
+    def test_specification_arrays_are_immutable(self, inputs, outputs):
+        """The evaluator reuses its tiles only of inputs over ``bytes``: a
+        specification's inputs are such an array, 2-D or 1-D, and so are
+        its outputs, and neither can be made writeable."""
         spec = Specification(inputs, outputs)
         for array in (spec.inputs, spec.outputs):
-            assert array.flags.owndata and not array.flags.writeable
+            assert type(array.base) is bytes and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    @pytest.mark.parametrize("use", ["eval_batch", "population"])
+    def test_specification_cannot_change_under_a_cache(self, use):
+        """Turning a specification's arrays writeable, writing them and
+        turning them read-only again cannot leave the evaluator's tiles or
+        the fitness's target stale: what ``eval_batch`` and ``population``
+        give afterwards is what fresh copies of the arrays give."""
+        program = parse("fn f(x: f32) -> f32 { return x * 2.0; }")
+        spec = Specification([[1.0], [2.0]], [2.0, 4.0])
+        draws = np.zeros((0, 3))
+
+        def run(spec, fitness):
+            if use == "eval_batch":
+                return eval_batch(program, draws, spec.inputs)
+            return fitness.population(draws)
+
+        fitness = SpecFitness(program, spec)
+        run(spec, fitness)  # fill the caches
+        for array in (spec.inputs, spec.outputs):
+            try:
+                array.flags.writeable = True
+                array[0] = 5.0
+                array.flags.writeable = False
+            except ValueError:
+                pass
+        fresh = Specification(spec.inputs.copy(), spec.outputs.copy())
+        assert run(spec, fitness).tobytes() == \
+            run(fresh, SpecFitness(program, fresh)).tobytes()
+
+    def test_outputs_changed_in_place_are_read_again(self):
+        """The fitness reuses its tiled target only of outputs over bytes:
+        a writable array put in a specification's place is read again."""
+        program = parse("fn f(x: f32) -> f32 { return x * 2.0; }")
+        spec = Specification([[1.0], [2.0]], [2.0, 4.0])
+        fitness, draws = SpecFitness(program, spec), np.zeros((0, 1))
+        spec.outputs = np.array([2.0, 4.0], dtype=np.float32)
+        assert fitness.population(draws).tolist() == [0.0]
+        spec.outputs[0] = 4.0
+        assert fitness.population(draws).tolist() == [-2.0]
 
     def test_missing_hole_rejected(self):
         with pytest.raises(SketchError, match="missing"):

@@ -6,7 +6,9 @@ total call count and the calls per iteration.  BATCH names the batch:
 * ``main`` (the default): the default ``disnes run-main`` batch, arms nes
   and vo on the main sketch, seed 1;
 * ``ablation``: the default ``disnes run-ablation`` batch, arms nes and sg
-  times its five learning rates on the ablation sketch, seed 1 (10 cells).
+  times its five learning rates on the ablation sketch, seed 1 (10 cells);
+* ``mixed``: arms sg and vo on the main sketch, seed 1, whose categorical
+  group holds holes of two estimator kinds.
 
 The count covers ``train`` alone, so its one-off set-up (building the
 cells, their draw plan and kind plan) is included and weighs less the
@@ -41,6 +43,8 @@ BATCHES = {
     "ablation": (harness.ABLATION_SKETCH, harness.ABLATION_SPEC,
                  [(arm, lr) for arm in harness.ABLATION_ARMS
                   for lr in harness.ABLATION_LEARNING_RATES]),
+    "mixed": (harness.MAIN_SKETCH, harness.MAIN_SPEC,
+              [(arm, TrainConfig.learning_rate) for arm in ("sg", "vo")]),
 }
 
 
