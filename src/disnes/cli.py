@@ -42,7 +42,8 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
                            "a finite number > 0")
 
 
-def _add_train_flags(sub):
+def _add_train_flags(sub, arms):
+    """The flags of a training subcommand whose default arms are ``arms``."""
     sub.add_argument("--iters", type=_positive_int,
                      default=TrainConfig.iterations, help="iteration budget")
     sub.add_argument("--lambda", dest="population", type=_positive_int,
@@ -52,6 +53,10 @@ def _add_train_flags(sub):
                      default=TrainConfig.log_every)
     sub.add_argument("--sketch", help="path to a sketch file overriding the default")
     sub.add_argument("--out", default="runs", help="output directory")
+    sub.add_argument("--estimator", choices=sorted(harness.ARM_KINDS),
+                     action="append", dest="arms",
+                     help=f"arm to run (repeatable; default: "
+                          f"{' and '.join(arms)})")
 
 
 def _config(args, seed, **overrides):
@@ -82,22 +87,17 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("run-main", help="single-input induction experiment")
-    _add_train_flags(p)
+    _add_train_flags(p, harness.MAIN_ARMS)
     p.add_argument("--lr", type=_positive_float,
                    default=TrainConfig.learning_rate, help="learning rate")
     p.add_argument("--seed", type=_seed, default=1)
-    p.add_argument("--estimator", choices=sorted(harness.ARM_KINDS),
-                   action="append", dest="arms",
-                   help="arm to run (repeatable; default: nes and vo)")
 
     p = subs.add_parser("run-ablation",
                         help="learning-rate sweep, nes vs sg arms (the "
                              "learning rates are fixed)")
-    _add_train_flags(p)
+    _add_train_flags(p, harness.ABLATION_ARMS)
     p.add_argument("--seed", type=_seed_list, default=(1,),
                    help="comma-separated seed list")
-    p.add_argument("--estimator", choices=sorted(harness.ARM_KINDS),
-                   action="append", dest="arms")
 
     p = subs.add_parser("verify", help="distribution and estimator checks")
     p.add_argument("--samples", type=_sample_size, default=100_000)
@@ -165,11 +165,7 @@ def main(argv=None):
             except ValueError as exc:  # UnicodeDecodeError included
                 print(f"error: {args.params}: {exc}", file=sys.stderr)
                 return 2
-            if hole_ids != program.hole_ids():
-                print("error: params snapshot does not match the sketch's "
-                      "holes", file=sys.stderr)
-                return 2
-            check_params_fit(program, params)
+            check_params_fit(program, hole_ids, params)
             assignment = dict(zip(hole_ids, greedy_decode(params)))
             sys.stdout.write(render(program, assignment))
             return 0

@@ -134,7 +134,7 @@ class BernoulliBlock(_Block):
     draw = "random"
 
     def sample(self, u):
-        return (u < self.values).astype(np.int64)
+        return u < self.values
 
     def _logs(self):
         """``log(theta)`` and ``log(1 - theta)``, as ``(m, 1)`` columns."""

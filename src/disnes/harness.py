@@ -124,54 +124,57 @@ def params_from_json(text):
     return hole_ids, params
 
 
-def _stem(arm, config):
-    """The name, before its suffixes, of each file of the (arm, config)
+def _stem(arm, lr, seed):
+    """The name, before its suffixes, of each file of the (arm, lr, seed)
     cell."""
-    return f"{arm}_lr{config.learning_rate:g}_seed{config.seed}"
+    return f"{arm}_lr{lr:g}_seed{seed}"
 
 
-def _check_stems(cells):
-    """``ValueError`` naming the first stem (see :func:`_stem`) that two of
-    the (arm, config) ``cells`` share: the second's files would replace
-    the first's."""
-    seen = set()
-    for arm, config in cells:
-        stem = _stem(arm, config)
-        if stem in seen:
-            raise ValueError(f"two cells would write the files {stem}.*")
-        seen.add(stem)
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def run_single(experiment, arm, problem, config, log, params, out_dir):
-    """Decode one trained (arm, lr, seed) cell and persist its artifacts."""
+    """Decode one trained (arm, lr, seed) cell and write its files into the
+    existing directory ``out_dir``."""
     decoded = greedy_decode(params)
-    assignment = dict(zip(problem.hole_ids(), decoded))
     outputs = problem.fitness.predicted_outputs(decoded)
-    final_loss = float(problem.fitness.mean_squared_error(outputs))
-    program_text = render(problem.program, assignment)
-
-    stem = _stem(arm, config)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, stem + ".csv")
-    log.write_csv(csv_path)
-    prog_path = os.path.join(out_dir, stem + "_program.txt")
-    with open(prog_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(program_text)
-    params_path = os.path.join(out_dir, stem + "_params.json")
-    with open(params_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(params_to_json(params, problem.hole_ids()))
-
+    program_text = render(problem.program,
+                          dict(zip(problem.hole_ids(), decoded)))
+    path = os.path.join(out_dir, _stem(arm, config.learning_rate,
+                                       config.seed))
+    log.write_csv(path + ".csv")
+    _write_text(path + "_program.txt", program_text)
+    _write_text(path + "_params.json",
+                params_to_json(params, problem.hole_ids()))
     return RunResult(experiment, arm, config.learning_rate, config.seed,
-                     final_loss, outputs, program_text, csv_path)
+                     float(problem.fitness.mean_squared_error(outputs)),
+                     outputs, program_text, path + ".csv")
 
 
-def _run_cells(experiment, problem, cells, out_dir):
-    """Train the (arm, config) ``cells`` in one batch and persist each.
+def _run_cells(experiment, sketch_text, spec, cells, out_dir, echo):
+    """Train the (arm, config) ``cells`` of ``experiment`` on the sketch
+    ``sketch_text`` in one batch, and write each cell's files and a
+    ``config.txt`` of the (key, value) ``echo`` lines into ``out_dir``.
 
-    If a cell diverges, the cells before it are persisted, as a run of
-    one cell after another would have left them, before its error is
-    raised.
+    Nothing is written until the sketch is parsed and checked against
+    ``spec`` (else :class:`SketchError`) and no two cells share a file stem
+    (else ``ValueError`` naming it: the second's files would replace the
+    first's).  If a cell diverges, the cells before it are written, as a
+    run of one cell after another would have left them, before its error
+    is raised.
     """
+    problem = SketchProblem(parse(sketch_text), spec)
+    stems = [_stem(arm, c.learning_rate, c.seed) for arm, c in cells]
+    shared = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
+    if shared:
+        raise ValueError(f"two cells would write the files {shared[0]}.*")
+    os.makedirs(out_dir, exist_ok=True)
+    echo = [("experiment", experiment), *echo,
+            ("continuous_kind", CONTINUOUS_KIND), ("out", out_dir)]
+    _write_text(os.path.join(out_dir, "config.txt"),
+                "".join(f"{key}={value}\n" for key, value in echo))
     configs = [replace(config, estimator_kind=ARM_KINDS[arm])
                for arm, config in cells]
     failure = None
@@ -188,72 +191,40 @@ def _run_cells(experiment, problem, cells, out_dir):
     return results
 
 
-def _write_config_echo(out_dir, entries):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        for key, value in entries:
-            fh.write(f"{key}={value}\n")
-
-
 def run_main(seed, out_dir, config=None, sketch_text=None, spec=None,
              arms=MAIN_ARMS):
     """Both arms of the single-input induction experiment for one seed,
     trained in one batch.
 
-    The sketch is parsed and checked against the specification once,
-    before anything is written, so a malformed one, or one of another
-    arity, raises :class:`SketchError` with ``out_dir`` untouched.  So does
-    an arm given twice, with ``ValueError`` (see :func:`_check_stems`).
+    A malformed sketch, one of another arity, or an arm given twice raises
+    before anything is written (see :func:`_run_cells`).
     """
-    config = config or TrainConfig(seed=seed)
-    config = replace(config, seed=seed)
-    problem = SketchProblem(parse(sketch_text or MAIN_SKETCH),
-                            spec or MAIN_SPEC)
-    cells = [(arm, config) for arm in arms]
-    _check_stems(cells)
-    _write_config_echo(out_dir, [
-        ("experiment", "main"),
-        ("arms", ",".join(arms)),
-        ("lr", repr(config.learning_rate)),
-        ("iters", config.iterations),
-        ("lambda", config.population),
-        ("seed", seed),
-        ("log_every", config.log_every),
-        ("continuous_kind", CONTINUOUS_KIND),
-        ("out", out_dir),
-    ])
-    return _run_cells("main", problem, cells, out_dir)
+    config = replace(config or TrainConfig(), seed=seed)
+    echo = [("arms", ",".join(arms)), ("lr", repr(config.learning_rate)),
+            ("iters", config.iterations), ("lambda", config.population),
+            ("seed", seed), ("log_every", config.log_every)]
+    return _run_cells("main", sketch_text or MAIN_SKETCH, spec or MAIN_SPEC,
+                      [(arm, config) for arm in arms], out_dir, echo)
 
 
 def run_ablation(seeds, out_dir, config=None, sketch_text=None, spec=None,
                  learning_rates=ABLATION_LEARNING_RATES, arms=ABLATION_ARMS):
     """Learning-rate sweep comparing explicit-Fisher vs plain score arms.
 
-    The sketch is parsed and checked against the specification once for
-    the whole sweep, before anything is written, and every (arm, lr, seed)
-    cell trains in one batch.  Two cells whose files would share a name
-    (see :func:`_check_stems`) raise ``ValueError``, also before anything
-    is written.
+    Every (arm, lr, seed) cell trains in one batch.  A malformed sketch, or
+    two cells whose files would share a name, raise before anything is
+    written (see :func:`_run_cells`).
     """
     config = config or TrainConfig()
-    problem = SketchProblem(parse(sketch_text or ABLATION_SKETCH),
-                            spec or ABLATION_SPEC)
     cells = [(arm, replace(config, learning_rate=lr, seed=seed))
              for arm in arms for lr in learning_rates for seed in seeds]
-    _check_stems(cells)
-    _write_config_echo(out_dir, [
-        ("experiment", "ablation"),
-        ("arms", ",".join(arms)),
-        ("lrs", ",".join(repr(lr) for lr in learning_rates)),
-        ("iters", config.iterations),
-        ("lambda", config.population),
-        ("seeds", ",".join(str(s) for s in seeds)),
-        ("log_every", config.log_every),
-        ("continuous_kind", CONTINUOUS_KIND),
-        ("out", out_dir),
-    ])
-    return _run_cells("ablation", problem, cells, out_dir)
+    echo = [("arms", ",".join(arms)),
+            ("lrs", ",".join(repr(lr) for lr in learning_rates)),
+            ("iters", config.iterations), ("lambda", config.population),
+            ("seeds", ",".join(str(s) for s in seeds)),
+            ("log_every", config.log_every)]
+    return _run_cells("ablation", sketch_text or ABLATION_SKETCH,
+                      spec or ABLATION_SPEC, cells, out_dir, echo)
 
 
 def emit_summary(results, path):
@@ -261,17 +232,13 @@ def emit_summary(results, path):
     if not results:
         raise ValueError("no results to summarize")
     n_out = len(results[0].final_outputs)
-    header = ["experiment", "arm", "lr", "seed", "final_loss"]
-    header += [f"output_{i}" for i in range(n_out)]
-    header.append("program_path")
-    rows = sorted(results, key=lambda r: (r.arm, r.learning_rate, r.seed))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in rows:
-            cells = [r.experiment, r.arm, repr(r.learning_rate), str(r.seed),
-                     repr(r.final_loss)]
-            cells += [repr(float(v)) for v in r.final_outputs]
-            cells.append(os.path.basename(r.csv_path).replace(
-                ".csv", "_program.txt"))
-            fh.write(",".join(cells) + "\n")
+    lines = [["experiment", "arm", "lr", "seed", "final_loss"]
+             + [f"output_{i}" for i in range(n_out)] + ["program_path"]]
+    for r in sorted(results, key=lambda r: (r.arm, r.learning_rate, r.seed)):
+        program_path = _stem(r.arm, r.learning_rate, r.seed) + "_program.txt"
+        lines.append([r.experiment, r.arm, repr(r.learning_rate), str(r.seed),
+                      repr(r.final_loss)]
+                     + [repr(float(v)) for v in r.final_outputs]
+                     + [program_path])
+    _write_text(path, "".join(",".join(line) + "\n" for line in lines))
     return path

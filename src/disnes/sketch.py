@@ -736,10 +736,16 @@ def holes_to_distributions(program, categorical_mode=LOGITS):
     return params
 
 
-def check_params_fit(program, params_set):
-    """Raise :class:`SketchError` unless each hole's distribution is the one
-    :func:`holes_to_distributions` gives it: a Gaussian for a REAL hole and
-    a categorical over the hole's categories for a COND or OP hole."""
+def check_params_fit(program, hole_ids, params_set):
+    """Raise :class:`SketchError` unless the snapshot of ``params_set`` under
+    ``hole_ids`` fits ``program``: the sketch's hole ids, in its order, each
+    with the distribution :func:`holes_to_distributions` gives it, a
+    Gaussian for a REAL hole and a categorical over the hole's categories
+    for a COND or OP hole."""
+    if (list(hole_ids) != program.hole_ids()
+            or len(params_set) != len(program.holes)):
+        raise SketchError("params snapshot does not match the sketch's holes")
+
     def family(params):
         k = getattr(params, "k", None)
         return f"a {k}-way {params.family}" if k else f"a {params.family}"

@@ -11,12 +11,12 @@ import contextlib
 import numpy as np
 import pytest
 
-from disnes import checks, cli, estimator as est, harness
+from disnes import checks, cli, estimator as est, harness, sketch
 from disnes.distributions import (
     LOGITS, PROBS, BernoulliParams, CategoricalParams,
 )
 from disnes.optimizer import TrainConfig
-from disnes.sketch import COND_OPS, OP_OPS, parse, render
+from disnes.sketch import COND_OPS, OP_OPS, eval_program, parse, render
 
 
 def _report(capsys, number, description, ok, detail=""):
@@ -128,19 +128,16 @@ def test_criterion_4_main_experiment(capsys, main_results):
 
 
 def test_criterion_5_f32_ground_truth(capsys):
-    from disnes.sketch import eval_program
-
     ast = parse(harness.TRUE_PROGRAM)
-    outputs = harness.MAIN_SPEC.outputs
-    got = np.array([eval_program(ast, {}, row)
-                    for row in harness.MAIN_SPEC.inputs], dtype=np.float32)
-    ok = (np.array_equal(got, outputs)
-          and got.dtype == np.float32
+    values = [eval_program(ast, {}, row) for row in harness.MAIN_SPEC.inputs]
+    got = np.array(values, dtype=np.float32)
+    ok = (all(type(v) is np.float32 for v in values)
+          and np.array_equal(got, harness.MAIN_SPEC.outputs)
           and [float(v) for v in got] == [2.0999999046325684, 4.199999809265137,
                                           16.799999237060547, 21.0])
     _report(capsys, 5,
             "prog_true reproduces [2.1, 4.2, 16.8, 21.0] bit-exactly in f32",
-            ok, f"got {got}")
+            ok, f"got {values}")
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +215,25 @@ def test_criterion_7_fails_when_render_drops_a_hole(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("[FAIL] criterion 7:")
 
 
+class _Float64Numpy:
+    """NumPy with ``float32`` standing for ``float64``."""
+
+    float32 = np.float64
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_criterion_5_fails_when_evaluation_is_float64(monkeypatch, capsys):
+    """Evaluation in float64, through a ``disnes.sketch`` whose NumPy makes
+    float64 where it asks for float32, makes criterion 5 report FAIL, though
+    each result still rounds to the expected f32."""
+    monkeypatch.setattr(sketch, "np", _Float64Numpy())
+    with pytest.raises(AssertionError):
+        test_criterion_5_f32_ground_truth(_Uncaptured)
+    assert capsys.readouterr().out.startswith("[FAIL] criterion 5:")
+
+
 def test_criterion_8_determinism(capsys, tmp_path):
     names = None
     contents = []
@@ -236,3 +252,17 @@ def test_criterion_8_determinism(capsys, tmp_path):
     _report(capsys, 8,
             "run-main --seed 1 twice yields byte-identical CSVs and programs",
             ok)
+
+
+def test_criterion_8_fails_when_the_generator_ignores_its_seed(
+        monkeypatch, capsys, tmp_path):
+    """A ``default_rng`` that seeds every generator from fresh entropy makes
+    the two runs of criterion 8 differ, and the criterion report FAIL."""
+    entropy_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: entropy_rng())
+    with pytest.raises(AssertionError):
+        test_criterion_8_determinism(_Uncaptured, tmp_path)
+    # the report follows the runs' own output
+    report = capsys.readouterr().out.splitlines()[-1]
+    assert report.startswith("[FAIL] criterion 8:")

@@ -1,6 +1,6 @@
 """``tools/count_calls.py`` runs, and the training loop makes no more Python
-calls per iteration, on the run-main and the run-ablation batch, than it
-did when one fitness call came to decode every cell."""
+calls per iteration, on the run-main, the run-ablation and the mixed-kind
+batch, than it did when one fitness call came to decode every cell."""
 
 import os
 import subprocess
@@ -26,6 +26,9 @@ MAX_CALLS_PER_ITERATION = 137.0
 # fitness once per cell and each record copied its cell's parameters,
 # 172.2 while a joined state kept a position array per cell)
 MAX_ABLATION_CALLS_PER_ITERATION = 172.1
+# the same for the mixed batch, arms sg and vo, whose categorical group
+# mixes two estimator kinds
+MAX_MIXED_CALLS_PER_ITERATION = 130.1
 
 
 def calls_per_iteration(batch):
@@ -48,3 +51,7 @@ def test_calls_per_iteration_within_the_measured_count():
 def test_ablation_calls_per_iteration_within_the_measured_count():
     assert (calls_per_iteration("ablation")
             <= MAX_ABLATION_CALLS_PER_ITERATION)
+
+
+def test_mixed_calls_per_iteration_within_the_measured_count():
+    assert calls_per_iteration("mixed") <= MAX_MIXED_CALLS_PER_ITERATION

@@ -9,8 +9,8 @@ from disnes.harness import ABLATION_SKETCH, MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
     COND_OPS, MAX_DEPTH, OP_OPS,
     SketchError, SketchSyntaxError, Specification, SpecFitness,
-    eval_batch, eval_program, format_f32, holes_to_distributions,
-    parse, render,
+    check_params_fit, eval_batch, eval_program, format_f32,
+    holes_to_distributions, parse, render,
 )
 from test_eval_reference import (
     SPECIALS, assert_matches_reference, special_population,
@@ -601,3 +601,34 @@ class TestHolesToDistributions:
                 assert p.mode == PROBS
             else:
                 assert isinstance(p, GaussianParams)
+
+
+class TestCheckParamsFit:
+    def test_the_sketch_own_snapshot_fits(self):
+        program = parse(MAIN_SKETCH)
+        check_params_fit(program, program.hole_ids(),
+                         holes_to_distributions(program))
+
+    @pytest.mark.parametrize("pick", [
+        lambda ids: [],
+        lambda ids: ids[:-1],
+        lambda ids: [ids[0], ids[2], ids[1], *ids[3:]],
+    ], ids=["empty", "short", "reordered"])
+    def test_other_hole_ids_do_not_fit(self, pick):
+        """A snapshot with no holes, without the last hole, or with the two
+        REAL holes real1 and real2 swapped does not fit, though each
+        distribution it holds is of the family the sketch's hole in its
+        place needs."""
+        program = parse(MAIN_SKETCH)
+        by_id = dict(zip(program.hole_ids(), holes_to_distributions(program)))
+        hole_ids = pick(program.hole_ids())
+        with pytest.raises(SketchError, match="does not match the sketch's "
+                                              "holes"):
+            check_params_fit(program, hole_ids,
+                             [by_id[hid] for hid in hole_ids])
+
+    def test_fewer_params_than_hole_ids_do_not_fit(self):
+        program = parse(MAIN_SKETCH)
+        with pytest.raises(SketchError, match="does not match"):
+            check_params_fit(program, program.hole_ids(),
+                             holes_to_distributions(program)[:-1])
