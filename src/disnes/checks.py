@@ -21,6 +21,10 @@ from .distributions import (
 )
 
 
+# the sizes and seed ``disnes verify`` runs the check list at by default
+SAMPLES, CASES, ESTIMATES, SEED = 100_000, 1000, 200, 0
+
+
 @dataclass
 class Check:
     name: str
@@ -165,7 +169,7 @@ def _oracle_fitness(xs):
     return 1.0 + 2.0 * xs[0] + 0.5 * xs[1] - 0.3 * xs[1] ** 2
 
 
-def check_list(samples=100_000, cases=1000, estimates=200):
+def check_list(samples=SAMPLES, cases=CASES, estimates=ESTIMATES):
     """The checks ``disnes verify`` runs, in order, each a function of an
     rng that returns a :class:`Check`."""
     oracle_set = [BernoulliParams(0.4),
@@ -187,7 +191,8 @@ def check_list(samples=100_000, cases=1000, estimates=200):
                    lam=500) for kind in est.KINDS])
 
 
-def verify(samples=100_000, cases=1000, oracle_estimates=200, seed=0):
+def verify(samples=SAMPLES, cases=CASES, oracle_estimates=ESTIMATES,
+           seed=SEED):
     """Run the check list on one rng; returns a list of :class:`Check`."""
     rng = np.random.default_rng(seed)
     return [check(rng) for check in check_list(samples, cases,

@@ -100,10 +100,10 @@ def build_parser():
                    help="comma-separated seed list")
 
     p = subs.add_parser("verify", help="distribution and estimator checks")
-    p.add_argument("--samples", type=_sample_size, default=100_000)
-    p.add_argument("--cases", type=_positive_int, default=1000)
-    p.add_argument("--estimates", type=_sample_size, default=200)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_sample_size, default=checks.SAMPLES)
+    p.add_argument("--cases", type=_positive_int, default=checks.CASES)
+    p.add_argument("--estimates", type=_sample_size, default=checks.ESTIMATES)
+    p.add_argument("--seed", type=_seed, default=checks.SEED)
 
     p = subs.add_parser("decode", help="render the greedy program from a snapshot")
     p.add_argument("--params", required=True, help="params snapshot JSON")

@@ -606,23 +606,26 @@ class _Layout:
     state stepped from the same params-set.
 
     ``keys`` gives each hole's (block type, width) in hole order: the
-    holes of ``cell_count`` equal cells (default: one), cell after cell.
-    The holes are grouped by :func:`_group_key`, and a hole narrower than
-    its group's widest row ends its row in pads: positions of the vector
-    that belong to no parameter and hold the block type's ``pad``, also
-    both of their bounds.  ``spans``, the one map from holes to the
-    vector, give each hole's parameters, which skip the pads.  The loop
-    takes per-cell values, such as learning rates, to vector positions
-    once through ``cell_of``; only the public steps convert per-hole
-    gradients, through :meth:`vector_of`.  ``projected`` lists the groups
-    whose block type projects after a step; ``cells``, each cell's
-    one-cell layout.
+    holes of ``cell_count`` equal cells (default: one) of ``cell_size``
+    holes each, cell after cell, else ``ValueError``.  The holes are
+    grouped by :func:`_group_key`, and a hole narrower than its group's
+    widest row ends its row in pads: positions of the vector that belong
+    to no parameter and hold the block type's ``pad``, also both of their
+    bounds.  ``spans``, the one map from holes to the vector, give each
+    hole's parameters, which skip the pads; :meth:`fill` writes through
+    them.  The loop takes per-cell values, such as learning rates, to
+    vector positions once through ``cell_of``.  ``projected`` lists the
+    groups whose block type projects after a step.
     """
 
     def __init__(self, keys, cell_count=1):
+        if cell_count < 1 or len(keys) % cell_count:
+            raise ValueError(f"{len(keys)} holes do not split into "
+                             f"{cell_count} equal cells")
         self.keys, self.size, self.cell_count = keys, len(keys), cell_count
+        self.cell_size = self.size // cell_count
         # hole -> its cell
-        cells = np.arange(self.size) * cell_count // (self.size or 1)
+        cells = np.arange(self.size) // (self.cell_size or 1)
         by_key = {}
         for hole, key in enumerate(keys):
             by_key.setdefault(_group_key(*key), []).append(hole)
@@ -646,10 +649,12 @@ class _Layout:
         self.hole_of = np.array([h for g in self.groups for h in g.holes
                                  for _ in range(g.width)], dtype=np.intp)
         self.cell_of = cells[self.hole_of]  # vector position -> its cell
-        # vector position -> its bounds (see _Block), a pad's its value;
-        # and a vector that holds each pad's value and 0.0 elsewhere
+        # vector position -> its bounds (see _Block), a pad's its value; a
+        # vector that holds each pad's value and 0.0 elsewhere; and hole ->
+        # its parameters' slice of the vector
         self.lower, self.upper = np.empty((2, self.hole_of.size))
         self.padding = np.zeros(self.hole_of.size)
+        self.spans = [None] * self.size
         for g in self.groups:
             size = g.stop - g.start
             self.lower[g.start:g.stop] = np.resize(g.block_type.lower, size)
@@ -658,31 +663,19 @@ class _Layout:
                 pads = g.start + np.flatnonzero(g.real == 0.0)
                 for values in (self.lower, self.upper, self.padding):
                     values[pads] = g.block_type.pad
-        # hole -> its parameters' slice of the vector, and whether it draws
-        # categories
-        self.spans = [None] * self.size
-        for g in self.groups:
-            for j, hole in enumerate(g.holes):
-                start = g.start + j * g.width
+            for start, hole in zip(range(g.start, g.stop, g.width), g.holes):
                 self.spans[hole] = slice(start, start + keys[hole][1])
+        # hole -> whether it draws categories
         self.discrete = [block_type.discrete for block_type, _ in keys]
-        # per hole, in hole order: its draw type, its row and its cell
-        self.draws = [(key[0].draw, row, cell) for key, row, cell
-                      in zip(keys, row_of.tolist(), cells.tolist())]
-        self.cells = [self]  # per cell: its one-cell layout
 
-    @classmethod
-    def joined(cls, layouts):
-        """The one-cell ``layouts`` side by side, one cell each; they must
-        have as many holes each, else ``ValueError``."""
-        sizes = [lay.size for lay in layouts]
-        if len(set(sizes)) > 1:
-            raise ValueError("the cells of a joined state need as many holes"
-                             f" each, got {', '.join(map(str, sizes))}")
-        joint = cls([key for lay in layouts for key in lay.keys],
-                    len(layouts))
-        joint.cells = list(layouts)
-        return joint
+    def fill(self, rows, zeros=False):
+        """A new vector in this layout's order that holds ``rows``, one
+        per hole in hole order, each at its hole's span; each pad holds
+        its ``padding`` value, or 0.0 with ``zeros``."""
+        vector = np.zeros(self.hole_of.size) if zeros else self.padding.copy()
+        for span, row in zip(self.spans, rows):
+            vector[span] = row
+        return vector
 
     def vector_of(self, gradients):
         """``gradients`` as one vector in this layout's order, 0.0 at the
@@ -698,10 +691,7 @@ class _Layout:
         if ([np.size(g) for g in gradients]
                 != [span.stop - span.start for span in self.spans]):
             raise ValueError("gradient layout does not match params layout")
-        vector = np.zeros(self.hole_of.size)
-        for span, gradient in zip(self.spans, gradients):
-            vector[span] = np.ravel(gradient)
-        return vector
+        return self.fill(map(np.ravel, gradients), zeros=True)
 
     def per_hole(self, vector):
         """The per-hole parts of a vector in this layout's order, in hole
@@ -719,13 +709,15 @@ class DrawPlan:
     """The ``lam`` draws per hole of one layout's states, set up once.
 
     ``rngs`` holds one ``Generator`` per cell of the layout, else
-    ``ValueError``; cell ``c`` reads ``rngs[c]``.  Each distinct
-    ``Generator`` object is drawn from once per draw, by the first cell
-    that reads it: each of that cell's holes has its ``Generator`` method
-    bound to one row of a buffer of drawn rows, and the calls run in hole
-    order, so the stream is read as one call per hole of a one-cell state
-    reads it.  One ``take`` then copies each drawn row to its hole's row,
-    in group order, of every cell that reads that ``Generator``; where no
+    ``ValueError``; cell ``c`` reads ``rngs[c]``.  A cell's draw
+    sequence comes from its slice of the layout's ``keys``, and its rows
+    from ``member_rows``.  Each distinct ``Generator`` object is drawn
+    from once per draw, by the first cell that reads it: each of that
+    cell's holes has its ``Generator`` method bound to one row of a
+    buffer of drawn rows, and the calls run in hole order, so the stream
+    is read as one call per hole of a one-cell state reads it.  One
+    ``take`` then copies each drawn row to its hole's row, in group
+    order, of every cell that reads that ``Generator``; where no
     ``Generator`` is shared, that is each drawn row to one noise row.  So
     a cell that shares a ``Generator`` gets the rows it would get alone
     from a ``Generator`` in the same state; such cells must draw the same
@@ -754,23 +746,23 @@ class DrawPlan:
                              f"{layout.cell_count} cells")
         self.layout, self.lam = layout, lam
         self.noise = np.empty((layout.size, lam))
-        holes = [[] for _ in rngs]  # per cell: its (draw, row) in hole order
-        for draw, row, cell in layout.draws:
-            holes[cell].append((draw, row))
+        size = layout.cell_size
+        # per cell: the draw of each of its holes, in hole order
+        draws = [[key[0].draw for key in layout.keys[c * size:(c + 1) * size]]
+                 for c in range(layout.cell_count)]
         # per Generator, by identity: its first cell and first drawn row;
         # per drawn row: its Generator and draw; per noise row: its drawn row
         firsts, drawn = {}, []
         self.source = np.empty(layout.size, dtype=np.intp)
-        for cell, rng in enumerate(rngs):
+        for c, rng in enumerate(rngs):
             if id(rng) not in firsts:
-                firsts[id(rng)] = (cell, len(drawn))
-                drawn += [(rng, draw) for draw, _ in holes[cell]]
+                firsts[id(rng)] = (c, len(drawn))
+                drawn += [(rng, draw) for draw in draws[c]]
             first, start = firsts[id(rng)]
-            if [d for d, _ in holes[cell]] != [d for d, _ in holes[first]]:
-                raise ValueError(f"cells {first} and {cell} share a Generator"
+            if draws[c] != draws[first]:
+                raise ValueError(f"cells {first} and {c} share a Generator"
                                  " but draw different sequences")
-            for j, (_, row) in enumerate(holes[cell]):
-                self.source[row] = start + j
+            self.source[layout.member_rows[:, c]] = range(start, start + size)
         self.drawn = np.empty((len(drawn), lam))
         # positional (size, dtype, out): cheaper to call than a keyword
         self.calls = [partial(getattr(rng, draw), None, np.float64, out)
@@ -817,10 +809,10 @@ class ParamState:
 
     A state stands wherever a params-set (a list of per-hole
     distributions) is read: ``len``, indexing and iteration give per-hole
-    distributions, as copies.  :meth:`of` builds one from a params-set.
-    A state may hold several cells: :meth:`joined` puts one-cell states
-    side by side, cell after cell in hole order, and :meth:`cell` takes
-    one out again.
+    distributions, as copies.  :meth:`of`, the one constructor from a
+    params-set, lays it out as one cell or several, cell after cell in
+    hole order; :meth:`joined` calls it on the holes of one-cell states,
+    and :meth:`cell` takes one out again.
     """
 
     # every step makes a new state: no instance dict to make with it
@@ -842,39 +834,34 @@ class ParamState:
         return self._blocks
 
     @classmethod
-    def of(cls, params_set):
-        """``params_set`` if it is a state, else a one-cell state holding a
-        copy of each distribution's parameters."""
+    def of(cls, params_set, cells=1):
+        """``params_set`` if it is a state, else a state of ``cells`` equal
+        cells holding a copy of each distribution's parameters."""
         if isinstance(params_set, ParamState):
             return params_set
         blocks = [p._block() for p in params_set]
-        layout = _Layout([(type(b), b.values.shape[1]) for b in blocks])
-        vector = layout.padding.copy()
-        for span, block in zip(layout.spans, blocks):
-            vector[span] = block.values[0]
-        return cls(layout, vector)
+        layout = _Layout([(type(b), b.values.shape[1]) for b in blocks], cells)
+        return cls(layout, layout.fill([b.values[0] for b in blocks]))
 
     @classmethod
     def joined(cls, states):
         """One state whose cells are the one-cell ``states``, in order;
         they must have as many holes each, else ``ValueError``."""
-        layout = _Layout.joined([s.layout for s in states])
-        vector = layout.padding.copy()
-        for c, state in enumerate(states):
-            own = state.layout
-            for span, joint in zip(own.spans, layout.spans[c * own.size:]):
-                vector[joint] = state.vector[span]
-        return cls(layout, vector)
+        sizes = [len(s) for s in states]
+        if len(set(sizes)) > 1:
+            raise ValueError("the cells of a joined state need as many holes"
+                             f" each, got {', '.join(map(str, sizes))}")
+        return cls.of([p for s in states for p in s], len(states))
 
     def cell(self, c):
-        """Cell ``c`` as a one-cell state: a copy of its parameters in its
-        own layout."""
-        layout = self.layout.cells[c]
-        vector = layout.padding.copy()
-        joint_spans = self.layout.spans[c * layout.size:]
-        for span, joint in zip(layout.spans, joint_spans):
-            vector[span] = self.vector[joint]
-        return ParamState(layout, vector)
+        """Cell ``c``, indexed as in a list (else ``IndexError``), as a
+        one-cell state: a copy of its parameters in a layout of its own
+        holes' keys."""
+        layout = self.layout
+        start = range(layout.cell_count)[c] * layout.cell_size
+        spans = layout.spans[start:start + layout.cell_size]
+        own = _Layout(layout.keys[start:start + layout.cell_size])
+        return ParamState(own, own.fill([self.vector[s] for s in spans]))
 
     def __len__(self):
         return self.layout.size

@@ -189,7 +189,7 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     into the kind plan's buffer (see :class:`KindPlan`); one division by
     ``lam`` then makes the gradient vector, whose pads are 0.0.
 
-    A state of several cells (see :meth:`ParamState.joined`) holds the
+    A state of several cells (see :meth:`ParamState.of`) holds the
     holes of one problem once per cell.  Every cell draws its own
     population, all of them are evaluated in one ``fitness`` call, and
     each cell's fitness replacement, transform and weights use only its
@@ -212,7 +212,7 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     cells = layout.cell_count
     samples = sample_population(state, draw_plan)
     # the program's holes, each with the members of every cell in turn
-    holes = len(layout.member_rows)
+    holes = layout.cell_size
     members = samples[layout.member_rows].reshape(holes, cells * lam)
     fits = evaluate_fitnesses(fitness, members, lam, cells,
                               layout.discrete[:holes])

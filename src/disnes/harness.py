@@ -159,13 +159,16 @@ def _run_cells(experiment, sketch_text, spec, cells, out_dir, echo):
     ``config.txt`` of the (key, value) ``echo`` lines into ``out_dir``.
 
     Nothing is written until the sketch is parsed and checked against
-    ``spec`` (else :class:`SketchError`) and no two cells share a file stem
-    (else ``ValueError`` naming it: the second's files would replace the
+    ``spec`` (else :class:`SketchError`), ``cells`` is not empty (else
+    ``ValueError``) and no two cells share a file stem (else
+    ``ValueError`` naming it: the second's files would replace the
     first's).  If a cell diverges, the cells before it are written, as a
     run of one cell after another would have left them, before its error
     is raised.
     """
     problem = SketchProblem(parse(sketch_text), spec)
+    if not cells:
+        raise ValueError(f"the {experiment} experiment has no cells to run")
     stems = [_stem(arm, c.learning_rate, c.seed) for arm, c in cells]
     shared = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
     if shared:

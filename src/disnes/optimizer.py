@@ -154,17 +154,14 @@ _SHARED = ("iterations", "population", "log_every", "fitness_transform")
 
 class _Cell:
     """One config's training run inside a batch, drawing from ``rng``, the
-    ``Generator`` of its seed."""
+    ``Generator`` of its seed, on holes ``hole_ids`` flagged ``discrete``."""
 
-    def __init__(self, problem, config, rng):
-        self.state = ParamState.of(initial_params(problem, config))
+    def __init__(self, config, rng, discrete, hole_ids):
         self.learning_rate = config.learning_rate
-        discrete = self.state.layout.discrete
         self.kinds = [config.estimator_kind if d else CONTINUOUS_KIND
                       for d in discrete]
         self.discrete = [h for h, d in enumerate(discrete) if d]
         self.rng = rng
-        hole_ids = problem.hole_ids()
         self.log = TrainingLog([hole_ids[h] for h in self.discrete])
 
 
@@ -197,8 +194,10 @@ def train(problem, configs):
     # one Generator per seed: the cells of a seed read its stream once
     rngs = {seed: np.random.default_rng(seed)
             for seed in {c.seed for c in configs}}
-    cells = [_Cell(problem, c, rngs[c.seed]) for c in configs]
-    state = ParamState.joined([c.state for c in cells])
+    state = ParamState.of([p for c in configs
+                           for p in initial_params(problem, c)], len(configs))
+    discrete = state.layout.discrete[:state.layout.cell_size]
+    cells = [_Cell(c, rngs[c.seed], discrete, hole_ids) for c in configs]
     draws, kinds, rates = _batch(cells, state.layout, lam)
     transform = _transform_for(shared.fitness_transform)
     failure = None
@@ -212,8 +211,8 @@ def train(problem, configs):
             cells = cells[:exc.hole // len(hole_ids)]
             if not cells:
                 break
-            state = ParamState.joined(
-                [exc.state.cell(k) for k in range(len(cells))])
+            state = ParamState.of(
+                exc.state.params()[:len(cells) * len(hole_ids)], len(cells))
             draws, kinds, rates = _batch(cells, state.layout, lam)
         if (i - 1) % shared.log_every == 0:
             decode = (i - 1) % (shared.log_every * 10) == 0

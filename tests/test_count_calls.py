@@ -1,6 +1,6 @@
 """``tools/count_calls.py`` runs, and the training loop makes no more Python
 calls per iteration, on the run-main, the run-ablation and the mixed-kind
-batch, than it did when one fitness call came to decode every cell."""
+batch, than it did when a batch's state came to be built in one call."""
 
 import os
 import subprocess
@@ -18,17 +18,20 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # before the cells of one seed shared its draws, 177.3 while holes
 # were grouped by block type and width, five groups in place of three,
 # 144.0 while blocks computed p and sigma on first read, through a
-# descriptor, and 137.1 while each logged decode called the fitness once
-# per cell and each record copied its cell's parameters)
-MAX_CALLS_PER_ITERATION = 137.0
+# descriptor, 137.1 while each logged decode called the fitness once
+# per cell and each record copied its cell's parameters, and 137.0 while
+# a batch built one state per cell and joined them)
+MAX_CALLS_PER_ITERATION = 135.8
 # the same for the 10-cell run-ablation batch (185.2 while blocks computed
 # p and sigma on first read, 178.7 while each logged decode called the
 # fitness once per cell and each record copied its cell's parameters,
-# 172.2 while a joined state kept a position array per cell)
-MAX_ABLATION_CALLS_PER_ITERATION = 172.1
+# 172.2 while a joined state kept a position array per cell, 172.1 while
+# a batch built one state per cell and joined them)
+MAX_ABLATION_CALLS_PER_ITERATION = 170.6
 # the same for the mixed batch, arms sg and vo, whose categorical group
-# mixes two estimator kinds
-MAX_MIXED_CALLS_PER_ITERATION = 130.1
+# mixes two estimator kinds (130.1 while a batch built one state per cell
+# and joined them)
+MAX_MIXED_CALLS_PER_ITERATION = 129.0
 
 
 def calls_per_iteration(batch):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import warnings
@@ -151,6 +152,17 @@ class TestRunAblation:
             run(str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("run", [
+        lambda out: harness.run_main(1, out, arms=()),
+        lambda out: harness.run_ablation((), out),
+        lambda out: harness.run_ablation((1,), out, learning_rates=()),
+    ], ids=["main-arms", "ablation-seeds", "ablation-lrs"])
+    def test_empty_batch_writes_nothing(self, tmp_path, run):
+        out = tmp_path / "empty"
+        with pytest.raises(ValueError, match="experiment has no cells to run"):
+            run(str(out))
+        assert not out.exists()
+
     def test_config_echo_lists(self, tmp_path):
         out = str(tmp_path / "abl")
         harness.run_ablation((1, 3), out, config=quick_config(),
@@ -232,6 +244,15 @@ class TestCli:
             default.iterations, default.population, default.log_every)
         if command == "run-main":
             assert args.lr == default.learning_rate
+
+    def test_verify_flags_default_to_checks(self):
+        args = cli.build_parser().parse_args(["verify"])
+        defaults = (checks.SAMPLES, checks.CASES, checks.ESTIMATES,
+                    checks.SEED)
+        assert (args.samples, args.cases, args.estimates,
+                args.seed) == defaults
+        verify = inspect.signature(checks.verify).parameters.values()
+        assert tuple(p.default for p in verify) == defaults
 
     def test_verify_subcommand(self, capsys):
         code = cli.main(["verify", "--samples", "20000", "--cases", "100",

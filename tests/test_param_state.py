@@ -528,11 +528,11 @@ def test_hole_free_cells_join_and_come_back():
     joint = ParamState.joined(cells)
     assert len(joint) == 0 and joint.layout.cell_count == 3
     assert joint.vector.shape == (0,)
-    for c, layout in enumerate(joint.layout.cells):
-        assert layout is cells[c].layout
+    for c, cell in enumerate(cells):
         back = joint.stepped(joint.vector, 0.1).cell(c)
-        assert back.layout is layout and back.params() == []
-        assert_same_bits(back.vector, cells[c].vector)
+        assert back.layout.keys == cell.layout.keys == []
+        assert back.layout.cell_count == 1 and back.params() == []
+        assert_same_bits(back.vector, cell.vector)
 
 
 def test_state_reads_as_a_params_set():
@@ -569,6 +569,24 @@ def test_joined_cells_need_as_many_holes():
         ParamState.joined(cells)
 
 
+def test_cells_must_split_the_holes_evenly():
+    params = make_params(["G", "L4", "B"], np.random.default_rng(0))
+    with pytest.raises(ValueError,
+                       match="^3 holes do not split into 2 equal cells$"):
+        ParamState.of(params, cells=2)
+    assert ParamState.of(params, cells=3).layout.cell_size == 1
+
+
+@pytest.mark.parametrize("c", [2, -3, 5])
+def test_cell_out_of_range_rejected(c):
+    cells = [ParamState.of(make_params(["G", "L4"], np.random.default_rng(k)))
+             for k in range(2)]
+    joint = ParamState.joined(cells)
+    assert_same_bits(joint.cell(-2).vector, cells[0].vector)
+    with pytest.raises(IndexError):
+        joint.cell(c)
+
+
 def test_cells_of_other_widths_join_and_come_back():
     # the joint rows are as wide as cell 1's; cell 0's P4 and L2 rows are
     # padded further in the joint state than in its own
@@ -583,7 +601,10 @@ def test_cells_of_other_widths_join_and_come_back():
              for cell in cells]
     stepped = joint.stepped(joint.layout.vector_of(grads[0] + grads[1]), 0.4)
     for c, cell in enumerate(cells):
-        assert joint.cell(c).layout is cell.layout
+        back = joint.cell(c).layout
+        assert back.keys == cell.layout.keys
+        assert ([g.width for g in back.groups]
+                == [g.width for g in cell.layout.groups])
         assert_same_bits(joint.cell(c).vector, cell.vector)
         assert_same_bits(stepped.cell(c).vector,
                          sgd_step(cell, grads[c], 0.4).vector)
