@@ -8,6 +8,8 @@ by an extra factor of pi(x) and so points somewhere systematically
 different.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from disnes import (
@@ -24,8 +26,10 @@ def main():
         CategoricalParams(np.log([0.25, 0.35, 0.4]), mode=LOGITS),
     ]
 
-    def fitness(xs):
-        return 1.0 + 2.0 * xs[0] + 0.5 * xs[1] - 0.3 * xs[1] ** 2
+    # scored on the (holes, n) draws matrix: one row of values per hole
+    fitness = SimpleNamespace(
+        population=lambda xs: 1.0 + 2.0 * xs[0] + 0.5 * xs[1]
+        - 0.3 * xs[1] ** 2)
 
     lam = 2000
     for kind in KINDS:

@@ -40,8 +40,9 @@ def main():
     print(render(sketch, assignment))
 
     fitness = SpecFitness(sketch, MAIN_SPEC)
-    print("its outputs:", fitness.predicted_outputs(assignment))
-    print("its MSE vs the spec:", -fitness(assignment))
+    outputs = fitness.predicted_outputs(assignment)
+    print("its outputs:", outputs)
+    print("its MSE vs the spec:", fitness.mean_squared_error(outputs))
 
     print("\nEvaluation is vectorized over whole populations:")
     rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,8 +129,7 @@ def categorical_k2_vs_bernoulli(rng, cases):
     success coordinate is the Bernoulli natural gradient Cov(f, x), and the
     PROBS natural gradient carries an extra diag(p).  The gradients are
     enumerated exactly, so only theta is drawn."""
-    def f(xs):
-        return 0.25 + 2.0 * float(xs[0])
+    f = SimpleNamespace(population=lambda xs: 0.25 + 2.0 * xs[0])
 
     def case():
         theta = rng.uniform(0.05, 0.95)
@@ -165,8 +165,9 @@ def estimator_vs_oracle(rng, params_set, fitness, kind, estimates, lam):
     return Check(name, True)
 
 
-def _oracle_fitness(xs):
-    return 1.0 + 2.0 * xs[0] + 0.5 * xs[1] - 0.3 * xs[1] ** 2
+# a fitness of a (Bernoulli, categorical) pair, scored row by row
+_ORACLE_FITNESS = SimpleNamespace(
+    population=lambda xs: 1.0 + 2.0 * xs[0] + 0.5 * xs[1] - 0.3 * xs[1] ** 2)
 
 
 def check_list(samples=SAMPLES, cases=CASES, estimates=ESTIMATES):
@@ -187,7 +188,7 @@ def check_list(samples=SAMPLES, cases=CASES, estimates=ESTIMATES):
             categorical_natural_eq_diag_p, vo_eq_prob_times_score,
             categorical_k2_vs_bernoulli)]
         + [partial(estimator_vs_oracle, params_set=oracle_set,
-                   fitness=_oracle_fitness, kind=kind, estimates=estimates,
+                   fitness=_ORACLE_FITNESS, kind=kind, estimates=estimates,
                    lam=500) for kind in est.KINDS])
 
 

@@ -811,8 +811,7 @@ class ParamState:
     distributions) is read: ``len``, indexing and iteration give per-hole
     distributions, as copies.  :meth:`of`, the one constructor from a
     params-set, lays it out as one cell or several, cell after cell in
-    hole order; :meth:`joined` calls it on the holes of one-cell states,
-    and :meth:`cell` takes one out again.
+    hole order, and :meth:`cell` takes one out again.
     """
 
     # every step makes a new state: no instance dict to make with it
@@ -842,16 +841,6 @@ class ParamState:
         blocks = [p._block() for p in params_set]
         layout = _Layout([(type(b), b.values.shape[1]) for b in blocks], cells)
         return cls(layout, layout.fill([b.values[0] for b in blocks]))
-
-    @classmethod
-    def joined(cls, states):
-        """One state whose cells are the one-cell ``states``, in order;
-        they must have as many holes each, else ``ValueError``."""
-        sizes = [len(s) for s in states]
-        if len(set(sizes)) > 1:
-            raise ValueError("the cells of a joined state need as many holes"
-                             f" each, got {', '.join(map(str, sizes))}")
-        return cls.of([p for s in states for p in s], len(states))
 
     def cell(self, c):
         """Cell ``c``, indexed as in a list (else ``IndexError``), as a

@@ -1,9 +1,10 @@
 """Monte Carlo gradient estimators over a population of joint draws.
 
 One population of ``lam`` joint hole assignments is sampled across all
-search distributions at once; each member costs exactly one fitness
-evaluation and the per-distribution gradients are read off the shared
-population.  Three weightings are available:
+search distributions at once, as a float64 ``(holes, lam)`` matrix, and
+scored by one ``fitness.population(draws)`` call that returns one fitness
+per member (see :func:`call_fitness`); the per-distribution gradients are
+read off the shared population.  Three weightings are available:
 
 * ``SEARCH``  -- plain score weighting (the log-derivative estimator).
 * ``NATURAL`` -- Fisher-preconditioned score weighting.
@@ -116,26 +117,21 @@ def sample_population(state, plan):
     return plan.sample(state.blocks)
 
 
-def call_fitness(fitness, draws, discrete=None):
-    """The fitness of each column of ``draws``, a ``(holes, n)`` array
-    with one row of values per hole, as ``n`` float64s.  Uses the batched
-    ``fitness.population(draws)`` path when the callable provides one,
-    otherwise calls ``fitness`` once per column with the tuple of its
-    per-hole values; the values of a hole flagged in ``discrete`` then
-    come as integers.  Every fitness call in the package is made here."""
-    if hasattr(fitness, "population"):
-        return np.asarray(fitness.population(draws), dtype=np.float64)
-    members = np.shape(draws)[1]
-    if discrete is not None:
-        draws = [row.astype(np.int64) if flag else row
-                 for row, flag in zip(draws, discrete)]
-    return np.array(
-        [float(fitness(tuple(d[i] for d in draws))) for i in range(members)],
-        dtype=np.float64,
-    )
+def call_fitness(fitness, draws):
+    """The fitness of each column of ``draws``, a float64 ``(holes, n)``
+    matrix with one row of values per hole (a COND/OP hole's values are
+    whole-number category indices), as ``n`` float64s: one
+    ``fitness.population(draws)`` call.  Every fitness call in the package
+    is made here, and a result of any shape but ``(n,)`` raises
+    ``ValueError``."""
+    fits = np.asarray(fitness.population(draws), dtype=np.float64)
+    if fits.shape != draws.shape[1:]:
+        raise ValueError(f"fitness returned shape {fits.shape}, expected "
+                         f"({draws.shape[1]},)")
+    return fits
 
 
-def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
+def evaluate_fitnesses(fitness, draws, lam, cells=1):
     """Evaluate the fitness of every population member.
 
     ``draws`` holds one row of values per hole, each of ``cells * lam``
@@ -144,11 +140,7 @@ def evaluate_fitnesses(fitness, draws, lam, cells=1, discrete=None):
     by the worst finite fitness of the member's cell minus 1 (or -1.0 if
     the cell's whole population is non-finite).
     """
-    members = cells * lam
-    fits = call_fitness(fitness, draws, discrete)
-    if fits.shape != (members,):
-        raise ValueError(
-            f"fitness returned shape {fits.shape}, expected ({members},)")
+    fits = call_fitness(fitness, draws)
     finite = np.isfinite(fits)
     if not np.logical_and.reduce(finite):
         fits = fits.copy()
@@ -214,8 +206,7 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     # the program's holes, each with the members of every cell in turn
     holes = layout.cell_size
     members = samples[layout.member_rows].reshape(holes, cells * lam)
-    fits = evaluate_fitnesses(fitness, members, lam, cells,
-                              layout.discrete[:holes])
+    fits = evaluate_fitnesses(fitness, members, lam, cells)
     rows = fits.reshape(cells, lam)
     weights = rows if fitness_transform is None else fitness_transform(rows)
     # per sample row: its own cell's weights
@@ -243,7 +234,8 @@ def exact_gradient_oracle(params_set, fitness, kind):
     """Infinite-population limit of an estimator, by exhaustive enumeration.
 
     Computes ``sum_x pi(x) f(x) w(x)`` over the full joint discrete
-    support, scored in one :func:`call_fitness`.  Refuses supports above
+    support, a float64 ``(holes, size)`` matrix as a population is, scored
+    in one :func:`call_fitness`.  Refuses supports above
     ``MAX_ORACLE_SUPPORT``; a params set without holes has no gradients.
     """
     kinds = _resolve_kinds(kind, len(params_set))
@@ -254,8 +246,9 @@ def exact_gradient_oracle(params_set, fitness, kind):
     if not len(params_set):
         return []
 
-    grids = np.meshgrid(*[p.support for p in params_set], indexing="ij")
-    joint = np.stack([g.reshape(-1) for g in grids])  # (holes, size) int64
+    joint = np.array(np.meshgrid(*[p.support for p in params_set],
+                                 indexing="ij"),
+                     dtype=np.float64).reshape(len(params_set), size)
 
     log_p = np.zeros(size)
     for p, xs in zip(params_set, joint):

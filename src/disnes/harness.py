@@ -160,7 +160,8 @@ def _run_cells(experiment, sketch_text, spec, cells, out_dir, echo):
 
     Nothing is written until the sketch is parsed and checked against
     ``spec`` (else :class:`SketchError`), ``cells`` is not empty (else
-    ``ValueError``) and no two cells share a file stem (else
+    ``ValueError``), every arm is one of ``ARM_KINDS`` (else
+    ``ValueError`` naming it) and no two cells share a file stem (else
     ``ValueError`` naming it: the second's files would replace the
     first's).  If a cell diverges, the cells before it are written, as a
     run of one cell after another would have left them, before its error
@@ -169,6 +170,10 @@ def _run_cells(experiment, sketch_text, spec, cells, out_dir, echo):
     problem = SketchProblem(parse(sketch_text), spec)
     if not cells:
         raise ValueError(f"the {experiment} experiment has no cells to run")
+    for arm, _ in cells:
+        if arm not in ARM_KINDS:
+            raise ValueError(f"unknown arm {arm!r}; the arms are "
+                             f"{', '.join(ARM_KINDS)}")
     stems = [_stem(arm, c.learning_rate, c.seed) for arm, c in cells]
     shared = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
     if shared:

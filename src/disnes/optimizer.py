@@ -30,7 +30,8 @@ import numpy as np
 from . import estimator as est
 # _check_finite is re-exported for bench/tracer.py, which hooks it here
 from .distributions import (  # noqa: F401
-    LOGITS, PROBS, DivergenceError, DrawPlan, ParamState, _check_finite,
+    PROBS, CategoricalParams, DivergenceError, DrawPlan, ParamState,
+    _check_finite,
 )
 
 
@@ -144,8 +145,14 @@ def greedy_decode(params_set):
 
 
 def initial_params(problem, config):
-    mode = PROBS if config.estimator_kind == est.NATURAL else LOGITS
-    return problem.params(categorical_mode=mode)
+    """``problem.params()``, with each categorical hole of a ``NATURAL``
+    cell moved to the PROBS parametrization its explicit Fisher path
+    needs (the same probabilities)."""
+    params = problem.params()
+    if config.estimator_kind != est.NATURAL:
+        return params
+    return [CategoricalParams(p.probs(), mode=PROBS)
+            if isinstance(p, CategoricalParams) else p for p in params]
 
 
 # the settings a batch of cells shares; the others are per cell
@@ -168,6 +175,12 @@ class _Cell:
 def train(problem, configs):
     """Train one cell per config in one batched loop; returns one
     ``(TrainingLog, final params)`` pair per config, in order.
+
+    ``problem`` gives its holes' ids by ``hole_ids()``, their search
+    distributions by ``params()`` (see :func:`initial_params`) and its
+    ``fitness``, whose ``population(draws)`` scores each column of a
+    float64 ``(holes, n)`` draws matrix (see
+    :func:`~disnes.estimator.call_fitness`).
 
     The configs may differ only in ``estimator_kind``, ``learning_rate``
     and ``seed`` (else ``ValueError``).  The per-iteration loss is the
@@ -244,8 +257,7 @@ def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
     if decode:
         greedy = np.array(state.greedy(), dtype=np.float64)
         decode_losses = -est.call_fitness(
-            fitness, greedy.reshape(len(cells), holes).T,
-            state.layout.discrete[:holes])
+            fitness, greedy.reshape(len(cells), holes).T)
     for k, cell in enumerate(cells):
         cell_entropies = entropies[k * holes:(k + 1) * holes]
         cell.log.records.append(LogRecord(

@@ -30,7 +30,10 @@ elementwise, and is total and silent: division by zero and overflow follow
 IEEE semantics without a warning, and any assignment yields an f32 result.
 A program is compiled once into an evaluation plan (see ``eval_batch``)
 that reads a population as one ``(holes, lam)`` matrix, a row per hole in
-inventory order; hole ids serve only text and dict assignments.
+inventory order; hole ids serve only text and dict assignments.  A
+:class:`SketchProblem` is what training reads: each hole's search
+distribution (see :func:`holes_to_distributions`) and a
+:class:`SpecFitness` that scores a whole population in one call.
 """
 
 from __future__ import annotations
@@ -42,9 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import (
-    F32_MAX, LOGITS, PROBS, CategoricalParams, GaussianParams,
-)
+from .distributions import F32_MAX, CategoricalParams, GaussianParams
 
 COND = "COND"
 OP = "OP"
@@ -602,10 +603,10 @@ class Specification:
 class SpecFitness:
     """Fitness = negated mean squared error against a specification.
 
-    Callable on a single assignment (tuple of per-hole values in hole
-    inventory order, or a dict keyed by hole id); also exposes the batched
-    ``population`` path consumed by the estimators.  Squared errors are
-    accumulated in 64-bit.
+    The estimators score a population through :meth:`population`, one
+    fitness per column of its ``(holes, lam)`` draws;
+    :meth:`predicted_outputs` evaluates a single assignment.  Squared
+    errors are accumulated in 64-bit.
     """
 
     def __init__(self, program, spec):
@@ -642,10 +643,6 @@ class SpecFitness:
         """f32 outputs of the assigned program on the specification inputs."""
         return eval_batch(self.program, _one_member(self.program, assignment),
                           self.spec.inputs)[0]
-
-    def __call__(self, assignment):
-        outputs = self.predicted_outputs(assignment)
-        return -float(self.mean_squared_error(outputs))
 
 
 # --- Rendering -------------------------------------------------------------
@@ -716,24 +713,16 @@ def render(program, assignment=None):
 
 # --- Hole inventory to search distributions --------------------------------
 
-def holes_to_distributions(program, categorical_mode=LOGITS):
+def holes_to_distributions(program):
     """One search distribution per hole, in inventory order.
 
     COND holes get a 6-way categorical, OP holes a 4-way categorical and
-    REAL holes a standard Gaussian; categoricals start uniform and
-    Gaussians at (mu=0, log_sigma=0).
+    REAL holes a standard Gaussian; categoricals start uniform, at zero
+    logits, and Gaussians at (mu=0, log_sigma=0).
     """
-    params = []
-    for hole in program.holes:
-        if hole.kind == REAL:
-            params.append(GaussianParams(0.0, 0.0))
-        else:
-            k = len(hole.categories)
-            if categorical_mode == LOGITS:
-                params.append(CategoricalParams(np.zeros(k), mode=LOGITS))
-            else:
-                params.append(CategoricalParams(np.full(k, 1.0 / k), mode=PROBS))
-    return params
+    return [GaussianParams(0.0, 0.0) if hole.kind == REAL
+            else CategoricalParams(np.zeros(len(hole.categories)))
+            for hole in program.holes]
 
 
 def check_params_fit(program, hole_ids, params_set):
@@ -759,7 +748,9 @@ def check_params_fit(program, hole_ids, params_set):
 
 @dataclass
 class SketchProblem:
-    """A sketch plus the specification it must match."""
+    """A sketch plus the specification it must match: the problem
+    :func:`~disnes.optimizer.train` reads through ``params()``,
+    ``hole_ids()`` and ``fitness``."""
 
     program: Program
     spec: Specification
@@ -767,8 +758,8 @@ class SketchProblem:
     def __post_init__(self):
         self.fitness = SpecFitness(self.program, self.spec)
 
-    def params(self, categorical_mode=LOGITS):
-        return holes_to_distributions(self.program, categorical_mode)
+    def params(self):
+        return holes_to_distributions(self.program)
 
     def hole_ids(self):
         return self.program.hole_ids()

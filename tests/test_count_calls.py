@@ -1,6 +1,7 @@
 """``tools/count_calls.py`` runs, and the training loop makes no more Python
 calls per iteration, on the run-main, the run-ablation and the mixed-kind
-batch, than it did when a batch's state came to be built in one call."""
+batch, than it did when every fitness came to be scored through its
+``population``."""
 
 import os
 import subprocess
@@ -19,19 +20,22 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 # were grouped by block type and width, five groups in place of three,
 # 144.0 while blocks computed p and sigma on first read, through a
 # descriptor, 137.1 while each logged decode called the fitness once
-# per cell and each record copied its cell's parameters, and 137.0 while
-# a batch built one state per cell and joined them)
-MAX_CALLS_PER_ITERATION = 135.8
+# per cell and each record copied its cell's parameters, 137.0 while
+# a batch built one state per cell and joined them, and 135.8 while the
+# fitness call asked whether the fitness had a ``population``)
+MAX_CALLS_PER_ITERATION = 135.0
 # the same for the 10-cell run-ablation batch (185.2 while blocks computed
 # p and sigma on first read, 178.7 while each logged decode called the
 # fitness once per cell and each record copied its cell's parameters,
 # 172.2 while a joined state kept a position array per cell, 172.1 while
-# a batch built one state per cell and joined them)
-MAX_ABLATION_CALLS_PER_ITERATION = 170.6
+# a batch built one state per cell and joined them, 170.6 while the
+# fitness call asked whether the fitness had a ``population``)
+MAX_ABLATION_CALLS_PER_ITERATION = 170.3
 # the same for the mixed batch, arms sg and vo, whose categorical group
 # mixes two estimator kinds (130.1 while a batch built one state per cell
-# and joined them)
-MAX_MIXED_CALLS_PER_ITERATION = 129.0
+# and joined them, 129.0 while the fitness call asked whether the fitness
+# had a ``population``)
+MAX_MIXED_CALLS_PER_ITERATION = 128.0
 
 
 def calls_per_iteration(batch):

@@ -163,6 +163,18 @@ class TestRunAblation:
             run(str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("run", [
+        lambda out: harness.run_main(1, out, TrainConfig(iterations=2),
+                                     arms=("nes", "bogus")),
+        lambda out: harness.run_ablation((1,), out, arms=("bogus",)),
+    ], ids=["main", "ablation"])
+    def test_unknown_arm_writes_nothing(self, tmp_path, run):
+        out = tmp_path / "bogus"
+        with pytest.raises(ValueError, match="^unknown arm 'bogus'; the arms "
+                                             "are nes, sg, vo$"):
+            run(str(out))
+        assert not out.exists()
+
     def test_config_echo_lists(self, tmp_path):
         out = str(tmp_path / "abl")
         harness.run_ablation((1, 3), out, config=quick_config(),

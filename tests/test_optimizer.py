@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,31 +23,24 @@ from disnes.sketch import SketchProblem, parse
 class BasicProblem:
     """Train directly over a fixed params-set with an arbitrary fitness:
     distribution-level problems (one-max and friends) with no program
-    sketch behind them."""
+    sketch behind them.  ``population`` scores the ``(holes, n)`` draws
+    matrix, one row of values per hole."""
 
-    def __init__(self, params_set, fitness, hole_ids=None):
+    def __init__(self, params_set, population, hole_ids=None):
         self._params = [p.copy() for p in params_set]
-        self.fitness = fitness
+        self.fitness = SimpleNamespace(population=population)
         self._hole_ids = list(hole_ids) if hole_ids else [
             f"h{i}" for i in range(len(params_set))]
 
-    def params(self, categorical_mode=LOGITS):
-        out = []
-        for p in self._params:
-            if isinstance(p, CategoricalParams) and p.mode != categorical_mode:
-                probs = p.probs()
-                values = probs if categorical_mode == PROBS else np.log(probs)
-                out.append(CategoricalParams(values, mode=categorical_mode))
-            else:
-                out.append(p.copy())
-        return out
+    def params(self):
+        return [p.copy() for p in self._params]
 
     def hole_ids(self):
         return list(self._hole_ids)
 
 
 def onemax(xs):
-    return float(sum(xs))
+    return xs.sum(axis=0)
 
 
 def bern_problem(n=8, theta=0.5):
@@ -224,7 +218,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(est, "estimate_gradient", diverging)
         problem = BasicProblem([BernoulliParams(0.5), GaussianParams(0.0, 0.0)],
-                               lambda xs: -float(xs[1]) ** 2,
+                               lambda xs: -xs[1] ** 2,
                                hole_ids=["flag", "shift"])
         with pytest.raises(FloatingPointError, match="hole 'shift'"):
             train(problem, [TrainConfig(iterations=2, population=4)])
@@ -269,11 +263,9 @@ class TestTrainLoop:
     def test_categorical_problem_decodes_argmax(self):
         target = 2
 
-        def fitness(xs):
-            return 1.0 if int(xs[0]) == target else 0.0
-
         problem = BasicProblem(
-            [CategoricalParams(np.zeros(4), mode=LOGITS)], fitness)
+            [CategoricalParams(np.zeros(4), mode=LOGITS)],
+            lambda xs: (xs[0] == target) * 1.0)
         cfg = TrainConfig(iterations=300, learning_rate=0.1, population=32,
                           seed=8)
         [(_, params)] = train(problem, [cfg])
@@ -304,7 +296,7 @@ class TestTrainLoop:
     def test_gaussian_quadratic_bowl(self):
         problem = BasicProblem(
             [GaussianParams(4.0, 0.0)],
-            lambda xs: -float(xs[0] - 1.0) ** 2)
+            lambda xs: -(xs[0] - 1.0) ** 2)
         cfg = TrainConfig(iterations=500, learning_rate=0.1, population=32,
                           seed=4)
         [(_, params)] = train(problem, [cfg])
@@ -313,11 +305,27 @@ class TestTrainLoop:
 
     def test_natural_mode_carries_probs_params(self):
         problem = BasicProblem(
-            [CategoricalParams(np.zeros(3), mode=LOGITS)], lambda xs: 0.0)
+            [CategoricalParams(np.zeros(3), mode=LOGITS)],
+            lambda xs: np.zeros(xs.shape[1]))
         cfg_nat = TrainConfig(estimator_kind=est.NATURAL)
         cfg_srch = TrainConfig(estimator_kind=est.SEARCH)
         assert initial_params(problem, cfg_nat)[0].mode == PROBS
         assert initial_params(problem, cfg_srch)[0].mode == LOGITS
+
+    def test_natural_cells_start_at_uniform_probs(self):
+        """A NATURAL cell's categoricals move to PROBS at exactly 1/K, the
+        bits of a uniform probability vector; its Gaussians, and every
+        hole of the other kinds, keep the problem's distributions."""
+        problem = main_problem()
+        for kind in est.KINDS:
+            params = initial_params(problem, TrainConfig(estimator_kind=kind))
+            for p, want in zip(params, problem.params(), strict=True):
+                if kind == est.NATURAL and isinstance(want, CategoricalParams):
+                    assert p.mode == PROBS
+                    assert p.values.tobytes() == np.full(
+                        want.k, 1.0 / want.k).tobytes()
+                else:
+                    assert repr(p) == repr(want)
 
 
 class TestConfigValidation:
@@ -358,7 +366,7 @@ class TestCsv:
         cfg = TrainConfig(iterations=11, log_every=10, seed=9, population=8)
         problem = BasicProblem(
             [BernoulliParams(0.5), GaussianParams(0.0, 0.0)],
-            lambda xs: float(xs[0]) - xs[1] ** 2,
+            lambda xs: xs[0] - xs[1] ** 2,
             hole_ids=["flag", "knob"])
         [(log, _)] = train(problem, [cfg])
         lines = log.to_csv().strip().split("\n")
@@ -398,8 +406,7 @@ def mixed_problem():
     return BasicProblem(
         [BernoulliParams(0.5), CategoricalParams(np.zeros(4), mode=LOGITS),
          GaussianParams(0.0, 0.0), BernoulliParams(0.3)],
-        lambda xs: (float(xs[0]) + (1.0 if int(xs[1]) == 2 else 0.0)
-                    - (xs[2] - 1.5) ** 2 - float(xs[3])),
+        lambda xs: xs[0] + (xs[1] == 2) - (xs[2] - 1.5) ** 2 - xs[3],
         hole_ids=["b0", "c1", "g2", "b3"])
 
 
@@ -527,19 +534,15 @@ class TestBatch:
 
 
 class CountingFitness:
-    """A ``SpecFitness`` that records the shape of each batched call and
-    every single-assignment call."""
+    """A ``SpecFitness`` that records the shape of the draws of each
+    call."""
 
     def __init__(self, fitness):
         self.fitness, self.calls = fitness, []
 
     def population(self, draws):
-        self.calls.append(("population", np.shape(draws)))
+        self.calls.append(np.shape(draws))
         return self.fitness.population(draws)
-
-    def __call__(self, assignment):
-        self.calls.append(("call", len(assignment)))
-        return self.fitness(assignment)
 
 
 class TestDecodeLog:
@@ -549,8 +552,7 @@ class TestDecodeLog:
         cells = cell_configs(MIXED_CELLS[:3], iterations=1, population=8)
         train(problem, cells)
         # the estimate's population, then the decode of all three cells
-        assert counting.calls == [("population", (6, 3 * 8)),
-                                  ("population", (6, 3))]
+        assert counting.calls == [(6, 3 * 8), (6, 3)]
 
     @pytest.mark.parametrize("problem", [main_problem, mixed_problem])
     def test_decode_loss_is_the_greedy_assignment_loss(self, problem):
@@ -559,9 +561,22 @@ class TestDecodeLog:
         pairs = train(problem, cell_configs(MIXED_CELLS, iterations=21,
                                             population=8, log_every=2))
         for log, final in pairs:
+            greedy = np.array(greedy_decode(final), dtype=np.float64)
             assert log.records[-1].iteration == 21
-            assert log.records[-1].decode_loss == -problem.fitness(
-                tuple(greedy_decode(final)))
+            assert log.records[-1].decode_loss == -problem.fitness.population(
+                greedy[:, None])[0]
+
+    def test_decode_of_the_wrong_shape_rejected(self):
+        """A fitness that scores the estimate's population right but the
+        greedy assignments of two cells as one number is refused."""
+        problem = BasicProblem(
+            [BernoulliParams(0.5)] * 2,
+            lambda xs: xs[0] if xs.shape[1] == 2 * 8 else xs[0].sum())
+        configs = cell_configs([(est.SEARCH, 0.1, 1), (est.VO, 0.1, 2)],
+                               iterations=1, population=8)
+        with pytest.raises(ValueError, match=r"fitness returned shape \(\), "
+                                             r"expected \(2,\)"):
+            train(problem, configs)
 
 
 def diverging_steps(schedule):

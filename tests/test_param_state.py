@@ -232,8 +232,7 @@ def check_against_reference(cell_codes, seed, lam, cell_kinds, etas=(0.37,),
     cell_params = [make_params(codes, np.random.default_rng(seed + c))
                    for c, codes in enumerate(cell_codes)]
     params = [p for cell in cell_params for p in cell]
-    states = [ParamState.of(cell) for cell in cell_params]
-    state = states[0] if len(states) == 1 else ParamState.joined(states)
+    state = ParamState.of(params, len(cell_codes))
     fitness = Fitness(len(cell_codes[0]))
     transform = _transform_for("standardize")
 
@@ -393,9 +392,9 @@ def test_generator_calls_per_draw(command):
     sketch, spec, arms, seeds, calls = COMMAND_BATCHES[command]
     problem = SketchProblem(parse(sketch), spec)
     cells = [(arm, seed) for arm in arms for seed in seeds]
-    state = ParamState.joined([ParamState.of(initial_params(
-        problem, TrainConfig(estimator_kind=harness.ARM_KINDS[arm])))
-        for arm, _ in cells])
+    state = ParamState.of([p for arm, _ in cells for p in initial_params(
+        problem, TrainConfig(estimator_kind=harness.ARM_KINDS[arm]))],
+        len(cells))
     rngs = {seed: CountingRng(seed) for seed in seeds}
     plan = DrawPlan(state.layout, [rngs[seed] for _, seed in cells], 50)
     assert len(plan.calls) == calls
@@ -421,7 +420,7 @@ def test_shared_generator_reads_as_one_cell_reads_its_own():
     seeds = [7, 7, 8, 7]
     cells = [ParamState.of(make_params(c, np.random.default_rng(k)))
              for k, c in enumerate(codes)]
-    state = ParamState.joined(cells)
+    state = ParamState.of([p for cell in cells for p in cell], len(cells))
     shared = {seed: np.random.default_rng(seed) for seed in seeds}
     plan = DrawPlan(state.layout, [shared[seed] for seed in seeds], 11)
     alone = [np.random.default_rng(seed) for seed in seeds]
@@ -444,9 +443,9 @@ def test_shared_generator_reads_as_one_cell_reads_its_own():
 def test_cells_sharing_a_generator_must_draw_alike(codes):
     """Cells of one layout have as many holes each; a shared Generator
     also needs a uniform or a normal at the same place in each."""
-    state = ParamState.joined([
-        ParamState.of(make_params(c, np.random.default_rng(0)))
-        for c in codes])
+    state = ParamState.of([p for c in codes
+                           for p in make_params(c, np.random.default_rng(0))],
+                          len(codes))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="^cells 0 and 1 share a Generator"
                                          " but draw different sequences$"):
@@ -525,7 +524,7 @@ def test_step_projects_only_bernoulli_and_probs_groups(monkeypatch):
 def test_hole_free_cells_join_and_come_back():
     # a sketch without holes trains as a batch of such cells
     cells = [ParamState.of([]) for _ in range(3)]
-    joint = ParamState.joined(cells)
+    joint = ParamState.of([], 3)
     assert len(joint) == 0 and joint.layout.cell_count == 3
     assert joint.vector.shape == (0,)
     for c, cell in enumerate(cells):
@@ -561,14 +560,6 @@ def test_divergence_names_first_hole_in_hole_order():
         sgd_step(params, grads, 0.1)
 
 
-def test_joined_cells_need_as_many_holes():
-    cells = [ParamState.of(make_params(codes, np.random.default_rng(0)))
-             for codes in (["G"], ["G", "L4"], ["G"])]
-    with pytest.raises(ValueError, match="^the cells of a joined state need"
-                                         " as many holes each, got 1, 2, 1$"):
-        ParamState.joined(cells)
-
-
 def test_cells_must_split_the_holes_evenly():
     params = make_params(["G", "L4", "B"], np.random.default_rng(0))
     with pytest.raises(ValueError,
@@ -581,7 +572,7 @@ def test_cells_must_split_the_holes_evenly():
 def test_cell_out_of_range_rejected(c):
     cells = [ParamState.of(make_params(["G", "L4"], np.random.default_rng(k)))
              for k in range(2)]
-    joint = ParamState.joined(cells)
+    joint = ParamState.of([p for cell in cells for p in cell], 2)
     assert_same_bits(joint.cell(-2).vector, cells[0].vector)
     with pytest.raises(IndexError):
         joint.cell(c)
@@ -593,7 +584,7 @@ def test_cells_of_other_widths_join_and_come_back():
     codes = (["P4", "G", "L2"], ["P6", "G", "L3"])
     cells = [ParamState.of(make_params(c, np.random.default_rng(k)))
              for k, c in enumerate(codes)]
-    joint = ParamState.joined(cells)
+    joint = ParamState.of([p for cell in cells for p in cell], 2)
     assert [g.width for g in cells[0].layout.groups] == [4, 2, 2]
     assert [g.width for g in joint.layout.groups] == [6, 2, 3]
     rng = np.random.default_rng(3)
@@ -737,7 +728,8 @@ def test_one_draw_of_every_categorical_hole_matches_per_hole():
                                 np.nextafter(cum[:-1], 1.0),
                                 [0.0, np.nextafter(1.0, 0.0)]])
             noise[-1].append(np.resize(u, 17))
-    state = ParamState.joined([ParamState.of(params) for params in cells])
+    state = ParamState.of([p for params in cells for p in params],
+                          len(cells))
     # the groups: PROBS K = 4 and 6, Gaussian, LOGITS K = 6 and 4, each
     # K = 4 row padded to 6
     assert [g.width for g in state.layout.groups] == [6, 2, 6]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disnes.distributions import CategoricalParams, GaussianParams, PROBS
+from disnes.distributions import LOGITS, CategoricalParams, GaussianParams
 from disnes.harness import ABLATION_SKETCH, MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
     COND_OPS, MAX_DEPTH, OP_OPS,
@@ -471,12 +471,16 @@ class TestEval:
         a seventh value without a word."""
         program = parse(MAIN_SKETCH)
         values = (2, 3.5, 4.2, 2, 2, 2.1, 99.0)[:count]
-        fitness = SpecFitness(program, MAIN_SPEC)
-        for use in (fitness, fitness.predicted_outputs,
+        for use in (SpecFitness(program, MAIN_SPEC).predicted_outputs,
                     lambda a: eval_program(program, a, [1.0])):
             with pytest.raises(SketchError,
                                match=f"{count} values for 6 holes"):
                 use(values)
+
+
+def score(fitness, assignment):
+    """The fitness of one assignment, from its program's outputs."""
+    return -fitness.mean_squared_error(fitness.predicted_outputs(assignment))
 
 
 class TestFitness:
@@ -491,7 +495,7 @@ class TestFitness:
             "real5": 2.1,
         }
         fitness = SpecFitness(parse(MAIN_SKETCH), MAIN_SPEC)
-        assert fitness(assignment) == 0.0
+        assert score(fitness, assignment) == 0.0
 
     def test_learned_assignment_mse(self):
         fitness = SpecFitness(parse(MAIN_SKETCH), MAIN_SPEC)
@@ -502,7 +506,7 @@ class TestFitness:
         # mse computed independently in float64 from the printed vectors
         truth = MAIN_SPEC.outputs.astype(np.float64)
         mse = ((outputs.astype(np.float64) - truth) ** 2).mean()
-        assert fitness(LEARNED_ASSIGNMENT) == pytest.approx(-mse)
+        assert score(fitness, LEARNED_ASSIGNMENT) == pytest.approx(-mse)
         assert mse == pytest.approx(4.92, abs=0.01)
 
     def test_vo_outputs_same_formula(self):
@@ -521,7 +525,7 @@ class TestFitness:
         batch = fitness.population(draws)
         for i in range(8):
             member = tuple(d[i] for d in draws)
-            assert fitness(member) == batch[i]
+            assert score(fitness, member) == batch[i]
 
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("rows", [50, 500], ids=["lam", "cells-x-lam"])
@@ -593,12 +597,13 @@ class TestHolesToDistributions:
         assert holes_to_distributions(parse(TRUE_PROGRAM)) == []
 
     def test_ablation_sketch_inventory_order(self):
-        params = holes_to_distributions(parse(ABLATION_SKETCH), PROBS)
+        params = holes_to_distributions(parse(ABLATION_SKETCH))
         ks = [getattr(p, "k", "real") for p in params]
         assert ks == [6, "real", 4, "real", 4, "real"]
         for p in params:
             if isinstance(p, CategoricalParams):
-                assert p.mode == PROBS
+                assert p.mode == LOGITS
+                assert not p.values.any()
             else:
                 assert isinstance(p, GaussianParams)
 
