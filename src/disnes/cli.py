@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``run-main``, ``run-ablation``, ``verify``, ``decode``.
-Exit codes: 0 success, 1 check or runtime failure (a missing file, or a
-diverging run), 2 usage error or malformed input (a flag value, a sketch
-file or a params snapshot).  Every failure prints one ``error:`` line.
+Exit codes: 0 success, 1 check or runtime failure (a missing file, a
+diverging run, or a run too large for memory), 2 usage error or
+malformed input (a flag value, a sketch file or a params snapshot).
+Every failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def main(argv=None):
             assignment = dict(zip(hole_ids, greedy_decode(params)))
             sys.stdout.write(render(program, assignment))
             return 0
-    except (OSError, DivergenceError) as exc:
+    except (OSError, MemoryError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SketchError as exc:

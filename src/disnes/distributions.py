@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -90,14 +90,22 @@ PROBS = "probs"
 PAD_MAX = 7
 
 
-def _unchecked(cls, **fields):
+def _unchecked(cls, **values):
     """A ``cls`` built without running ``__post_init__``, for values that a
     step checked or, in a :class:`DivergenceError`, found out of bounds."""
     params = object.__new__(cls)
-    for name, value in fields.items():
+    for name, value in values.items():
         # attribute by attribute, so instances share their dict's keys
         setattr(params, name, value)
     return params
+
+
+def _equal(self, other):
+    """``==`` of dataclasses: the same object, or one of the same type
+    with every field equal, an array field by value (``np.array_equal``,
+    so a NaN equals nothing but itself in the same object)."""
+    return self is other or type(other) is type(self) and all(np.array_equal(
+        getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _softmax(logits):
@@ -395,7 +403,7 @@ class _Distribution:
     def _state(self):
         """This distribution as a one-hole state, on a shared layout."""
         block = self._block()
-        layout = _one_hole_layout(type(block), block.values.shape[1])
+        layout = _shared_layout(((type(block), block.values.shape[1]),))
         return ParamState(layout, block.values[0])
 
     def sample(self, rng, size=None):
@@ -479,6 +487,8 @@ class CategoricalParams(_Distribution):
     family = "categorical"
     values: np.ndarray
     mode: str = LOGITS
+
+    __eq__ = _equal
 
     def __post_init__(self):
         try:
@@ -603,13 +613,14 @@ class _Group:
 
 class _Layout:
     """Where each hole's parameters sit in the vector; shared by every
-    state stepped from the same params-set.
+    state stepped from the same params-set, and by every state of the
+    same keys and cell count made by :func:`_shared_layout`.
 
     ``keys`` gives each hole's (block type, width) in hole order: the
-    holes of ``cell_count`` equal cells (default: one) of ``cell_size``
-    holes each, cell after cell, else ``ValueError``.  The holes are
-    grouped by :func:`_group_key`, and a hole narrower than its group's
-    widest row ends its row in pads: positions of the vector that belong
+    holes of ``cell_count`` equal cells of ``cell_size`` holes each, cell
+    after cell, else ``ValueError``.  The holes are grouped by
+    :func:`_group_key`, and a hole narrower than its group's widest row
+    ends its row in pads: positions of the vector that belong
     to no parameter and hold the block type's ``pad``, also both of their
     bounds.  ``spans``, the one map from holes to the vector, give each
     hole's parameters, which skip the pads; :meth:`fill` writes through
@@ -618,7 +629,7 @@ class _Layout:
     groups whose block type projects after a step.
     """
 
-    def __init__(self, keys, cell_count=1):
+    def __init__(self, keys, cell_count):
         if cell_count < 1 or len(keys) % cell_count:
             raise ValueError(f"{len(keys)} holes do not split into "
                              f"{cell_count} equal cells")
@@ -700,9 +711,13 @@ class _Layout:
 
 
 @lru_cache(maxsize=None)
-def _one_hole_layout(*key):
-    """The layout of one hole whose key is ``(block type, width)``."""
-    return _Layout([key])
+def _shared_layout(keys, cell_count=1):
+    """The layout of ``cell_count`` cells of the holes whose keys are the
+    tuple ``keys``, made once per ``(keys, cell_count)`` and shared by
+    every state laid out on it: the states taken out of a joint state
+    (see :meth:`ParamState.cells`) and the one-hole states of the
+    per-hole distributions."""
+    return _Layout(list(keys), cell_count)
 
 
 class DrawPlan:
@@ -809,9 +824,12 @@ class ParamState:
 
     A state stands wherever a params-set (a list of per-hole
     distributions) is read: ``len``, indexing and iteration give per-hole
-    distributions, as copies.  :meth:`of`, the one constructor from a
+    distributions, as copies.  Indexing makes one hole's distribution from
+    its span of the vector alone, and iteration indexes hole after hole
+    until ``IndexError``.  :meth:`of`, the one constructor from a
     params-set, lays it out as one cell or several, cell after cell in
-    hole order, and :meth:`cell` takes one out again.
+    hole order, on a layout of its own, and :meth:`cells` takes a run of
+    them out again, on a layout shared by every run of that shape.
     """
 
     # every step makes a new state: no instance dict to make with it
@@ -842,24 +860,33 @@ class ParamState:
         layout = _Layout([(type(b), b.values.shape[1]) for b in blocks], cells)
         return cls(layout, layout.fill([b.values[0] for b in blocks]))
 
+    def cells(self, start, stop):
+        """Cells ``start`` to ``stop - 1``, a run of at least one of this
+        state's cells (else ``IndexError``), as a state of ``stop - start``
+        cells: a copy of their parameters, written through the spans of
+        this state's layout into the shared layout of their holes' keys
+        (see :func:`_shared_layout`)."""
+        layout = self.layout
+        if not 0 <= start < stop <= layout.cell_count:
+            raise IndexError(f"no cells {start}:{stop} of {layout.cell_count}")
+        holes = slice(start * layout.cell_size, stop * layout.cell_size)
+        own = _shared_layout(tuple(layout.keys[holes]), stop - start)
+        return ParamState(own, own.fill(layout.per_hole(self.vector)[holes]))
+
     def cell(self, c):
         """Cell ``c``, indexed as in a list (else ``IndexError``), as a
-        one-cell state: a copy of its parameters in a layout of its own
-        holes' keys."""
-        layout = self.layout
-        start = range(layout.cell_count)[c] * layout.cell_size
-        spans = layout.spans[start:start + layout.cell_size]
-        own = _Layout(layout.keys[start:start + layout.cell_size])
-        return ParamState(own, own.fill([self.vector[s] for s in spans]))
+        one-cell state (see :meth:`cells`)."""
+        c = range(self.layout.cell_count)[c]
+        return self.cells(c, c + 1)
 
     def __len__(self):
         return self.layout.size
 
     def __getitem__(self, hole):
-        return self.params()[hole]
-
-    def __iter__(self):
-        return iter(self.params())
+        """The distribution of hole ``hole``, an int indexed as in a list,
+        made from its block type and its span of the vector."""
+        return self.layout.keys[hole][0].distribution(
+            self.vector[self.layout.spans[hole]])
 
     def _per_group(self, rows_of):
         """A per-hole list of the rows ``rows_of(group, block)`` gives."""
@@ -871,9 +898,7 @@ class ParamState:
 
     def params(self):
         """The per-hole distributions, as copies, in hole order."""
-        return [block_type.distribution(self.vector[span])
-                for (block_type, _), span in zip(self.layout.keys,
-                                                 self.layout.spans)]
+        return list(self)
 
     def stepped(self, gradient, eta, hole_ids=None):
         """The state after the ascent step ``theta + eta * gradient`` and

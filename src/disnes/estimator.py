@@ -221,30 +221,23 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     return GradientEstimate(kind_plan.sums / lam, fits, layout)
 
 
-def joint_support_size(params_set):
-    if not all(ParamState.of(params_set).layout.discrete):
-        raise ValueError(
-            "exact enumeration needs discrete distributions; freeze "
-            "continuous holes to fixed values first"
-        )
-    return math.prod(len(p.support) for p in params_set)
-
-
 def exact_gradient_oracle(params_set, fitness, kind):
     """Infinite-population limit of an estimator, by exhaustive enumeration.
 
     Computes ``sum_x pi(x) f(x) w(x)`` over the full joint discrete
     support, a float64 ``(holes, size)`` matrix as a population is, scored
     in one :func:`call_fitness`.  Refuses supports above
-    ``MAX_ORACLE_SUPPORT``; a params set without holes has no gradients.
+    ``MAX_ORACLE_SUPPORT``.  A params set without holes has one support
+    point, the empty assignment, and no gradients.
     """
     kinds = _resolve_kinds(kind, len(params_set))
-    size = joint_support_size(params_set)
+    if not all(ParamState.of(params_set).layout.discrete):
+        raise ValueError(
+            "exact enumeration needs discrete distributions; freeze "
+            "continuous holes to fixed values first")
+    size = math.prod(len(p.support) for p in params_set)
     if size > MAX_ORACLE_SUPPORT:
         raise ValueError(f"joint support size {size} exceeds {MAX_ORACLE_SUPPORT}")
-
-    if not len(params_set):
-        return []
 
     joint = np.array(np.meshgrid(*[p.support for p in params_set],
                                  indexing="ij"),

@@ -224,8 +224,7 @@ def train(problem, configs):
             cells = cells[:exc.hole // len(hole_ids)]
             if not cells:
                 break
-            state = ParamState.of(
-                exc.state.params()[:len(cells) * len(hole_ids)], len(cells))
+            state = exc.state.cells(0, len(cells))
             draws, kinds, rates = _batch(cells, state.layout, lam)
         if (i - 1) % shared.log_every == 0:
             decode = (i - 1) % (shared.log_every * 10) == 0

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import F32_MAX, CategoricalParams, GaussianParams
+from .distributions import F32_MAX, CategoricalParams, GaussianParams, _equal
 
 COND = "COND"
 OP = "OP"
@@ -588,6 +588,8 @@ class Specification:
 
     inputs: np.ndarray   # (n, arity) float32
     outputs: np.ndarray  # (n,) float32
+
+    __eq__ = _equal
 
     def __post_init__(self):
         self.inputs = _immutable(

@@ -336,6 +336,21 @@ class TestValidation:
             assert edge.probs().tolist() == [1.0, 0.0, 0.0]
 
 
+class TestEquality:
+    def test_categorical_compares_by_value_and_mode(self):
+        half = [0.5, 0.5]
+        assert CategoricalParams([0.0, 1.0]) == CategoricalParams([0.0, 1.0])
+        assert CategoricalParams([0.0, 1.0]) != CategoricalParams([0.0, 2.0])
+        assert CategoricalParams([0.0, 1.0]) != CategoricalParams(
+            [0.0, 1.0, 0.0])
+        assert CategoricalParams(half, mode=PROBS) == CategoricalParams(
+            half, mode=PROBS)
+        assert CategoricalParams(half, mode=PROBS) != CategoricalParams(half)
+        assert CategoricalParams(half) != BernoulliParams(0.5)
+        assert ParamState.of([CategoricalParams([0.0, 1.0])])[0] \
+            == CategoricalParams([0.0, 1.0])
+
+
 class TestLogitBounds:
     def test_step_past_the_bound_is_out_of_range(self):
         p = CategoricalParams(np.array([LOGIT_MAX, 0.0, 0.0]), mode=LOGITS)

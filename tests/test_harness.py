@@ -435,6 +435,22 @@ class TestCli:
         assert lines[0].startswith(
             "error: out-of-range parameters for hole 'real")
 
+    def test_run_beyond_memory_exits_1_with_one_line_error(
+            self, tmp_path, capsys, monkeypatch):
+        # what NumPy raises for the (12, 10**8) draws of --lambda 10**8,
+        # raised by a stub so that no test allocates
+        message = ("Unable to allocate 8.94 GiB for an array with shape "
+                   "(12, 100000000) and data type float64")
+
+        def train(problem, configs):
+            raise MemoryError(message)
+        monkeypatch.setattr(harness, "train", train)
+        code = cli.main(["run-main", "--lambda", "100000000",
+                         "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert lines == [f"error: {message}"]
+
     def test_real_mean_beyond_f32_is_a_divergence(self, tmp_path, capsys):
         # the mean of real5 leaves the f32 range while log sigma is still
         # in bounds; rendered, it would be an inf literal

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from disnes import estimator as est
 from disnes import harness, optimizer
 from disnes.distributions import (
-    EPS, LOGITS, PROBS, BernoulliParams, CategoricalParams, DrawPlan,
-    GaussianParams, ParamState,
+    EPS, LOGITS, PROBS, BernoulliBlock, BernoulliParams, CategoricalBlock,
+    CategoricalParams, DrawPlan, GaussianBlock, GaussianParams, ParamState,
 )
 from disnes.optimizer import (
     TrainConfig, TrainingLog, _transform_for, greedy_decode, initial_params,
@@ -611,6 +611,31 @@ def _files(out_dir):
 
 class TestBatchDivergence:
     ARMS, RATES, SEEDS = ("nes", "sg"), (0.1, 0.05, 0.01, 0.001), (1, 2)
+
+    def test_one_distribution_is_made_for_the_error(self, monkeypatch):
+        """A batch whose second cell diverges builds one per-hole
+        distribution, the named hole's for its message: the cell before
+        it goes on and comes out without per-hole objects."""
+        made = []
+        for block_type in (BernoulliBlock, CategoricalBlock, GaussianBlock):
+            method = vars(block_type)["distribution"]
+
+            def counted(*args, _distribution=method.__func__):
+                made.append(args[-1].copy())
+                return _distribution(*args)
+            monkeypatch.setattr(block_type, "distribution",
+                                type(method)(counted))
+        configs = cell_configs([(est.NATURAL, 0.1, 1), (est.NATURAL, 1e30, 1),
+                                (est.VO, 0.1, 2)],
+                               iterations=20, population=8, log_every=2)
+        with pytest.raises(optimizer.DivergenceError,
+                           match="parameters for hole 'real") as failure:
+            train(main_problem(), configs)
+        exc = failure.value
+        assert len(exc.finished) == 1
+        assert len(made) == 1
+        span = exc.state.layout.spans[exc.hole]
+        assert made[0].tobytes() == exc.state.vector[span].tobytes()
 
     @pytest.mark.parametrize("schedule", [
         {0.01: 4},                # the fifth cell in order: four written

@@ -601,6 +601,36 @@ def test_cells_of_other_widths_join_and_come_back():
                          sgd_step(cell, grads[c], 0.4).vector)
 
 
+def test_runs_of_cells_come_out_as_their_params_lay_out():
+    # the mixed-width cells above, cell 0's shape twice: each run taken out
+    # of the joint state is what its per-hole params lay out afresh, and
+    # cells of one shape come out on one shared layout
+    codes = (["P4", "G", "L2"], ["P6", "G", "L3"], ["P4", "G", "L2"])
+    params = [p for k, c in enumerate(codes)
+              for p in make_params(c, np.random.default_rng(k))]
+    joint = ParamState.of(params, 3)
+    rng = np.random.default_rng(5)
+    stepped = joint.stepped(joint.layout.vector_of(
+        [rng.normal(size=vector_of(p).size) for p in params]), 0.4)
+    for state in (joint, stepped):
+        for a in range(3):
+            for b in range(a + 1, 4):
+                got = state.cells(a, b)
+                want = ParamState.of(state.params()[a * 3:b * 3], b - a)
+                assert got.layout.keys == want.layout.keys
+                assert got.layout.cell_count == b - a
+                assert ([g.width for g in got.layout.groups]
+                        == [g.width for g in want.layout.groups])
+                assert_same_bits(got.vector, want.vector)
+    assert joint.cell(0).layout is joint.cell(2).layout
+    assert joint.cell(0).layout is stepped.cell(-1).layout
+    assert joint.cell(0).layout is not joint.cell(1).layout
+    assert joint.cells(0, 2).layout is stepped.cells(0, 2).layout
+    for start, stop in ((1, 1), (2, 1), (-1, 1), (2, 4)):
+        with pytest.raises(IndexError, match=f"^no cells {start}:{stop} "):
+            joint.cells(start, stop)
+
+
 def pad_positions(layout):
     """The vector positions that belong to no hole's parameters."""
     pads = np.ones(layout.hole_of.size, dtype=bool)

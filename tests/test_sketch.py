@@ -8,7 +8,7 @@ from disnes.distributions import LOGITS, CategoricalParams, GaussianParams
 from disnes.harness import ABLATION_SKETCH, MAIN_SKETCH, MAIN_SPEC, TRUE_PROGRAM
 from disnes.sketch import (
     COND_OPS, MAX_DEPTH, OP_OPS,
-    SketchError, SketchSyntaxError, Specification, SpecFitness,
+    SketchError, SketchProblem, SketchSyntaxError, Specification, SpecFitness,
     check_params_fit, eval_batch, eval_program, format_f32,
     holes_to_distributions, parse, render,
 )
@@ -554,6 +554,23 @@ class TestFitness:
         assert spec.inputs[0, 0] == spec.outputs[0] == 1.0
         assert not spec.inputs.flags.writeable
         assert not spec.outputs.flags.writeable
+
+    def test_specification_and_problem_compare_by_value(self):
+        inputs = [[1.0], [2.0]]
+        spec = Specification(inputs, [3.0, 4.0])
+        assert spec == Specification(np.array(inputs), (3.0, 4.0))
+        assert spec != Specification(inputs, [3.0, 5.0])
+        assert spec != Specification([[1.0], [2.5]], [3.0, 4.0])
+        assert spec != Specification([[1.0, 0.0], [2.0, 0.0]], [3.0, 4.0])
+        unknown = Specification([[np.nan]], [1.0])
+        assert unknown == unknown
+        assert unknown != Specification([[np.nan]], [1.0])
+        program = parse(MAIN_SKETCH)
+        assert SketchProblem(program, MAIN_SPEC) == SketchProblem(
+            parse(MAIN_SKETCH), Specification(MAIN_SPEC.inputs.copy(),
+                                              MAIN_SPEC.outputs.copy()))
+        assert SketchProblem(program, MAIN_SPEC) != SketchProblem(
+            program, Specification(MAIN_SPEC.inputs, MAIN_SPEC.outputs + 1))
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
