@@ -400,16 +400,10 @@ class _Distribution:
         for name in _Distribution._TRACED:
             setattr(cls, name, vars(cls).get(name, getattr(cls, name)))
 
-    def _state(self):
-        """This distribution as a one-hole state, on a shared layout."""
-        block = self._block()
-        layout = _shared_layout(((type(block), block.values.shape[1]),))
-        return ParamState(layout, block.values[0])
-
     def sample(self, rng, size=None):
         """``size`` draws, int64 (float64: Gaussian), or with ``size=None``
         one int (float): the draws of a one-hole state."""
-        state = self._state()
+        state = ParamState.of([self])
         plan = DrawPlan(state.layout, [rng], 1 if size is None else size)
         x = plan.sample(state.blocks)[0]
         if state.layout.discrete[0]:
@@ -427,7 +421,7 @@ class _Distribution:
     def stepped(self, gradient, eta):
         """The step of a one-hole state (see :meth:`ParamState.stepped`):
         a divergent step raises :class:`DivergenceError` naming hole 0."""
-        state = self._state()
+        state = ParamState.of([self])
         return state.stepped(state.layout.vector_of([gradient]), eta)[0]
 
     def greedy(self):
@@ -612,9 +606,9 @@ class _Group:
 
 
 class _Layout:
-    """Where each hole's parameters sit in the vector; shared by every
-    state stepped from the same params-set, and by every state of the
-    same keys and cell count made by :func:`_shared_layout`.
+    """Where each hole's parameters sit in the vector; made only by
+    :func:`_shared_layout`, so every state of the same keys and cell count
+    shares one.
 
     ``keys`` gives each hole's (block type, width) in hole order: the
     holes of ``cell_count`` equal cells of ``cell_size`` holes each, cell
@@ -711,12 +705,10 @@ class _Layout:
 
 
 @lru_cache(maxsize=None)
-def _shared_layout(keys, cell_count=1):
+def _shared_layout(keys, cell_count):
     """The layout of ``cell_count`` cells of the holes whose keys are the
-    tuple ``keys``, made once per ``(keys, cell_count)`` and shared by
-    every state laid out on it: the states taken out of a joint state
-    (see :meth:`ParamState.cells`) and the one-hole states of the
-    per-hole distributions."""
+    tuple ``keys``, made once per ``(keys, cell_count)``: every state of
+    that shape is laid out on it, whatever made it."""
     return _Layout(list(keys), cell_count)
 
 
@@ -828,8 +820,8 @@ class ParamState:
     its span of the vector alone, and iteration indexes hole after hole
     until ``IndexError``.  :meth:`of`, the one constructor from a
     params-set, lays it out as one cell or several, cell after cell in
-    hole order, on a layout of its own, and :meth:`cells` takes a run of
-    them out again, on a layout shared by every run of that shape.
+    hole order, and :meth:`cells` takes a run of them out again; each is
+    laid out on the one layout of its shape (see :func:`_shared_layout`).
     """
 
     # every step makes a new state: no instance dict to make with it
@@ -857,21 +849,22 @@ class ParamState:
         if isinstance(params_set, ParamState):
             return params_set
         blocks = [p._block() for p in params_set]
-        layout = _Layout([(type(b), b.values.shape[1]) for b in blocks], cells)
+        layout = _shared_layout(
+            tuple([(type(b), b.values.shape[1]) for b in blocks]), cells)
         return cls(layout, layout.fill([b.values[0] for b in blocks]))
 
     def cells(self, start, stop):
         """Cells ``start`` to ``stop - 1``, a run of at least one of this
         state's cells (else ``IndexError``), as a state of ``stop - start``
-        cells: a copy of their parameters, written through the spans of
-        this state's layout into the shared layout of their holes' keys
-        (see :func:`_shared_layout`)."""
+        cells: a copy of their holes' parameters, read through their spans
+        of this state's layout."""
         layout = self.layout
         if not 0 <= start < stop <= layout.cell_count:
             raise IndexError(f"no cells {start}:{stop} of {layout.cell_count}")
         holes = slice(start * layout.cell_size, stop * layout.cell_size)
         own = _shared_layout(tuple(layout.keys[holes]), stop - start)
-        return ParamState(own, own.fill(layout.per_hole(self.vector)[holes]))
+        return ParamState(own, own.fill([self.vector[span]
+                                         for span in layout.spans[holes]]))
 
     def cell(self, c):
         """Cell ``c``, indexed as in a list (else ``IndexError``), as a

@@ -172,7 +172,9 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     distribution, one per distribution (the training loop mixes kinds
     across hole families) or a :class:`KindPlan`; ``lam < 1``, a list
     of ``Generator``s that is not one per cell, or a plan made for
-    another layout or ``lam``, raises ``ValueError``.
+    another layout or ``lam``, raises ``ValueError``.  States of one
+    shape, the same hole keys and cell count, share one layout (see
+    :meth:`ParamState.of`), so a plan made for one serves them all.
     ``fitness_transform``, when given, maps the fitnesses to the weights
     actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
     array; the reported fitnesses stay untransformed.  The weights are

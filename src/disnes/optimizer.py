@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,15 +54,23 @@ class TrainConfig:
     fitness_transform: str = "standardize"
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (math.isfinite(self.learning_rate)
-                and self.learning_rate > 0.0):
+        # a bool is an Integral and a Real, but never a count or a rate
+        for name, low in (("iterations", 1), ("population", 1),
+                          ("log_every", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {value!r}")
+            # a NumPy integer would wrap around in log_every * 10
+            setattr(self, name, int(value))
+        rate = self.learning_rate
+        if (isinstance(rate, bool) or not isinstance(rate, Real)
+                or not 0.0 < rate < math.inf):
             raise ValueError("learning_rate must be a finite number > 0")
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        self.learning_rate = float(rate)
+        if self.estimator_kind not in est.KINDS:
+            raise ValueError(f"unknown estimator_kind {self.estimator_kind!r}")
         if self.fitness_transform not in ("raw", "baseline", "standardize"):
             raise ValueError(
                 f"unknown fitness_transform {self.fitness_transform!r}")

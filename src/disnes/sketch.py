@@ -216,11 +216,13 @@ class _Parser:
         tok = tok or self.peek()
         raise SketchSyntaxError(message, tok.line, tok.col)
 
-    def expect(self, text):
-        tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}")
-        return self.advance()
+    def expect(self, *texts):
+        """Consume the tokens ``texts``, one after another."""
+        for text in texts:
+            tok = self.peek()
+            if tok.text != text:
+                self.error(f"expected {text!r}, found {tok.text!r}")
+            self.advance()
 
     def expect_ident(self):
         tok = self.peek()
@@ -271,31 +273,23 @@ class _Parser:
             arg = self.expect_ident()
             if arg.text in self.args:
                 self.error(f"duplicate argument name {arg.text!r}", arg)
-            self.expect(":")
-            self.expect("f32")
+            self.expect(":", "f32")
             self.args.append(arg.text)
-            if self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect(")")
-        self.expect("->")
-        self.expect("f32")
-        self.expect("{")
+            if self.peek().text != ",":
+                break
+            self.advance()
+        self.expect(")", "->", "f32", "{")
         branches = []
         while self.peek().text == "if":
             self.advance()
             cond = self.binary()
-            self.expect("{")
-            self.expect("return")
+            self.expect("{", "return")
             expr = self.binary()
-            self.expect(";")
-            self.expect("}")
+            self.expect(";", "}")
             branches.append((cond, expr))
         self.expect("return")
         else_expr = self.binary()
-        self.expect(";")
-        self.expect("}")
+        self.expect(";", "}")
         if self.peek().kind != "eof":
             self.error(f"unexpected trailing input {self.peek().text!r}")
         return Program(name, tuple(self.args), tuple(branches), else_expr,

@@ -13,7 +13,7 @@ import pytest
 
 from disnes import checks, cli, estimator as est, harness, sketch
 from disnes.distributions import (
-    LOGITS, PROBS, BernoulliParams, CategoricalParams,
+    LOGITS, PROBS, BernoulliParams, CategoricalBlock, CategoricalParams,
 )
 from disnes.optimizer import TrainConfig
 from disnes.sketch import COND_OPS, OP_OPS, eval_program, parse, render
@@ -97,14 +97,17 @@ def test_criterion_3_algebraic_identities(capsys):
             not failed, _details(failed))
 
 
-@pytest.fixture(scope="module")
-def main_results(tmp_path_factory):
+def _main_batch(out):
     # the ten (arm, seed) cells of run-main --seed 1..5, in one batch
-    out = str(tmp_path_factory.mktemp("main"))
     return harness.run_ablation(
-        harness.DEFAULT_SEEDS, out, sketch_text=harness.MAIN_SKETCH,
+        harness.DEFAULT_SEEDS, str(out), sketch_text=harness.MAIN_SKETCH,
         spec=harness.MAIN_SPEC, learning_rates=(0.1,),
         arms=harness.MAIN_ARMS)
+
+
+@pytest.fixture(scope="module")
+def main_results(tmp_path_factory):
+    return _main_batch(tmp_path_factory.mktemp("main"))
 
 
 def test_criterion_4_main_experiment(capsys, main_results):
@@ -206,6 +209,20 @@ def test_criterion_7_fails_when_render_drops_a_hole(monkeypatch, capsys):
     with pytest.raises(AssertionError):
         test_criterion_7_parser_roundtrip_and_rendering(_Uncaptured)
     assert capsys.readouterr().out.startswith("[FAIL] criterion 7:")
+
+
+def test_criterion_4_fails_when_the_natural_score_is_negated(
+        monkeypatch, capsys, tmp_path):
+    """A categorical natural score of the wrong sign, which the ``nes``
+    arm's PROBS holes inherit, steps the ``nes`` cells' operators away
+    from the fit, and criterion 4 reports FAIL on the batch trained under
+    it."""
+    negated = CategoricalBlock.natural_score
+    monkeypatch.setattr(CategoricalBlock, "natural_score",
+                        lambda block, x: -negated(block, x))
+    with pytest.raises(AssertionError):
+        test_criterion_4_main_experiment(_Uncaptured, _main_batch(tmp_path))
+    assert capsys.readouterr().out.startswith("[FAIL] criterion 4:")
 
 
 class _Float64Numpy:

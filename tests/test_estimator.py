@@ -310,18 +310,25 @@ class TestPopulationMechanics:
 
     def test_plans_must_be_made_for_the_state_and_lam(self):
         """The plan forms of ``rng`` and ``kinds`` give what the plain
-        forms give, and a plan made for another layout (even one with the
-        same holes) or a draw plan made for another lam is refused."""
+        forms give, also when made for another state of the same shape;
+        a plan made for a state of another shape, or a draw plan made for
+        another lam, is refused."""
         params = bern_cat_set()
         state, other = ParamState.of(params), ParamState.of(params)
         fitness = rows(lambda xs: xs[0] - xs[1])
         want = est.estimate_gradient(state, fitness, 8, rng(3), est.SEARCH)
-        got = est.estimate_gradient(
-            state, fitness, 8, DrawPlan(state.layout, [rng(3)], 8),
-            est.KindPlan(state.layout, est.SEARCH))
-        assert np.array_equal(got.vector, want.vector)
-        for plans in ((DrawPlan(other.layout, [rng(3)], 8), est.SEARCH),
-                      (rng(3), est.KindPlan(other.layout, est.SEARCH)),
+        for made_for in (state, other):
+            got = est.estimate_gradient(
+                state, fitness, 8, DrawPlan(made_for.layout, [rng(3)], 8),
+                est.KindPlan(made_for.layout, est.SEARCH))
+            assert np.array_equal(got.vector, want.vector)
+        wider = ParamState.of(params + [BernoulliParams(0.5)])
+        two_cells = ParamState.of(params * 2, 2)
+        for plans in ((DrawPlan(wider.layout, [rng(3)], 8), est.SEARCH),
+                      (rng(3), est.KindPlan(wider.layout, est.SEARCH)),
+                      (DrawPlan(two_cells.layout, [rng(3)] * 2, 8),
+                       est.SEARCH),
+                      (rng(3), est.KindPlan(two_cells.layout, est.SEARCH)),
                       (DrawPlan(state.layout, [rng(3)], 9), est.SEARCH)):
             with pytest.raises(ValueError, match="another layout or lam"):
                 est.estimate_gradient(state, fitness, 8, *plans)

@@ -344,6 +344,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("iterations", 2.5), ("iterations", 2.0), ("iterations", True),
+        ("population", 2.5), ("population", True), ("population", "8"),
+        ("log_every", 2.5), ("log_every", np.True_),
+        ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", None),
+        ("learning_rate", True), ("learning_rate", np.True_),
+        ("learning_rate", "0.1"),
+        ("estimator_kind", "bogus"), ("estimator_kind", None),
+    ])
+    def test_rejects_values_train_cannot_run(self, name, value):
+        """A count or seed that is not a non-bool integer, a negative seed,
+        a bool learning rate and an unknown estimator kind are refused when
+        the config is made, each naming its field, not deep in ``train``
+        (or not at all)."""
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_accepts_numpy_numbers_as_python_numbers(self):
+        """NumPy integers and floats are accepted, and kept as ``int`` and
+        ``float``: a ``uint8`` ``log_every`` of 30 still decodes every 300
+        iterations, where ``uint8(30) * 10`` would wrap around to 44."""
+        config = TrainConfig(iterations=np.int64(301), population=np.int32(4),
+                             log_every=np.uint8(30), seed=np.int64(0),
+                             learning_rate=np.float32(0.25))
+        assert [type(getattr(config, name)) for name in (
+            "iterations", "population", "log_every", "seed",
+            "learning_rate")] == [int] * 4 + [float]
+        assert config.learning_rate == np.float32(0.25)
+        log = train(bern_problem(), [config])[0][0]
+        assert [r.iteration for r in log.records
+                if r.decode_loss is not None] == [1, 301]
+
 
 class TestFitnessTransform:
     @pytest.mark.parametrize("ties", [False, True])

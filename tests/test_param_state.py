@@ -631,6 +631,29 @@ def test_runs_of_cells_come_out_as_their_params_lay_out():
             joint.cells(start, stop)
 
 
+def test_states_of_one_shape_share_one_layout():
+    """One layout per (hole keys, cell count), whatever made the state:
+    ``of`` on equal params-sets, a run of cells taken out of a joint
+    state, a step of either, or a one-hole view of a distribution."""
+    params = make_params(["P4", "G", "L2"], np.random.default_rng(0))
+    state = ParamState.of(params)
+    assert ParamState.of([p.copy() for p in params]).layout is state.layout
+    joint = ParamState.of(params * 3, 3)
+    assert ParamState.of(params * 3, 3).layout is joint.layout
+    assert joint.cells(0, 3).layout is joint.layout
+    assert joint.cell(1).layout is state.layout
+    assert sgd_step(state, [np.zeros(vector_of(p).size) for p in params],
+                    0.1).layout is state.layout
+    assert ParamState.of([state[2]]).layout is ParamState.of(
+        [CategoricalParams([0.0, 1.0])]).layout
+    # other keys or another cell count: another layout
+    assert ParamState.of(params * 3).layout is not joint.layout
+    assert ParamState.of(params[::-1]).layout is not state.layout
+    assert (ParamState.of(make_params(["P4", "G", "L3"],
+                                      np.random.default_rng(0))).layout
+            is not state.layout)
+
+
 def pad_positions(layout):
     """The vector positions that belong to no hole's parameters."""
     pads = np.ones(layout.hole_of.size, dtype=bool)
