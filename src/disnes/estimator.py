@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -87,24 +86,23 @@ def _resolve_kinds(kinds, n):
 
 class KindPlan:
     """The estimator kinds of one layout's holes, split by group once, and
-    the buffer the weighted sums go into.  Per group: each kind it holds,
-    with the runs of consecutive rows of that kind, each as its rows'
-    slice and its ``(rows, 1, width)`` view of ``sums``, the weighted sums
-    in the layout's vector order, which every estimate overwrites."""
+    the buffer the weighted sums go into.  Per group: the kind of its
+    first row, each other kind it holds with that kind's rows as an
+    ``np.intp`` array, and the group's ``(rows, 1, width)`` view of
+    ``sums``, the weighted sums in the layout's vector order, which every
+    estimate overwrites."""
 
     def __init__(self, layout, kinds):
         kinds = _resolve_kinds(kinds, layout.size)
         self.layout, self.groups = layout, []
         self.sums = np.empty(layout.hole_of.size)
         for group in layout.groups:
-            sums = self.sums[group.start:group.stop].reshape(-1, 1,
-                                                             group.width)
-            runs, first = {}, 0
-            for kind, run in groupby([kinds[h] for h in group.holes]):
-                rows = slice(first, first + len(list(run)))
-                runs.setdefault(kind, []).append((rows, sums[rows]))
-                first = rows.stop
-            self.groups.append(list(runs.items()))
+            first, *rest = group_kinds = [kinds[h] for h in group.holes]
+            others = [(kind, np.array([r for r, k in enumerate(group_kinds)
+                                       if k == kind], dtype=np.intp))
+                      for kind in dict.fromkeys(rest) if kind != first]
+            self.groups.append((first, others, self.sums[
+                group.start:group.stop].reshape(-1, 1, group.width)))
 
 
 def sample_population(state, plan):
@@ -179,9 +177,10 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     actually used (e.g. mean-centering), row by row of a ``(cells, lam)``
     array; the reported fitnesses stay untransformed.  The weights are
     one NumPy operation per group of holes (see :class:`ParamState`) and
-    kind, and the weighted sums one per run of rows of one kind, written
-    into the kind plan's buffer (see :class:`KindPlan`); one division by
-    ``lam`` then makes the gradient vector, whose pads are 0.0.
+    kind it holds, each other kind's rows overwriting the first kind's,
+    and the weighted sums one ``matmul`` per group, written into the kind
+    plan's buffer (see :class:`KindPlan`); one division by ``lam`` then
+    makes the gradient vector, whose pads are 0.0.
 
     A state of several cells (see :meth:`ParamState.of`) holds the
     holes of one problem once per cell.  Every cell draws its own
@@ -213,13 +212,15 @@ def estimate_gradient(params_set, fitness, lam, rng, kinds,
     weights = rows if fitness_transform is None else fitness_transform(rows)
     # per sample row: its own cell's weights
     hole_weights = weights[layout.grouped_cells][:, None, :]
-    for group, block, kind_runs in zip(layout.groups, state.blocks,
-                                       kind_plan.groups):
-        xs, cell_weights = samples[group.rows], hole_weights[group.rows]
-        for kind, runs in kind_runs:
-            w = _weights(block, xs, kind)
-            for rows, sums in runs:
-                np.matmul(cell_weights[rows], w[rows], out=sums)
+    for group, block, (first, others, sums) in zip(
+            layout.groups, state.blocks, kind_plan.groups):
+        xs = samples[group.rows]
+        # each _weights call returns a fresh array, so rows of the other
+        # kinds overwrite the first kind's in place
+        w = _weights(block, xs, first)
+        for kind, rows in others:
+            w[rows] = _weights(block, xs, kind)[rows]
+        np.matmul(hole_weights[group.rows], w, out=sums)
     return GradientEstimate(kind_plan.sums / lam, fits, layout)
 
 

@@ -260,6 +260,29 @@ class TestTrainLoop:
             [(_, params)] = train(bern_problem(n=4), [cfg])
             assert greedy_decode(params) == [1, 1, 1, 1]
 
+    def test_natural_solves_onemax_where_search_fixes_bits_wrong(self):
+        """OneMax on 256 Bernoulli(0.5) holes at lr 1.0: every ``natural``
+        cell decodes all ones, and every ``search`` cell keeps a zero.
+
+        On Bernoulli holes the ``natural`` step, theta += lr * E[w (x -
+        theta)], is the PBIL update (Baluja, "Population-Based
+        Incremental Learning", CMU-CS-94-163, 1994).  The ``search`` step
+        divides that by theta (1 - theta), so its steps grow as theta
+        nears a bound, and too large an update strength fixes bits at the
+        wrong value by genetic drift (Sudholt & Witt, "On the choice of
+        the update strength in estimation-of-distribution algorithms and
+        ant colony optimization", Algorithmica 81, 2019).  All six cells
+        train as one batch, so their Bernoulli group holds two kinds."""
+        configs = cell_configs([(kind, 1.0, seed)
+                                for kind in (est.NATURAL, est.SEARCH)
+                                for seed in (1, 2, 3)],
+                               iterations=300, population=50,
+                               fitness_transform="standardize")
+        runs = train(bern_problem(n=256), configs)
+        for config, (_, params) in zip(configs, runs, strict=True):
+            decoded = greedy_decode(params)
+            assert (0 in decoded) == (config.estimator_kind == est.SEARCH)
+
     def test_categorical_problem_decodes_argmax(self):
         target = 2
 

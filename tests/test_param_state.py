@@ -355,6 +355,42 @@ def test_cells_sharing_a_generator_match_per_hole_reference(batch):
                             etas=etas, streams=SHARED_STREAMS[batch])
 
 
+class _MatmulCountingNumpy:
+    """NumPy that counts its ``matmul`` calls."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("batch, groups", [("mixed-kinds", 6),
+                                           ("main-nes+vo", 3)])
+def test_one_weighted_sum_per_group(monkeypatch, batch, groups):
+    """One estimate makes one ``matmul`` per group, whatever kinds the
+    group's rows hold: every group of ``mixed-kinds`` holds all three
+    kinds, and the Gaussian group of ``main-nes+vo`` holds a ``natural``
+    and a ``vo`` cell."""
+    codes, cell_kinds = BATCHES[batch]
+    cell_params = [make_params(c, np.random.default_rng(13 + i))
+                   for i, c in enumerate(codes)]
+    state = ParamState.of([p for cell in cell_params for p in cell],
+                          len(codes))
+    kinds = [k for cell, ks in zip(cell_params, cell_kinds)
+             for k in est._resolve_kinds(ks, len(cell))]
+    counting = _MatmulCountingNumpy()
+    monkeypatch.setattr(est, "np", counting)
+    rngs = [np.random.default_rng(13 + i) for i in range(len(codes))]
+    est.estimate_gradient(state, Fitness(len(codes[0])), 9, rngs, kinds)
+    assert len(state.layout.groups) == groups
+    assert counting.matmuls == groups
+
+
 class CountingRng:
     """A ``Generator`` that counts the calls made to it."""
 
