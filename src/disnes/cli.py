@@ -60,9 +60,10 @@ def _add_train_flags(sub, arms):
                           f"{' and '.join(arms)})")
 
 
-def _config(args, seed, **overrides):
+def _config(args, **overrides):
+    """The flags' shared config; the harness sets each cell's seed."""
     return TrainConfig(iterations=args.iters, population=args.population,
-                       seed=seed, log_every=args.log_every, **overrides)
+                       log_every=args.log_every, **overrides)
 
 
 def _read_sketch(path):
@@ -132,7 +133,7 @@ def main(argv=None):
             arms = tuple(args.arms) if args.arms else harness.MAIN_ARMS
             results = harness.run_main(
                 args.seed, args.out,
-                config=_config(args, args.seed, learning_rate=args.lr),
+                config=_config(args, learning_rate=args.lr),
                 sketch_text=_sketch_text(args), arms=arms)
             harness.emit_summary(results, f"{args.out}/summary.csv")
             for r in results:
@@ -143,7 +144,7 @@ def main(argv=None):
         if args.command == "run-ablation":
             arms = tuple(args.arms) if args.arms else harness.ABLATION_ARMS
             results = harness.run_ablation(
-                args.seed, args.out, config=_config(args, args.seed[0]),
+                args.seed, args.out, config=_config(args),
                 sketch_text=_sketch_text(args), arms=arms)
             harness.emit_summary(results, f"{args.out}/summary.csv")
             for r in results:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from numbers import Integral, Real
 
 import numpy as np
@@ -168,19 +169,6 @@ def initial_params(problem, config):
 _SHARED = ("iterations", "population", "log_every", "fitness_transform")
 
 
-class _Cell:
-    """One config's training run inside a batch, drawing from ``rng``, the
-    ``Generator`` of its seed, on holes ``hole_ids`` flagged ``discrete``."""
-
-    def __init__(self, config, rng, discrete, hole_ids):
-        self.learning_rate = config.learning_rate
-        self.kinds = [config.estimator_kind if d else CONTINUOUS_KIND
-                      for d in discrete]
-        self.discrete = [h for h, d in enumerate(discrete) if d]
-        self.rng = rng
-        self.log = TrainingLog([hole_ids[h] for h in self.discrete])
-
-
 def train(problem, configs):
     """Train one cell per config in one batched loop; returns one
     ``(TrainingLog, final params)`` pair per config, in order.
@@ -218,9 +206,10 @@ def train(problem, configs):
             for seed in {c.seed for c in configs}}
     state = ParamState.of([p for c in configs
                            for p in initial_params(problem, c)], len(configs))
-    discrete = state.layout.discrete[:state.layout.cell_size]
-    cells = [_Cell(c, rngs[c.seed], discrete, hole_ids) for c in configs]
-    draws, kinds, rates = _batch(cells, state.layout, lam)
+    # zip stops at the first cell's holes
+    logs = [TrainingLog([h for h, d in zip(hole_ids, state.layout.discrete)
+                         if d]) for _ in configs]
+    draws, kinds, rates = _batch(configs, rngs, state.layout, lam)
     transform = _transform_for(shared.fitness_transform)
     failure = None
     for i in range(1, shared.iterations + 1):
@@ -230,47 +219,52 @@ def train(problem, configs):
             state = sgd_step(state, estimate.vector, rates, hole_ids)
         except DivergenceError as exc:
             failure = exc
-            cells = cells[:exc.hole // len(hole_ids)]
-            if not cells:
+            kept = exc.hole // state.layout.cell_size
+            configs, logs = configs[:kept], logs[:kept]
+            if not configs:
                 break
-            state = exc.state.cells(0, len(cells))
-            draws, kinds, rates = _batch(cells, state.layout, lam)
+            state = exc.state.cells(0, kept)
+            draws, kinds, rates = _batch(configs, rngs, state.layout, lam)
         if (i - 1) % shared.log_every == 0:
             decode = (i - 1) % (shared.log_every * 10) == 0
             fits = estimate.fitnesses.reshape(-1, shared.population)
-            _log(cells, state, fits, i, fitness, hole_ids, decode)
-    finished = [(c.log, state.cell(k)) for k, c in enumerate(cells)]
+            _log(logs, state, fits, i, fitness, decode)
+    finished = [(log, state.cell(k)) for k, log in enumerate(logs)]
     if failure is not None:
         failure.finished = finished
         raise failure
     return finished
 
 
-def _batch(cells, layout, lam):
-    """What every iteration of ``cells``, joined in ``layout``, reuses: the
-    plan of their draws, the split of their holes' estimator kinds and the
-    learning rate of each vector position."""
-    return (DrawPlan(layout, [c.rng for c in cells], lam),
-            est.KindPlan(layout, [k for c in cells for k in c.kinds]),
-            np.array([c.learning_rate for c in cells])[layout.cell_of])
+def _batch(configs, rngs, layout, lam):
+    """What every iteration of the cells of ``configs``, joined in
+    ``layout``, reuses: the plan of their draws from ``rngs``, one
+    ``Generator`` per seed; the split of their holes' estimator kinds, its
+    cell's for a discrete hole and ``CONTINUOUS_KIND`` for a Gaussian one;
+    and the learning rate of each vector position."""
+    discrete = layout.discrete[:layout.cell_size]
+    return (DrawPlan(layout, [rngs[c.seed] for c in configs], lam),
+            est.KindPlan(layout, [c.estimator_kind if d else CONTINUOUS_KIND
+                                  for c in configs for d in discrete]),
+            np.array([c.learning_rate for c in configs])[layout.cell_of])
 
 
-def _log(cells, state, fits, iteration, fitness, hole_ids, decode):
+def _log(logs, state, fits, iteration, fitness, decode):
     """One record of ``iteration`` for each cell's log; row ``k`` of
     ``fits`` is cell ``k``'s population.  On a decode iteration one
     fitness evaluation scores every cell's greedy assignment."""
-    holes = len(hole_ids)
     means = est.mean(fits)
-    entropies = state.entropies()
+    # each cell's discrete holes' entropies, cell after cell
+    entropies = list(compress(state.entropies(), state.layout.discrete))
+    per_cell = len(entropies) // len(logs)
     if decode:
         greedy = np.array(state.greedy(), dtype=np.float64)
         decode_losses = -est.call_fitness(
-            fitness, greedy.reshape(len(cells), holes).T)
-    for k, cell in enumerate(cells):
-        cell_entropies = entropies[k * holes:(k + 1) * holes]
-        cell.log.records.append(LogRecord(
+            fitness, greedy.reshape(len(logs), state.layout.cell_size).T)
+    for k, log in enumerate(logs):
+        log.records.append(LogRecord(
             iteration=iteration,
             loss=-float(means[k]),
-            entropies=tuple([cell_entropies[h] for h in cell.discrete]),
+            entropies=tuple(entropies[k * per_cell:(k + 1) * per_cell]),
             decode_loss=float(decode_losses[k]) if decode else None,
         ))

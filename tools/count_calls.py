@@ -11,12 +11,17 @@ total call count and the calls per iteration.  BATCH names the batch:
   group holds holes of two estimator kinds.
 
 The count covers ``train`` alone, so its one-off set-up (building the
-cells, their draw plan and kind plan) is included and weighs less the
-more iterations run.  The sketch is compiled before profiling starts:
-compiling hashes its frozen AST nodes, and how many equality calls their
-hash collisions make depends on the string hash seed.  Unlike wall time,
-the count then repeats exactly on a given Python and NumPy, so it compares
-two trees on a noisy machine.
+batch's logs, draw plan and kind plan) is included and weighs less the
+more iterations run.  Two other one-offs are kept out of it.  The sketch
+is compiled before profiling starts: compiling hashes its frozen AST
+nodes, and how many equality calls their hash collisions make depends on
+the string hash seed.  And ``numpy.random`` is imported first, which
+``train``'s first ``np.random.default_rng`` would otherwise do inside the
+profile, some 4,000 calls.  The calls are summed per code object (see
+:func:`total_calls`), so two dataclasses' generated ``__init__``, which
+share one pstats label, are both counted.  Unlike wall time, the count
+then repeats exactly on a given Python and NumPy, so it compares two
+trees on a noisy machine.
 
 Usage, from the repository root:
 
@@ -27,10 +32,10 @@ Usage, from the repository root:
 from __future__ import annotations
 
 import cProfile
-import pstats
 import sys
 
 import numpy as np
+import numpy.random  # noqa: F401  (see the module docstring)
 
 from disnes import harness
 from disnes.optimizer import TrainConfig, train
@@ -60,7 +65,14 @@ def count_calls(iterations, batch="main"):
                for arm, lr in cells]
     profile = cProfile.Profile()
     profile.runcall(train, problem, configs)
-    return pstats.Stats(profile).total_calls
+    return total_calls(profile)
+
+
+def total_calls(profile):
+    """The calls ``profile`` saw, summed per code object: pstats keys
+    functions by (file, line, name), and two functions with one key would
+    keep only one of their counts."""
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def main(argv):
